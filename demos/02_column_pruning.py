@@ -1,10 +1,11 @@
 """Column pruning with exact compensation, against its oracles.
 
 Removing a column of W costs sum(w_p^2) / (H^-1)_pp in reconstruction
-error, and the surviving columns absorb a closed-form update. Iterating
-this is exactly the least-squares optimum for the final mask, whatever
-the removal order, and greedy selection comes close to the exhaustive
-best subset.
+error, and the surviving columns absorb a closed-form update. Removing a
+whole set of columns at once (`remove_block`, the group OBS step) pays the
+same per-column errors as removing them one by one in the given order, and
+lands exactly on the least-squares optimum for the final mask, whatever
+the order. Greedy selection comes close to the exhaustive best subset.
 
 Run: python demos/02_column_pruning.py
 """
@@ -12,14 +13,13 @@ Run: python demos/02_column_pruning.py
 import numpy as np
 
 from obslim import (
-    ColumnPruneState,
     HessianAccumulator,
     brute_force_best_columns,
     column_errors,
     invert_spd,
     least_squares_oracle,
     mask_residual,
-    prune_column,
+    remove_block,
 )
 
 rng = np.random.default_rng(1)
@@ -31,7 +31,7 @@ x = mix @ rng.normal(size=(d, tokens))
 w = rng.normal(size=(5, d)) * np.exp(0.6 * rng.normal(size=d))[None, :]
 
 h = HessianAccumulator(d).accumulate(x).finalize(damping_frac=0.01)
-h_inv = invert_spd(h)
+h_inv = invert_spd(h).a
 
 errs = column_errors(w, h_inv)
 print("per-column removal errors:")
@@ -39,25 +39,26 @@ for p, err in enumerate(errs):
     print(f"  column {p}: {err:10.3f}")
 print(f"cheapest column: {np.argmin(errs)}")
 
-# --- prune three columns greedily ------------------------------------------
-state = ColumnPruneState.initial(w, h_inv)
+# --- prune three columns greedily, one remove_block call per column ---------
+w_cur, h_inv_cur = w, h_inv
+kept = list(range(d))
+step_sum = 0.0
 for _ in range(3):
-    cols = np.asarray(state.alive)
-    cur = column_errors(state.w[:, cols], state.h_inv)
+    cur = column_errors(w_cur, h_inv_cur)
     pick = int(np.argmin(cur))
-    print(f"removing original column {state.alive[pick]} "
-          f"(estimated error {cur[pick]:.3f})")
-    prune_column(state, pick)
+    print(f"removing original column {kept[pick]} (estimated error {cur[pick]:.3f})")
+    w_cur, h_inv_cur, steps = remove_block(w_cur, h_inv_cur, [pick])
+    step_sum += float(steps[0])
+    kept.pop(pick)
 
-kept = state.alive
 greedy_resid = mask_residual(w, h, kept)
 print(f"\nkept columns: {kept}")
-print(f"sum of step errors:     {sum(e for _, e in state.step_errors):10.3f}")
+print(f"sum of step errors:     {step_sum:10.3f}")
 print(f"residual of final mask: {greedy_resid:10.3f}  (telescopes to the same value)")
 
 # --- compensation is exact for the chosen mask ------------------------------
 expect = least_squares_oracle(w, h, kept)
-dev = np.abs(state.w[:, kept] - expect).max()
+dev = np.abs(w_cur - expect).max()
 print(f"\nmax deviation from closed-form optimum for this mask: {dev:.2e}")
 
 # --- and greedy is near the exhaustive optimum ------------------------------
@@ -65,10 +66,12 @@ best_set, best_err = brute_force_best_columns(w, h, 3)
 print(f"exhaustive best 3-column removal: {best_set} with residual {best_err:.3f}")
 print(f"greedy / optimal residual ratio:  {greedy_resid / best_err:.4f}")
 
-# --- removal order does not change the final weights ------------------------
+# --- one block call, any order: same final weights and inverse Hessian ------
 removed = sorted(set(range(d)) - set(kept))
-state2 = ColumnPruneState.initial(w, h_inv)
-for orig in reversed(removed):
-    prune_column(state2, state2.alive.index(orig))
-print("\nreversed removal order, same final weights:",
-      np.abs(state2.w[:, kept] - state.w[:, kept]).max() < 1e-10)
+for order in (removed, removed[::-1]):
+    w_blk, h_inv_blk, steps = remove_block(w, h_inv, order)
+    print(f"\nblock removal in order {order}: step errors {np.round(steps, 3)}"
+          f" (sum {steps.sum():.3f})")
+    print("  same final weights:", np.abs(w_blk - w_cur).max() < 1e-10)
+    print("  inverse Hessian equals inv(H[kept, kept]):",
+          np.abs(h_inv_blk - np.linalg.inv(h.a[np.ix_(kept, kept)])).max() < 1e-10)

@@ -9,30 +9,13 @@ from .calib import HessianAccumulator, hessian_from_features, load_recorded_feat
 from .config import DEFAULT_DAMPING, TOL, Tolerances
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
 from .ffn_pruner import GroupSchedule, group_sizes, prune_channels
-from .head_pruner import (
-    HeadLayout,
-    HeadPruneResult,
-    head_errors,
-    prune_heads,
-    prune_one_head,
-    reorder_for_head,
-)
-from .linalg import (
-    GroupedCholesky,
-    SpdMatrix,
-    cholesky_lower,
-    grouped_cholesky,
-    invert_spd,
-    permute_symmetric,
-    remove_update,
-)
+from .head_pruner import HeadLayout, HeadPruneResult, head_errors, prune_heads
+from .linalg import SpdMatrix, cholesky_lower, grouped_cholesky, invert_spd, remove_block
 from .obs_core import (
-    ColumnPruneState,
     brute_force_best_columns,
     column_errors,
     least_squares_oracle,
     mask_residual,
-    prune_column,
 )
 from .pipeline import (
     LayerWeights,
@@ -64,10 +47,8 @@ from .tensorstore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnPruneState",
     "DEFAULT_DAMPING",
     "GroupSchedule",
-    "GroupedCholesky",
     "HeadLayout",
     "HeadPruneResult",
     "HessianAccumulator",
@@ -101,16 +82,12 @@ __all__ = [
     "least_squares_oracle",
     "load_recorded_features",
     "mask_residual",
-    "permute_symmetric",
     "prune_channels",
-    "prune_column",
     "prune_heads",
     "prune_model",
-    "prune_one_head",
     "ratio_at",
     "read_tensor_file",
-    "remove_update",
-    "reorder_for_head",
+    "remove_block",
     "schedule_ratios",
     "solve_last_ratio",
     "validate_manifest",

@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--damping", type=float, default=None)
     prune.add_argument("--group-start", type=int, default=None)
     prune.add_argument("--group-min", type=int, default=None)
-    prune.add_argument("--seed", type=int, default=None)
-    prune.add_argument("--refresh", choices=("trailing", "reinvert"), default=None)
     prune.add_argument("--calib-mode", choices=("pruned", "original"), default=None)
 
     ver = sub.add_parser("verify", help="re-check the invariants of a written report")
@@ -116,8 +114,6 @@ def _merged_settings(args) -> dict:
         "damping": DEFAULT_DAMPING,
         "group_start": 1024,
         "group_min": 8,
-        "seed": None,
-        "refresh": "trailing",
         "calib_mode": "pruned",
     }
     if args.config:
@@ -171,9 +167,7 @@ def _cmd_prune(args) -> int:
         damping=settings["damping"],
         group_start=settings["group_start"],
         group_min=settings["group_min"],
-        refresh=settings["refresh"],
         calib_mode=settings["calib_mode"],
-        seed=settings["seed"],
     )
     pruned, pruned_manifest, report = prune_model(tensors, manifest, calib, sched, config)
 

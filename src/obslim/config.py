@@ -9,13 +9,11 @@ class Tolerances:
 
     symmetry          relative asymmetry accepted when constructing an SPD matrix
     reconstruction    factor / inverse round-trip checks (infinity norm)
-    refresh_agreement trailing-factor refresh vs. full re-inversion of the Hessian
     schedule_residual bisection stop criterion for ratio-schedule solving
     """
 
     symmetry: float = 1e-9
     reconstruction: float = 1e-8
-    refresh_agreement: float = 1e-6
     schedule_residual: float = 1e-6
 
 

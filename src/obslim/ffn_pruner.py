@@ -3,15 +3,17 @@
 Channels carry no block constraint, so pruning is plain greedy column
 removal; the group schedule trades how often errors are re-estimated
 against speed. Selection within a group uses the estimates from the start
-of the group, but every removal applies full exact compensation.
+of the group, and the whole group is then removed by one exact block-OBS
+step, which pays the same per-column errors as removing it column by
+column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpdMatrix, invert_spd
-from .obs_core import ColumnPruneState, column_errors, prune_column
+from .linalg import SpdMatrix, invert_spd, remove_block
+from .obs_core import column_errors
 
 
 @dataclass(frozen=True)
@@ -52,20 +54,22 @@ def prune_channels(w: np.ndarray, h: SpdMatrix, n_prune: int, sched: GroupSchedu
     """Remove ``n_prune`` channels (columns) of ``w`` under the group schedule.
 
     Per group: estimate all column errors once, pick the group's k cheapest
-    (ties to the lowest original index), then remove them one by one in
-    ascending estimated-error order with exact compensation after each
-    removal. Returns ``(pruned_w, kept, step_errors)`` with the kept
-    columns in original order.
+    (ties to the lowest original index), then remove them in ascending
+    estimated-error order with one ``remove_block`` call. Returns
+    ``(pruned_w, kept, step_errors)`` with the kept columns in original
+    order and one ``(original column, error)`` pair per removal.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = np.array(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != h.n:
+        raise ValueError(f"weight shape {w.shape} inconsistent with Hessian dim {h.n}")
     if not 0 <= n_prune < w.shape[1]:
         raise ValueError(f"cannot prune {n_prune} of {w.shape[1]} channels")
-    state = ColumnPruneState.initial(w, invert_spd(h))
+    h_inv = invert_spd(h).a
+    alive = np.arange(w.shape[1])
+    step_errors = []
     for k in group_sizes(n_prune, sched):
-        cols = np.asarray(state.alive, dtype=np.intp)
-        errs = column_errors(state.w[:, cols], state.h_inv)
-        order = np.argsort(errs, kind="stable")[:k]
-        for orig in cols[order]:
-            prune_column(state, state.alive.index(int(orig)))
-    kept = list(state.alive)
-    return state.w[:, kept], kept, list(state.step_errors)
+        order = np.argsort(column_errors(w, h_inv), kind="stable")[:k]
+        w, h_inv, steps = remove_block(w, h_inv, order)
+        step_errors.extend(zip(alive[order].tolist(), steps.tolist()))
+        alive = np.delete(alive, order)
+    return w, alive.tolist(), step_errors

@@ -2,23 +2,15 @@
 
 Heads are contiguous, equal-width column blocks. Each round estimates the
 removal error of every surviving head at once from per-block Cholesky
-factors of the inverse Hessian, then removes the cheapest head column by
-column with exact compensation of everything that survives.
+factors of the inverse Hessian, then removes the cheapest head with one
+exact block-OBS step that compensates everything that survives.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SpdMatrix,
-    cholesky_lower,
-    grouped_cholesky,
-    invert_spd,
-    permute_symmetric,
-)
-
-REFRESH_MODES = ("trailing", "reinvert")
+from .linalg import SpdMatrix, as_array, grouped_cholesky, invert_spd, remove_block
 
 
 @dataclass(frozen=True)
@@ -59,17 +51,7 @@ class HeadPruneResult:
     step_error_sum: float
 
 
-def _check_dims(w: np.ndarray, h_inv: SpdMatrix, layout: HeadLayout) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != layout.n_cols or h_inv.n != layout.n_cols:
-        raise ValueError(
-            f"inconsistent dims: w {w.shape}, h_inv {h_inv.n}, "
-            f"layout {layout.n_head}x{layout.d_head}"
-        )
-    return w
-
-
-def head_errors(w: np.ndarray, h_inv: SpdMatrix, layout: HeadLayout) -> np.ndarray:
+def head_errors(w: np.ndarray, h_inv, layout: HeadLayout) -> np.ndarray:
     """Estimated removal error of every head, without touching the weights.
 
     Each head's block of the inverse Hessian is factored on its own; the
@@ -77,69 +59,19 @@ def head_errors(w: np.ndarray, h_inv: SpdMatrix, layout: HeadLayout) -> np.ndarr
     diagonal would play under sequential column removal, so
     ``err[h] = sum over the head's columns j and all rows of
     w[:, j]**2 / L_h[j, j]**2``. Weight compensation is skipped during
-    estimation.
+    estimation. ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array.
     """
-    w = _check_dims(w, h_inv, layout)
+    w = np.asarray(w, dtype=np.float64)
+    n = as_array(h_inv).shape[0]
+    if w.ndim != 2 or w.shape[1] != layout.n_cols or n != layout.n_cols:
+        raise ValueError(
+            f"inconsistent dims: w {w.shape}, h_inv {n}, "
+            f"layout {layout.n_head}x{layout.d_head}"
+        )
     gc = grouped_cholesky(h_inv, layout.d_head)
     denom = gc.diagonals().reshape(-1) ** 2  # (n_cols,)
     per_col = (w * w).sum(axis=0) / denom
     return per_col.reshape(layout.n_head, layout.d_head).sum(axis=1)
-
-
-def _front_permutation(layout: HeadLayout, target_head: int) -> np.ndarray:
-    """Column permutation that moves one head's block to the front."""
-    head_cols = np.asarray(layout.col_range(target_head), dtype=np.intp)
-    rest = np.setdiff1d(np.arange(layout.n_cols), head_cols, assume_unique=True)
-    return np.concatenate([head_cols, rest])
-
-
-def reorder_for_head(w: np.ndarray, h_inv: SpdMatrix, layout: HeadLayout, target_head: int):
-    """Move the target head's columns to the front of w and h_inv.
-
-    The inverse Hessian gets the same permutation on rows and columns,
-    which is exactly the inverse of the permuted Hessian. Returns
-    ``(w_perm, h_inv_perm, perm)``; invert with ``np.argsort(perm)``.
-    """
-    w = _check_dims(w, h_inv, layout)
-    perm = _front_permutation(layout, target_head)
-    return w[:, perm], permute_symmetric(h_inv, perm), perm
-
-
-def _prune_front_columns(w: np.ndarray, upper: np.ndarray, d: int):
-    """Zero the first d columns with exact compensation of the rest.
-
-    ``upper`` is the transposed Cholesky factor of the (already permuted)
-    inverse Hessian. Column i is divided by the factor diagonal, the
-    quotient propagates to columns i..d immediately and to the trailing
-    columns in one batched update. Returns the updated copy of ``w`` and
-    the exact per-column errors paid.
-    """
-    w = w.copy()
-    n = w.shape[1]
-    quot = np.empty((w.shape[0], d))
-    step = np.empty(d)
-    for i in range(d):
-        piv = upper[i, i]
-        quot[:, i] = w[:, i] / piv
-        step[i] = float((quot[:, i] ** 2).sum())
-        w[:, i:d] -= np.outer(quot[:, i], upper[i, i:d])
-        w[:, i] = 0.0
-    if d < n:
-        w[:, d:] -= quot @ upper[:d, d:]
-    return w, step
-
-
-def prune_one_head(w: np.ndarray, h_inv: SpdMatrix, layout: HeadLayout, target_head: int):
-    """Remove one head column by column and compensate surviving columns.
-
-    Returns ``(w_updated, perm)`` where ``w_updated`` is back in the
-    original column order with the removed head's columns exactly zero, and
-    ``perm`` is the reordering that was applied internally.
-    """
-    w_perm, h_inv_perm, perm = reorder_for_head(w, h_inv, layout, target_head)
-    upper = cholesky_lower(h_inv_perm).T
-    w_perm, _ = _prune_front_columns(w_perm, upper, layout.d_head)
-    return w_perm[:, np.argsort(perm)], perm
 
 
 def prune_heads(
@@ -147,65 +79,37 @@ def prune_heads(
     h: SpdMatrix,
     layout: HeadLayout,
     n_prune: int,
-    refresh: str = "trailing",
 ) -> HeadPruneResult:
     """Remove ``n_prune`` heads, one per round, cheapest estimated head first.
 
     Each round re-estimates all surviving heads on the current (already
     compensated) weights, removes the argmin (ties break to the lowest head
-    index), and refreshes the inverse Hessian over the survivors either
-    from the trailing block of the Cholesky factor (``refresh="trailing"``,
-    the fast path) or by re-inverting the kept submatrix of ``h``
-    (``refresh="reinvert"``, the cross-check path).
+    index) with one ``remove_block`` call over its columns, and carries the
+    resulting inverse Hessian of the survivors into the next round.
     """
-    if refresh not in REFRESH_MODES:
-        raise ValueError(f"refresh must be one of {REFRESH_MODES}, got {refresh!r}")
     if not 0 <= n_prune < layout.n_head:
         raise ValueError(f"cannot prune {n_prune} of {layout.n_head} heads")
     work = np.array(w, dtype=np.float64)
-    if work.shape[1] != layout.n_cols or h.n != layout.n_cols:
+    if work.ndim != 2 or work.shape[1] != layout.n_cols or h.n != layout.n_cols:
         raise ValueError("weight / Hessian dims inconsistent with layout")
 
     d = layout.d_head
     alive_heads = list(range(layout.n_head))
     errors_per_round = np.full((n_prune, layout.n_head), np.nan)
     step_error_sum = 0.0
-    h_inv = None
+    h_inv = invert_spd(h).a if n_prune else None
 
     for rnd in range(n_prune):
-        if h_inv is None:
-            h_inv = invert_spd(h)
-        alive_cols = np.concatenate([np.arange(hd * d, (hd + 1) * d) for hd in alive_heads])
-        sub_layout = HeadLayout(len(alive_heads), d)
-        sub_w = work[:, alive_cols]
-        errs = head_errors(sub_w, h_inv, sub_layout)
+        errs = head_errors(work, h_inv, HeadLayout(len(alive_heads), d))
         errors_per_round[rnd, alive_heads] = errs
         pos = int(np.argmin(errs))
-
-        perm = _front_permutation(sub_layout, pos)
-        h_inv_perm = permute_symmetric(h_inv, perm)
-        lower = cholesky_lower(h_inv_perm)
-        new_sub, steps = _prune_front_columns(sub_w[:, perm], lower.T, d)
+        work, h_inv, steps = remove_block(work, h_inv, np.arange(pos * d, (pos + 1) * d))
         step_error_sum += float(steps.sum())
-        work[:, alive_cols[perm]] = new_sub
-
         alive_heads.pop(pos)
-        if refresh == "trailing":
-            tail = lower[d:, d:]
-            h_inv = SpdMatrix(tail @ tail.T)
-        else:
-            kept_cols = np.concatenate(
-                [np.arange(hd * d, (hd + 1) * d) for hd in alive_heads]
-            )
-            h_inv = invert_spd(h.submatrix(kept_cols))
 
-    kept_columns = (
-        np.concatenate([np.arange(hd * d, (hd + 1) * d) for hd in alive_heads])
-        if alive_heads
-        else np.empty(0, dtype=np.intp)
-    )
+    kept_columns = np.concatenate([np.arange(hd * d, (hd + 1) * d) for hd in alive_heads])
     return HeadPruneResult(
-        pruned_w=work[:, kept_columns],
+        pruned_w=work,
         kept_heads=alive_heads,
         kept_columns=kept_columns,
         head_errors_per_round=errors_per_round,

@@ -1,9 +1,9 @@
 """Dense symmetric-positive-definite linear algebra.
 
 Everything the pruning kernels need from an SPD matrix lives here:
-Cholesky factorization, Cholesky-based inversion, symmetric permutation,
-per-block (grouped) factorization of diagonal blocks, and the rank-one
-downdate that removes one row/column from an inverse without refactoring.
+Cholesky factorization, Cholesky-based inversion, per-block (grouped)
+factorization of diagonal blocks, and the block-OBS kernel that removes a
+set of columns from a weight matrix and its inverse Hessian in one solve.
 
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
@@ -81,6 +81,16 @@ class GroupedCholesky:
         return self.factors.diagonal(axis1=1, axis2=2)
 
 
+def as_array(m) -> np.ndarray:
+    """The float64 array of an ``SpdMatrix``, or ``m`` as a float64 array.
+
+    Public entry points validate their Hessians as ``SpdMatrix``; the
+    pruning loops then carry raw arrays, which the scoring kernels accept
+    through this helper without re-validating them.
+    """
+    return m.a if isinstance(m, SpdMatrix) else np.asarray(m, dtype=np.float64)
+
+
 def cholesky_lower(m: SpdMatrix) -> np.ndarray:
     """Lower-triangular L with L @ L.T == m.
 
@@ -104,22 +114,12 @@ def invert_spd(m: SpdMatrix) -> SpdMatrix:
     return SpdMatrix(low_inv.T @ low_inv)
 
 
-def permute_symmetric(m: SpdMatrix, perm) -> SpdMatrix:
-    """Apply the same permutation to rows and columns.
-
-    ``result[i, j] == m[perm[i], perm[j]]``; symmetry is preserved exactly.
-    """
-    p = np.asarray(perm, dtype=np.intp)
-    if p.shape != (m.n,) or not np.array_equal(np.sort(p), np.arange(m.n)):
-        raise ValueError("perm must be a bijection on 0..n-1")
-    return SpdMatrix(m.a[np.ix_(p, p)])
-
-
-def grouped_cholesky(h_inv: SpdMatrix, group_size: int) -> GroupedCholesky:
+def grouped_cholesky(h_inv, group_size: int) -> GroupedCholesky:
     """Factor every ``group_size`` diagonal block of ``h_inv`` independently.
 
-    The blocks are factored as a batch; the result does not depend on the
-    order in which blocks are processed.
+    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array. The blocks are
+    factored as a batch; the result does not depend on the order in which
+    blocks are processed.
 
     Raises:
         ValueError: if the dimension is not divisible by ``group_size``.
@@ -127,11 +127,12 @@ def grouped_cholesky(h_inv: SpdMatrix, group_size: int) -> GroupedCholesky:
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    n = h_inv.n
+    a = as_array(h_inv)
+    n = a.shape[0]
     if n % group_size != 0:
         raise ValueError(f"dimension {n} not divisible by group size {group_size}")
     k = n // group_size
-    blocks = h_inv.a.reshape(k, group_size, k, group_size)
+    blocks = a.reshape(k, group_size, k, group_size)
     diag_blocks = blocks[np.arange(k), :, np.arange(k), :]
     try:
         factors = np.linalg.cholesky(diag_blocks)
@@ -140,23 +141,43 @@ def grouped_cholesky(h_inv: SpdMatrix, group_size: int) -> GroupedCholesky:
     return GroupedCholesky(factors=factors, group_size=group_size)
 
 
-def remove_update(h_inv: SpdMatrix, p: int) -> SpdMatrix:
-    """Inverse Hessian after deleting row/column ``p`` of the Hessian.
+def remove_block(w: np.ndarray, h_inv: np.ndarray, idx):
+    """Remove columns ``idx`` of ``w``, in the given order, with exact compensation.
 
-    Computes ``h_inv - h_inv[:, p] h_inv[p, :] / h_inv[p, p]`` with row and
-    column ``p`` dropped, which equals the direct inverse of the deleted
-    Hessian without refactoring it.
+    This is the group Optimal Brain Surgeon step on raw float64 arrays.
+    With ``L`` the Cholesky factor of ``h_inv[idx, idx]`` (taken in removal
+    order), ``Q = w[:, idx] L^-T`` and ``C = L^-1 h_inv[idx, rest]``:
+
+    - ``w_rest = w[:, rest] - Q C`` is the optimally compensated remainder;
+    - ``h_inv_rest = h_inv[rest, rest] - C^T C`` (the Schur complement) is
+      the inverse of the Hessian with rows/columns ``idx`` deleted;
+    - ``step_errors[i] = ||Q[:, i]||^2`` is the exact error paid by
+      removing ``idx[i]`` after ``idx[:i]``, as in one-at-a-time removal.
+
+    ``rest`` lists the surviving columns in ascending order. Returns
+    ``(w_rest, h_inv_rest, step_errors)``.
 
     Raises:
-        NotSpdError: if the pivot ``h_inv[p, p]`` is not strictly positive.
+        ValueError: if ``idx`` is empty, repeats an index or is out of range.
+        NotSpdError: if ``h_inv[idx, idx]`` is not positive definite.
     """
-    a = h_inv.a
-    n = h_inv.n
-    if not 0 <= p < n:
-        raise ValueError(f"index {p} out of range for dimension {n}")
-    piv = a[p, p]
-    if piv <= 0.0:
-        raise NotSpdError(f"zero pivot: h_inv[{p},{p}] = {piv}")
-    adj = a - np.outer(a[:, p], a[p, :]) / piv
-    keep = np.arange(n) != p
-    return SpdMatrix(adj[np.ix_(keep, keep)])
+    n = h_inv.shape[0]
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError(f"idx must be a non-empty 1-D index list, got shape {idx.shape}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"index out of range for dimension {n}: {idx.tolist()}")
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    if n - np.count_nonzero(keep) != idx.size:
+        raise ValueError(f"repeated index in {idx.tolist()}")
+    rest = np.flatnonzero(keep)
+    try:
+        low = np.linalg.cholesky(h_inv[np.ix_(idx, idx)])
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError(f"not SPD: removed block failed Cholesky ({exc})") from exc
+    q_t = solve_triangular(low, w[:, idx].T, lower=True, check_finite=False)
+    c = solve_triangular(low, h_inv[np.ix_(idx, rest)], lower=True, check_finite=False)
+    w_rest = w[:, rest] - q_t.T @ c
+    h_inv_rest = h_inv[np.ix_(rest, rest)] - c.T @ c
+    return w_rest, h_inv_rest, (q_t * q_t).sum(axis=1)

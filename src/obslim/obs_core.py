@@ -1,101 +1,40 @@
-"""Column-granular pruning with exact second-order compensation.
+"""Column scoring and the exact oracles for column pruning.
 
-One column is removed at a time; the remaining columns absorb a closed-form
-update that keeps the layer's output reconstruction error at its minimum.
-The module also carries the two independent oracles used throughout the
-test suite: the closed-form least-squares solution for a fixed column mask
-and exhaustive subset search.
+``column_errors`` scores every column for removal; ``linalg.remove_block``
+then removes the chosen columns with exact compensation. The module also
+carries the two independent oracles used throughout the test suite: the
+closed-form least-squares solution for a fixed column mask and exhaustive
+subset search.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .errors import NotSpdError
-from .linalg import SpdMatrix, remove_update
+from .linalg import SpdMatrix, as_array
 
 # Exhaustive search refuses to enumerate more subsets than this.
 ENUMERATION_GUARD = 100_000
 
 
-@dataclass
-class ColumnPruneState:
-    """Mutable state for sequential column pruning of one weight matrix.
-
-    ``w`` keeps its full width; pruned columns are zeroed in place so row
-    indices of coupled tensors stay stable. ``alive`` lists the original
-    column indices still active, in their original relative order, and
-    ``h_inv`` is the inverse Hessian restricted to exactly those columns.
-    """
-
-    w: np.ndarray
-    h_inv: SpdMatrix
-    alive: list[int]
-    step_errors: list[tuple[int, float]] = field(default_factory=list)
-
-    @classmethod
-    def initial(cls, w: np.ndarray, h_inv: SpdMatrix) -> "ColumnPruneState":
-        w = np.array(w, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"weights must be 2-D, got shape {w.shape}")
-        if w.shape[1] != h_inv.n:
-            raise ValueError(
-                f"weight columns ({w.shape[1]}) != inverse Hessian dim ({h_inv.n})"
-            )
-        return cls(w=w, h_inv=h_inv, alive=list(range(w.shape[1])))
-
-    @property
-    def n_alive(self) -> int:
-        return len(self.alive)
-
-    def active_weights(self) -> np.ndarray:
-        """Copy of the weight columns still alive, in alive order."""
-        return self.w[:, self.alive]
-
-
-def column_errors(w: np.ndarray, h_inv: SpdMatrix) -> np.ndarray:
+def column_errors(w: np.ndarray, h_inv) -> np.ndarray:
     """Pruning error of each column: squared norm over the inverse-Hessian diagonal.
 
     ``err[p] = sum(w[:, p]**2) / h_inv[p, p]`` is the exact increase of the
     reconstruction objective if column ``p`` alone were removed now.
+    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != h_inv.n:
+    diag = np.diag(as_array(h_inv))
+    if w.ndim != 2 or w.shape[1] != diag.size:
         raise ValueError(
-            f"weight shape {w.shape} inconsistent with inverse Hessian dim {h_inv.n}"
+            f"weight shape {w.shape} inconsistent with inverse Hessian dim {diag.size}"
         )
-    diag = h_inv.diagonal()
     if np.any(diag <= 0.0):
         raise NotSpdError("non-positive diagonal entry in inverse Hessian")
     return (w * w).sum(axis=0) / diag
-
-
-def prune_column(state: ColumnPruneState, p: int) -> ColumnPruneState:
-    """Remove the column at alive-position ``p`` and compensate the rest.
-
-    The removed column becomes exactly zero; every other active column j
-    receives ``-(w_p / h_inv[p, p]) * h_inv[p, j]``. The inverse Hessian is
-    downdated in place of a full recomputation, and the step's error is
-    appended to ``state.step_errors`` keyed by the original column index.
-    """
-    if not 0 <= p < state.n_alive:
-        raise ValueError(f"position {p} outside alive region of size {state.n_alive}")
-    a = state.h_inv.a
-    piv = a[p, p]
-    if piv <= 0.0:
-        raise NotSpdError(f"zero pivot: h_inv[{p},{p}] = {piv}")
-    orig = state.alive[p]
-    w_col = state.w[:, orig].copy()
-    err = float((w_col * w_col).sum() / piv)
-    cols = np.asarray(state.alive, dtype=np.intp)
-    state.w[:, cols] -= np.outer(w_col / piv, a[p, :])
-    state.w[:, orig] = 0.0
-    state.h_inv = remove_update(state.h_inv, p)
-    state.alive.pop(p)
-    state.step_errors.append((orig, err))
-    return state
 
 
 def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:

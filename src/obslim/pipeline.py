@@ -11,6 +11,8 @@ the features it will actually receive after compression.
 import csv
 import io
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -20,7 +22,7 @@ from .calib import HessianAccumulator
 from .config import DEFAULT_DAMPING
 from .errors import NotSpdError, ObslimError
 from .ffn_pruner import GroupSchedule, prune_channels
-from .head_pruner import REFRESH_MODES, HeadLayout, prune_heads
+from .head_pruner import HeadLayout, prune_heads
 from .schedule import PruneSchedule, counts_from_ratio
 from .tensorstore import LayerEntry, ModelManifest, validate_manifest
 
@@ -256,13 +258,24 @@ class PruneConfig:
     damping: float = DEFAULT_DAMPING
     group_start: int = 1024
     group_min: int = 8
-    refresh: str = "trailing"
     calib_mode: str = "pruned"
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.refresh not in REFRESH_MODES:
-            raise ValueError(f"refresh must be one of {REFRESH_MODES}")
+        # Config files hand these in untyped; bool is an int subclass, not a number here.
+        if (
+            not isinstance(self.damping, numbers.Real)
+            or isinstance(self.damping, bool)
+            or not math.isfinite(self.damping)
+            or self.damping < 0
+        ):
+            raise ValueError(f"damping must be a finite number >= 0, got {self.damping!r}")
+        sizes = (self.group_start, self.group_min)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
+            raise ValueError(f"group_start and group_min must be integers, got {sizes!r}")
+        if not 1 <= self.group_min <= self.group_start:
+            raise ValueError(
+                f"need 1 <= group_min <= group_start, got {self.group_min}, {self.group_start}"
+            )
         if self.calib_mode not in CALIB_MODES:
             raise ValueError(f"calib_mode must be one of {CALIB_MODES}")
 
@@ -407,9 +420,7 @@ def prune_model(
                     attn_feats, config.damping, entry.n_head * entry.d_head
                 )
                 layout = HeadLayout(entry.n_head, entry.d_head)
-                result = prune_heads(
-                    pruned[entry.attn_out], h_attn, layout, n_prune_heads, config.refresh
-                )
+                result = prune_heads(pruned[entry.attn_out], h_attn, layout, n_prune_heads)
                 pruned[entry.attn_out] = result.pruned_w
                 for name in entry.attn_coupled:
                     pruned[name] = pruned[name][result.kept_columns, :]
@@ -511,7 +522,7 @@ def verify_report(
         if manifest.n_layers != n:
             problems.append(f"manifest has {manifest.n_layers} layers, report {n}")
         for row, entry in zip(report.layers, manifest.layers):
-            if row.kept_heads and len(row.kept_heads) != entry.n_head:
+            if len(row.kept_heads) != entry.n_head:
                 problems.append(
                     f"layer {row.layer}: {len(row.kept_heads)} kept heads in report, "
                     f"manifest says {entry.n_head}"
@@ -521,4 +532,12 @@ def verify_report(
                 validate_manifest(manifest, tensors)
             except ObslimError as exc:
                 problems.append(f"pruned model fails manifest validation: {exc}")
+            else:
+                for row, entry in zip(report.layers, manifest.layers):
+                    width = tensors[entry.ffn_down].shape[1]
+                    if len(row.kept_channels) != width:
+                        problems.append(
+                            f"layer {row.layer}: {len(row.kept_channels)} kept channels "
+                            f"in report, pruned {entry.ffn_down!r} has {width}"
+                        )
     return problems

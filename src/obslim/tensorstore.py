@@ -81,8 +81,9 @@ def read_tensor_file(path) -> dict:
     """Read a container back into a name -> float64 matrix map.
 
     Raises:
-        TensorFormatError: bad magic, malformed header, unknown dtype, or
-            payload bounds violations (overlap, overflow, length mismatch).
+        TensorFormatError: bad magic, malformed header, unknown dtype,
+            payload bounds violations (overlap, overflow, length mismatch),
+            or non-finite values, which the writer refuses as well.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -120,6 +121,8 @@ def read_tensor_file(path) -> dict:
             raise TensorFormatError(f"{name}: payload bounds exceeded")
         extents.append((off, off + length, name))
         arr = np.frombuffer(payload, dtype=dtype, count=rows * cols, offset=off)
+        if not np.all(np.isfinite(arr)):
+            raise TensorFormatError(f"{name}: non-finite values in payload")
         tensors[name] = arr.reshape(rows, cols).astype(np.float64)
     extents.sort()
     for (_, prev_end, prev_name), (start, _, name) in zip(extents, extents[1:]):

@@ -8,9 +8,9 @@ always present).
 
 import numpy as np
 
-from obslim.head_pruner import HeadLayout
-from obslim.linalg import SpdMatrix
-from obslim.obs_core import mask_residual
+from obslim.head_pruner import HeadLayout, HeadPruneResult, head_errors
+from obslim.linalg import SpdMatrix, invert_spd, remove_block
+from obslim.obs_core import column_errors, least_squares_oracle, mask_residual
 
 
 def rand_spd(rng, n: int, m_factor: int = 4, gamma: float = 0.3) -> SpdMatrix:
@@ -75,3 +75,62 @@ def ffn_instance(rng, max_channels: int = 64):
     w *= np.exp(0.5 * rng.normal(size=d))[None, :]
     h = rand_spd(rng, d, m_factor=4, gamma=0.3)
     return w, h, d // 2
+
+
+def remove_sequentially(w, h_inv, order):
+    """Remove the original columns ``order`` one ``remove_block`` (k = 1) call at a time.
+
+    Returns ``(w_kept, h_inv_kept, kept, step_errors)`` with ``kept`` the
+    surviving original columns in ascending order and one
+    ``(original column, error)`` pair per removal.
+    """
+    kept = list(range(w.shape[1]))
+    steps = []
+    for orig in order:
+        pos = kept.index(int(orig))
+        w, h_inv, step = remove_block(w, h_inv, [pos])
+        steps.append((kept.pop(pos), float(step[0])))
+    return w, h_inv, kept, steps
+
+
+def greedy_channels(w, h: SpdMatrix, n_prune: int):
+    """Plain greedy column pruning: rescore, then remove the argmin, one column a call.
+
+    Returns ``(pruned_w, kept, step_errors)`` like ``prune_channels``.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    h_inv = invert_spd(h).a
+    kept = list(range(w.shape[1]))
+    steps = []
+    for _ in range(n_prune):
+        pos = int(np.argmin(column_errors(w, h_inv)))
+        w, h_inv, step = remove_block(w, h_inv, [pos])
+        steps.append((kept.pop(pos), float(step[0])))
+    return w, kept, steps
+
+
+def reinvert_prune_heads(w, h: SpdMatrix, layout: HeadLayout, n_prune: int) -> HeadPruneResult:
+    """Reference greedy head pruning that never carries an inverse between rounds.
+
+    Every round re-inverts the kept submatrix of ``h`` and scores the
+    surviving heads on the least-squares-optimal weights for the current
+    mask; the step errors telescope to the final mask residual.
+    """
+    d = layout.d_head
+    alive = list(range(layout.n_head))
+    errors = np.full((n_prune, layout.n_head), np.nan)
+    for rnd in range(n_prune):
+        cols = np.concatenate([head_cols(layout, hd) for hd in alive])
+        w_cur = least_squares_oracle(w, h, cols)
+        errs = head_errors(w_cur, invert_spd(h.submatrix(cols)), HeadLayout(len(alive), d))
+        errors[rnd, alive] = errs
+        alive.pop(int(np.argmin(errs)))
+    cols = np.concatenate([head_cols(layout, hd) for hd in alive])
+    return HeadPruneResult(
+        pruned_w=least_squares_oracle(w, h, cols),
+        kept_heads=alive,
+        kept_columns=cols,
+        head_errors_per_round=errors,
+        total_rounds=n_prune,
+        step_error_sum=mask_residual(w, h, cols),
+    )

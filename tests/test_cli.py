@@ -103,7 +103,6 @@ class TestPrune:
             assert run(prune_args(toy_dir, out, [
                 "--global-target", "0.4", "--ratio-first", "0.2",
                 "--variant", "lin-inc", "--group-start", "8", "--group-min", "2",
-                "--seed", "11",
             ])) == 0
             outs.append(out)
         for name in ("model.obt", "manifest.json", "report.json", "report.csv"):
@@ -129,6 +128,30 @@ class TestPrune:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"groop_start": 8}))
         assert run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)])) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"damping": "x"},
+        {"damping": -0.5},
+        {"damping": None},
+        {"group_start": "8"},
+        {"group_start": 8.5},
+        {"group_min": True},
+        {"group_start": 2, "group_min": 4},
+        {"group_min": 0},
+    ])
+    def test_wrongly_typed_config_value_exit_2(self, toy_dir, tmp_path, capsys, bad):
+        # validated even when no layer prunes a channel (global target 0)
+        for target in (0.3, 0.0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"global_target": target, **bad}))
+            code = run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)]))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--refresh", "trailing")])
+    def test_removed_flags_are_usage_errors(self, toy_dir, tmp_path, flag, value):
+        assert run(prune_args(toy_dir, tmp_path / "out", [flag, value])) == 1
 
     def test_numerical_failure_exit_2(self, toy_dir, tmp_path, capsys):
         # zero calibration features with zero damping: singular Hessian
@@ -159,6 +182,24 @@ class TestVerifyAndReport:
         report_path.write_text(json.dumps(data))
         assert run(["verify", "--report", str(report_path)]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value", [
+        ("kept_channels", list(range(999))),
+        ("kept_channels", []),
+        ("kept_heads", []),
+    ])
+    def test_verify_flags_kept_unit_counts(self, toy_dir, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, [
+            "--global-target", "0.4", "--group-start", "8", "--group-min", "2"])) == 0
+        report_path = out / "report.json"
+        data = json.loads(report_path.read_text())
+        data["layers"][1][field] = value
+        report_path.write_text(json.dumps(data))
+        assert run(["verify", "--report", str(report_path),
+                    "--manifest", str(out / "manifest.json"),
+                    "--model", str(out / "model.obt")]) == 2
+        assert f"layer 1: {len(value)} kept" in capsys.readouterr().out
 
     def test_report_table_and_csv(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "out"

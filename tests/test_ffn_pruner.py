@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from obslim.ffn_pruner import GroupSchedule, group_sizes, prune_channels
-from obslim.linalg import SpdMatrix, invert_spd
-from obslim.obs_core import (
-    ColumnPruneState,
-    column_errors,
-    least_squares_oracle,
-    mask_residual,
-    prune_column,
-)
+from obslim.linalg import SpdMatrix
+from obslim.obs_core import least_squares_oracle, mask_residual
 
-from conftest import ffn_instance, rand_spd
+from conftest import ffn_instance, greedy_channels, rand_spd
 
 
 class TestGroupSizes:
@@ -48,16 +42,6 @@ class TestGroupSizes:
             group_sizes(-1, GroupSchedule(4, 1))
 
 
-def greedy_reference(w, h, n_prune):
-    """Plain greedy column pruning straight on the core primitives."""
-    state = ColumnPruneState.initial(w, invert_spd(h))
-    for _ in range(n_prune):
-        cols = np.asarray(state.alive)
-        errs = column_errors(state.w[:, cols], state.h_inv)
-        prune_column(state, int(np.argmin(errs)))
-    return state
-
-
 class TestPruneChannels:
     def test_zero_columns_removed_free(self):
         rng = np.random.default_rng(1)
@@ -74,10 +58,10 @@ class TestPruneChannels:
         for _ in range(10):
             w, h, n_prune = ffn_instance(rng, max_channels=24)
             out, kept, steps = prune_channels(w, h, n_prune, GroupSchedule(1, 1))
-            ref = greedy_reference(w, h, n_prune)
-            assert kept == ref.alive
-            assert steps == ref.step_errors  # same selection sequence, same floats
-            assert np.array_equal(out, ref.w[:, ref.alive])
+            ref_w, ref_kept, ref_steps = greedy_channels(w, h, n_prune)
+            assert kept == ref_kept
+            assert steps == ref_steps  # same selection sequence, same floats
+            assert np.array_equal(out, ref_w)
 
     def test_compensation_always_exact(self):
         # whatever mask the schedule picks, weights match the oracle
@@ -107,7 +91,7 @@ class TestPruneChannels:
             w = rng.normal(size=(6, d)) * np.exp(0.5 * rng.normal(size=d))[None, :]
             h = rand_spd(rng, d)
             n_prune = 8
-            greedy = mask_residual(w, h, greedy_reference(w, h, n_prune).alive)
+            greedy = mask_residual(w, h, greedy_channels(w, h, n_prune)[1])
             _, kept_dyn, _ = prune_channels(w, h, n_prune, GroupSchedule(4, 1))
             _, kept_fix, _ = prune_channels(w, h, n_prune, GroupSchedule(8, 8))
             r_dyn = mask_residual(w, h, kept_dyn) / greedy

@@ -1,31 +1,19 @@
-"""Head pruning: estimation formulas, reordering, compensation, outer loop."""
+"""Head pruning: estimation formulas, head removal, compensation, outer loop."""
 
 import numpy as np
 import pytest
 
 from obslim.errors import NotSpdError
-from obslim.head_pruner import (
-    HeadLayout,
-    head_errors,
-    prune_heads,
-    prune_one_head,
-    reorder_for_head,
-)
-from obslim.linalg import SpdMatrix, grouped_cholesky, invert_spd, permute_symmetric
-from obslim.obs_core import (
-    ColumnPruneState,
-    column_errors,
-    least_squares_oracle,
-    mask_residual,
-    prune_column,
-)
+from obslim.head_pruner import HeadLayout, head_errors, prune_heads
+from obslim.linalg import SpdMatrix, cholesky_lower, invert_spd, remove_block
+from obslim.obs_core import column_errors, least_squares_oracle, mask_residual
 
 from conftest import (
-    exact_head_residuals,
     head_cols,
     head_instance,
     other_cols,
     rand_spd,
+    reinvert_prune_heads,
 )
 
 
@@ -77,34 +65,34 @@ class TestHeadErrors:
 
 
 class TestReorder:
+    """Removing one head's columns with ``remove_block``, wherever the head sits."""
+
     def test_target_zero_identity(self):
+        # the leading head leaves the trailing block of the full factor
         rng = np.random.default_rng(3)
         lay = HeadLayout(3, 2)
         w = rng.normal(size=(4, 6))
-        h_inv = invert_spd(rand_spd(rng, 6))
-        w2, h2, perm = reorder_for_head(w, h_inv, lay, 0)
-        assert np.array_equal(perm, np.arange(6))
-        assert np.array_equal(w2, w)
-        assert np.array_equal(h2.a, h_inv.a)
+        h_inv = invert_spd(rand_spd(rng, 6)).a
+        _, h_rest, _ = remove_block(w, h_inv, head_cols(lay, 0))
+        tail = cholesky_lower(SpdMatrix(h_inv))[2:, 2:]
+        assert np.abs(h_rest - tail @ tail.T).max() < 1e-10 * np.abs(h_inv).max()
 
     def test_two_heads_target_one(self):
         lay = HeadLayout(2, 3)
         w = np.arange(12.0).reshape(2, 6)
-        h_inv = SpdMatrix(np.eye(6))
-        w2, _, perm = reorder_for_head(w, h_inv, lay, 1)
-        assert np.array_equal(perm, [3, 4, 5, 0, 1, 2])
-        assert np.array_equal(w2, w[:, [3, 4, 5, 0, 1, 2]])
+        w_rest, h_rest, _ = remove_block(w, np.eye(6), head_cols(lay, 1))
+        assert np.array_equal(w_rest, w[:, :3])
+        assert np.array_equal(h_rest, np.eye(3))
 
     def test_hinv_permutation_matches_reinversion_oracle(self):
         rng = np.random.default_rng(4)
         lay = HeadLayout(4, 3)
         h = rand_spd(rng, 12)
-        h_inv = invert_spd(h)
         w = rng.normal(size=(5, 12))
-        _, h2, perm = reorder_for_head(w, h_inv, lay, 2)
-        assert np.array_equal(h2.a, permute_symmetric(h_inv, perm).a)
-        direct = np.linalg.inv(h.a[np.ix_(perm, perm)])
-        assert np.abs(h2.a - direct).max() < 1e-8
+        _, h_rest, _ = remove_block(w, invert_spd(h).a, head_cols(lay, 2))
+        kept = other_cols(lay, 2)
+        direct = np.linalg.inv(h.a[np.ix_(kept, kept)])
+        assert np.abs(h_rest - direct).max() < 1e-8
 
 
 class TestPruneOneHead:
@@ -112,22 +100,21 @@ class TestPruneOneHead:
         rng = np.random.default_rng(5)
         lay = HeadLayout(3, 2)
         w = rng.normal(size=(4, 6))
-        out, perm = prune_one_head(w, SpdMatrix(np.eye(6)), lay, 1)
-        assert np.array_equal(out[:, [2, 3]], np.zeros((4, 2)))
-        assert np.array_equal(out[:, [0, 1, 4, 5]], w[:, [0, 1, 4, 5]])
-        assert np.array_equal(np.sort(perm), np.arange(6))
+        w_rest, _, steps = remove_block(w, np.eye(6), head_cols(lay, 1))
+        assert np.array_equal(w_rest, w[:, [0, 1, 4, 5]])
+        assert np.allclose(steps, (w[:, [2, 3]] ** 2).sum(axis=0), rtol=1e-15, atol=0)
 
     def test_dhead_one_matches_prune_column(self):
+        # a one-column head is the classic single-column OBS update
         rng = np.random.default_rng(6)
         for _ in range(10):
             w = rng.normal(size=(4, 5))
-            h = rand_spd(rng, 5)
-            h_inv = invert_spd(h)
+            h_inv = invert_spd(rand_spd(rng, 5)).a
             target = int(rng.integers(5))
-            out, _ = prune_one_head(w, h_inv, HeadLayout(5, 1), target)
-            state = ColumnPruneState.initial(w, h_inv)
-            prune_column(state, target)
-            assert np.abs(out - state.w).max() < 1e-10 * max(1, np.abs(w).max())
+            w_rest, _, _ = remove_block(w, h_inv, head_cols(HeadLayout(5, 1), target))
+            expect = w - np.outer(w[:, target] / h_inv[target, target], h_inv[target])
+            kept = [c for c in range(5) if c != target]
+            assert np.abs(w_rest - expect[:, kept]).max() < 1e-10 * max(1, np.abs(w).max())
 
     def test_least_squares_oracle(self):
         rng = np.random.default_rng(7)
@@ -137,12 +124,9 @@ class TestPruneOneHead:
             w = rng.normal(size=(4, n))
             h = rand_spd(rng, n)
             target = int(rng.integers(2))
-            out, _ = prune_one_head(w, invert_spd(h), lay, target)
-            kept = other_cols(lay, target)
-            expect = least_squares_oracle(w, h, kept)
-            assert np.abs(out[:, kept] - expect).max() < 1e-8
-            assert np.array_equal(out[:, head_cols(lay, target)],
-                                  np.zeros((4, lay.d_head)))
+            w_rest, _, _ = remove_block(w, invert_spd(h).a, head_cols(lay, target))
+            expect = least_squares_oracle(w, h, other_cols(lay, target))
+            assert np.abs(w_rest - expect).max() < 1e-8
 
 
 class TestPruneHeads:
@@ -219,7 +203,7 @@ class TestPruneHeads:
         relabel = rng.permutation(lay.n_head)  # new position of each old head
         col_perm = np.concatenate([head_cols(lay, hd) for hd in relabel])
         w2 = w[:, col_perm]
-        h2 = permute_symmetric(h, col_perm)
+        h2 = SpdMatrix(h.a[np.ix_(col_perm, col_perm)])
         res1 = prune_heads(w, h, lay, 2)
         res2 = prune_heads(w2, h2, lay, 2)
         expect_kept = sorted(int(np.where(relabel == hd)[0][0]) for hd in res1.kept_heads)
@@ -243,13 +227,14 @@ class TestPruneHeads:
         assert np.abs(res1.pruned_w - res2.pruned_w).max() < 1e-12 * max(1, np.abs(w).max())
 
     def test_refresh_modes_agree(self):
+        # the inverse carried across rounds matches re-inverting every round
         rng = np.random.default_rng(16)
         for _ in range(10):
             w, h, lay, _ = head_instance(rng)
-            res_t = prune_heads(w, h, lay, 2, refresh="trailing")
-            res_r = prune_heads(w, h, lay, 2, refresh="reinvert")
-            assert res_t.kept_heads == res_r.kept_heads
-            assert np.abs(res_t.pruned_w - res_r.pruned_w).max() < 1e-6
+            res = prune_heads(w, h, lay, 2)
+            ref = reinvert_prune_heads(w, h, lay, 2)
+            assert res.kept_heads == ref.kept_heads
+            assert np.abs(res.pruned_w - ref.pruned_w).max() < 1e-6
 
     def test_invalid_args(self):
         lay = HeadLayout(2, 2)
@@ -257,7 +242,5 @@ class TestPruneHeads:
         h = SpdMatrix(np.eye(4))
         with pytest.raises(ValueError):
             prune_heads(w, h, lay, 2)  # would remove every head
-        with pytest.raises(ValueError):
-            prune_heads(w, h, lay, 1, refresh="nope")
         with pytest.raises(NotSpdError):
             prune_heads(w, SpdMatrix(np.diag([1.0, 1.0, 1.0, -1.0])), lay, 1)

@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obslim.errors import NotSpdError
 from obslim.linalg import (
@@ -10,11 +12,11 @@ from obslim.linalg import (
     cholesky_lower,
     grouped_cholesky,
     invert_spd,
-    permute_symmetric,
-    remove_update,
+    remove_block,
 )
+from obslim.obs_core import least_squares_oracle, mask_residual
 
-from conftest import rand_spd
+from conftest import rand_spd, remove_sequentially
 
 
 def delete_rc(a: np.ndarray, p: int) -> np.ndarray:
@@ -92,29 +94,49 @@ class TestCholeskyLower:
 
 
 class TestPermuteSymmetric:
+    """Removal order: ``remove_block`` takes the removed block in any order."""
+
     def test_identity_perm(self):
-        m = rand_spd(np.random.default_rng(3), 5)
-        assert np.array_equal(permute_symmetric(m, np.arange(5)).a, m.a)
+        # ascending order in one call equals one index at a time in that order
+        rng = np.random.default_rng(3)
+        h = rand_spd(rng, 7)
+        w = rng.normal(size=(3, 7))
+        h_inv = invert_spd(h).a
+        w_blk, h_blk, steps = remove_block(w, h_inv, [1, 3, 4])
+        w_seq, h_seq, kept, seq_steps = remove_sequentially(w, h_inv, [1, 3, 4])
+        assert kept == [0, 2, 5, 6]
+        assert np.abs(w_blk - w_seq).max() < 1e-10 * np.abs(w).max()
+        assert np.abs(h_blk - h_seq).max() < 1e-10 * np.abs(h_inv).max()
+        assert np.abs(steps - [e for _, e in seq_steps]).max() < 1e-10 * steps.max()
 
     def test_swap(self):
-        m = SpdMatrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
-        assert np.array_equal(permute_symmetric(m, [1, 0]).a, [[3.0, 2.0], [2.0, 1.0]])
+        # hand-evaluated OBS steps: the order changes the per-step errors,
+        # not their sum, the surviving weights or the Schur complement
+        h_inv = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
+        w = np.array([[1.0, 1.0, 1.0]])
+        w01, h01, s01 = remove_block(w, h_inv, [0, 1])
+        w10, h10, s10 = remove_block(w, h_inv, [1, 0])
+        assert np.allclose(s01, [1 / 4, 1 / 16], rtol=0, atol=1e-15)
+        assert np.allclose(s10, [1 / 5, 9 / 80], rtol=0, atol=1e-15)
+        for w_rest, h_rest in ((w01, h01), (w10, h10)):
+            assert np.array_equal(w_rest, [[1.0]])
+            assert np.array_equal(h_rest, [[1.0]])
 
     def test_permute_invert_commute_oracle(self):
-        # permutation/inversion interchange, against np.linalg.inv directly
+        # the Schur complement over any removal order, against np.linalg.inv
         rng = np.random.default_rng(4)
         for _ in range(25):
             n = int(rng.integers(2, 16))
-            m = rand_spd(rng, n)
-            perm = rng.permutation(n)
-            lhs = permute_symmetric(invert_spd(m), perm).a
-            rhs = np.linalg.inv(permute_symmetric(m, perm).a)
-            assert np.abs(lhs - rhs).max() < 1e-8
+            h = rand_spd(rng, n)
+            idx = rng.permutation(n)[: int(rng.integers(1, n))]
+            rest = np.setdiff1d(np.arange(n), idx)
+            _, h_rest, _ = remove_block(np.zeros((1, n)), invert_spd(h).a, idx)
+            assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
 
     def test_rejects_non_bijection(self):
-        m = rand_spd(np.random.default_rng(5), 3)
-        with pytest.raises(ValueError, match="bijection"):
-            permute_symmetric(m, [0, 0, 2])
+        h_inv = invert_spd(rand_spd(np.random.default_rng(5), 3)).a
+        with pytest.raises(ValueError, match="repeated"):
+            remove_block(np.ones((1, 3)), h_inv, [0, 0, 2])
 
 
 class TestGroupedCholesky:
@@ -157,35 +179,36 @@ class TestGroupedCholesky:
 
 
 class TestRemoveUpdate:
+    """Single-index removal: the k = 1 case of ``remove_block``."""
+
     def test_known_2x2(self):
         # H = [[2,1],[1,2]]; deleting index 0 leaves [2] whose inverse is 0.5
         h = np.array([[2.0, 1.0], [1.0, 2.0]])
-        h_inv = SpdMatrix(np.linalg.inv(h))
-        out = remove_update(h_inv, 0)
-        assert out.a.shape == (1, 1)
-        assert abs(out.a[0, 0] - 0.5) < 1e-12
+        _, out, _ = remove_block(np.zeros((1, 2)), np.linalg.inv(h), [0])
+        assert out.shape == (1, 1)
+        assert abs(out[0, 0] - 0.5) < 1e-12
 
     def test_diagonal(self):
-        h_inv = SpdMatrix(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(remove_update(h_inv, 1).a, np.diag([1.0, 3.0]))
+        _, out, _ = remove_block(np.zeros((1, 3)), np.diag([1.0, 2.0, 3.0]), [1])
+        assert np.allclose(out, np.diag([1.0, 3.0]))
 
     def test_direct_inversion_oracle_all_indices(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             h = rand_spd(rng, 6)
-            h_inv = invert_spd(h)
+            h_inv = invert_spd(h).a
             for p in range(6):
                 expect = np.linalg.inv(delete_rc(h.a, p))
-                assert np.abs(remove_update(h_inv, p).a - expect).max() < 1e-8
+                _, out, _ = remove_block(np.zeros((1, 6)), h_inv, [p])
+                assert np.abs(out - expect).max() < 1e-8
 
     def test_zero_pivot(self):
-        bad = SpdMatrix(np.diag([1.0, 0.0]))
-        with pytest.raises(NotSpdError, match="pivot"):
-            remove_update(bad, 1)
+        with pytest.raises(NotSpdError, match="not SPD"):
+            remove_block(np.ones((1, 2)), np.diag([1.0, 0.0]), [1])
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            remove_update(SpdMatrix(np.eye(2)), 2)
+        with pytest.raises(ValueError, match="out of range"):
+            remove_block(np.ones((1, 2)), np.eye(2), [2])
 
 
 class TestProperties:
@@ -205,12 +228,11 @@ class TestProperties:
         for _ in range(10):
             n = 10
             h = rand_spd(rng, n)
-            h_inv = invert_spd(h)
+            h_inv = invert_spd(h).a
             d = int(rng.integers(1, n - 1))
-            for _ in range(d):
-                h_inv = remove_update(h_inv, 0)
+            _, h_inv, _, _ = remove_sequentially(np.zeros((1, n)), h_inv, range(d))
             expect = np.linalg.inv(h.a[d:, d:])
-            assert np.abs(h_inv.a - expect).max() < 1e-8
+            assert np.abs(h_inv - expect).max() < 1e-8
 
     def test_trailing_factor_identity(self):
         # trailing block of Cholesky(H^-1) reproduces the inverse after
@@ -222,15 +244,63 @@ class TestProperties:
             h_inv = invert_spd(h)
             low = cholesky_lower(h_inv)
             d = int(rng.integers(1, n - 1))
-            seq = h_inv
-            for _ in range(d):
-                seq = remove_update(seq, 0)
+            _, seq, _, _ = remove_sequentially(np.zeros((1, n)), h_inv.a, range(d))
             tail = low[d:, d:]
-            assert np.abs(tail @ tail.T - seq.a).max() < 1e-8
+            assert np.abs(tail @ tail.T - seq).max() < 1e-8
 
     def test_determinism(self):
         rng = np.random.default_rng(11)
         m = rand_spd(rng, 9)
         assert np.array_equal(invert_spd(m).a, invert_spd(m).a)
         assert np.array_equal(cholesky_lower(m), cholesky_lower(m))
-        assert np.array_equal(remove_update(m, 3).a, remove_update(m, 3).a)
+        w = rng.normal(size=(2, 9))
+        first, second = remove_block(w, m.a, [3, 1]), remove_block(w, m.a, [3, 1])
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@st.composite
+def block_instances(draw):
+    """A random SPD Hessian, weights, and a block of indices in a random order."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rand_spd(rng, n)
+    w = rng.normal(size=(draw(st.integers(1, 6)), n))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    return w, h, idx
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestRemoveBlock:
+    """Properties of the block kernel against oracles that never call it."""
+
+    @PROPERTY
+    @given(block_instances())
+    def test_inverse_of_deleted_hessian(self, inst):
+        w, h, idx = inst
+        rest = np.setdiff1d(np.arange(h.n), idx)
+        _, h_rest, _ = remove_block(w, invert_spd(h).a, idx)
+        assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
+
+    @PROPERTY
+    @given(block_instances())
+    def test_weights_and_errors_match_least_squares(self, inst):
+        w, h, idx = inst
+        rest = np.setdiff1d(np.arange(h.n), idx)
+        w_rest, _, steps = remove_block(w, invert_spd(h).a, idx)
+        expect = least_squares_oracle(w, h, rest)
+        assert np.linalg.norm(w_rest - expect) < 1e-8 * max(np.linalg.norm(expect), 1e-12)
+        resid = mask_residual(w, h, rest)
+        assert steps.shape == (len(idx),) and np.all(steps >= 0)
+        assert abs(steps.sum() - resid) < 1e-8 * max(1.0, resid)
+
+    @PROPERTY
+    @given(block_instances())
+    def test_step_errors_follow_the_given_order(self, inst):
+        w, h, idx = inst
+        h_inv = invert_spd(h).a
+        _, _, steps = remove_block(w, h_inv, idx)
+        _, _, _, seq = remove_sequentially(w, h_inv, idx)
+        assert [orig for orig, _ in seq] == list(idx)
+        assert np.abs(steps - [e for _, e in seq]).max() < 1e-8 * max(1.0, steps.max())

@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 from obslim.errors import NotSpdError
-from obslim.linalg import SpdMatrix, invert_spd
+from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import (
-    ColumnPruneState,
     brute_force_best_columns,
     column_errors,
     least_squares_oracle,
     mask_residual,
-    prune_column,
 )
 
-from conftest import rand_spd
+from conftest import rand_spd, remove_sequentially
 
 
 def residual_of(w, h: SpdMatrix, kept, w_hat) -> float:
@@ -60,25 +58,23 @@ class TestColumnErrors:
 
 
 class TestPruneColumn:
+    """Removing one column: ``remove_block`` with a single index."""
+
     def test_identity_hinv_zeroes_only_target(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 4))
-        state = ColumnPruneState.initial(w, SpdMatrix(np.eye(4)))
-        prune_column(state, 1)
-        assert np.array_equal(state.w[:, 1], np.zeros(3))
-        for col in (0, 2, 3):
-            assert np.array_equal(state.w[:, col], w[:, col])
-        assert state.alive == [0, 2, 3]
+        w_rest, h_rest, _ = remove_block(w, np.eye(4), [1])
+        assert np.array_equal(w_rest, w[:, [0, 2, 3]])
+        assert np.array_equal(h_rest, np.eye(3))
 
     def test_zero_column_no_change(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(3, 3))
         w[:, 1] = 0.0
         h = rand_spd(rng, 3)
-        state = ColumnPruneState.initial(w, invert_spd(h))
-        prune_column(state, 1)
-        assert state.step_errors == [(1, 0.0)]
-        assert np.array_equal(state.w[:, [0, 2]], w[:, [0, 2]])
+        w_rest, _, steps = remove_block(w, invert_spd(h).a, [1])
+        assert steps.tolist() == [0.0]
+        assert np.array_equal(w_rest, w[:, [0, 2]])
 
     def test_matches_least_squares_oracle(self):
         rng = np.random.default_rng(4)
@@ -86,16 +82,14 @@ class TestPruneColumn:
             w = rng.normal(size=(3, 3))
             h = rand_spd(rng, 3)
             p = int(rng.integers(3))
-            state = ColumnPruneState.initial(w, invert_spd(h))
-            prune_column(state, p)
-            kept = state.alive
+            w_rest, _, _ = remove_block(w, invert_spd(h).a, [p])
+            kept = [c for c in range(3) if c != p]
             expect = least_squares_oracle(w, h, kept)
-            assert np.abs(state.w[:, kept] - expect).max() < 1e-8
+            assert np.abs(w_rest - expect).max() < 1e-8
 
     def test_position_out_of_range(self):
-        state = ColumnPruneState.initial(np.ones((2, 2)), SpdMatrix(np.eye(2)))
         with pytest.raises(ValueError):
-            prune_column(state, 2)
+            remove_block(np.ones((2, 2)), np.eye(2), [2])
 
     def test_single_row_degenerates_to_single_weight_rule(self):
         # with one row, column pruning is classic single-weight pruning:
@@ -109,11 +103,10 @@ class TestPruneColumn:
             assert abs(errs[p] - w[0, p] ** 2 / h_inv.a[p, p]) < 1e-15 * errs.max()
         p = int(np.argmin(errs))
         expect = w[0] - (w[0, p] / h_inv.a[p, p]) * h_inv.a[p, :]
-        state = ColumnPruneState.initial(w, h_inv)
-        prune_column(state, p)
-        kept = state.alive
-        assert np.abs(state.w[0, kept] - expect[kept]).max() < 1e-12
-        assert state.w[0, p] == 0.0
+        w_rest, _, steps = remove_block(w, h_inv.a, [p])
+        kept = [c for c in range(d) if c != p]
+        assert np.abs(w_rest[0] - expect[kept]).max() < 1e-12
+        assert abs(steps[0] - errs[p]) < 1e-12 * errs[p]
 
 
 class TestLeastSquaresOracle:
@@ -202,6 +195,8 @@ class TestBruteForce:
 
 class TestSequentialExactness:
     def test_any_order_matches_mask_oracle(self):
+        # one block call in the removal order and one call per column agree
+        # with the closed-form optimum for the final mask
         rng = np.random.default_rng(12)
         for _ in range(15):
             d = int(rng.integers(4, 10))
@@ -213,12 +208,11 @@ class TestSequentialExactness:
             norm = max(np.linalg.norm(expect), 1e-12)
             for _ in range(3):
                 order = rng.permutation(removed)
-                state = ColumnPruneState.initial(w, invert_spd(h))
-                for orig in order:
-                    prune_column(state, state.alive.index(int(orig)))
-                assert state.alive == kept
-                diff = np.linalg.norm(state.w[:, kept] - expect) / norm
-                assert diff < 1e-8
+                w_blk, _, _ = remove_block(w, invert_spd(h).a, order)
+                w_seq, _, alive, _ = remove_sequentially(w, invert_spd(h).a, order)
+                assert alive == kept
+                assert np.linalg.norm(w_blk - expect) / norm < 1e-8
+                assert np.linalg.norm(w_seq - expect) / norm < 1e-8
 
     def test_step_errors_bound_mask_residual(self):
         # accumulated step errors telescope to the joint residual, hence >=
@@ -227,11 +221,10 @@ class TestSequentialExactness:
             d = 8
             w = rng.normal(size=(4, d))
             h = rand_spd(rng, d)
-            state = ColumnPruneState.initial(w, invert_spd(h))
-            for orig in rng.choice(d, size=4, replace=False):
-                prune_column(state, state.alive.index(int(orig)))
-            total = sum(err for _, err in state.step_errors)
-            resid = mask_residual(w, h, state.alive)
+            order = rng.choice(d, size=4, replace=False)
+            _, _, alive, steps = remove_sequentially(w, invert_spd(h).a, order)
+            total = sum(err for _, err in steps)
+            resid = mask_residual(w, h, alive)
             assert total >= resid - 1e-9 * max(1, resid)
             assert abs(total - resid) < 1e-8 * max(1, resid)
 
@@ -246,8 +239,6 @@ class TestSequentialExactness:
         errs2 = column_errors(w, invert_spd(h2))
         assert np.argmin(errs1) == np.argmin(errs2)
         assert np.abs(errs2 - 2.0 * errs1).max() < 1e-8 * errs1.max()
-        s1 = ColumnPruneState.initial(w, invert_spd(h))
-        s2 = ColumnPruneState.initial(w, invert_spd(h2))
-        for s in (s1, s2):
-            prune_column(s, 2)
-        assert np.abs(s1.w - s2.w).max() < 1e-12
+        w1, _, _ = remove_block(w, invert_spd(h).a, [2])
+        w2, _, _ = remove_block(w, invert_spd(h2).a, [2])
+        assert np.abs(w1 - w2).max() < 1e-12

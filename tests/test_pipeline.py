@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from obslim import pipeline
 from obslim.errors import NotSpdError
 from obslim.pipeline import (
     LayerWeights,
@@ -18,6 +19,8 @@ from obslim.pipeline import (
 )
 from obslim.schedule import PruneSchedule, build_schedule
 from obslim.tensorstore import validate_manifest
+
+from conftest import reinvert_prune_heads
 
 TOY = ToyModelSpec(n_layers=3, d_model=16, n_head=4, d_ff=24,
                    n_calib_batches=2, tokens_per_batch=24)
@@ -247,15 +250,13 @@ class TestPruneModel:
         assert (reports["pruned"].layers[-1].output_sq_error
                 != reports["original"].layers[-1].output_sq_error)
 
-    def test_refresh_modes_agree_end_to_end(self):
+    def test_refresh_modes_agree_end_to_end(self, monkeypatch):
+        # the whole run matches one whose head pruning re-inverts every round
         tensors, manifest, calib = gen_toy(TOY)
         sched = build_schedule(3, "uniform", global_target=0.5)
-        outs = {}
-        for refresh in ("trailing", "reinvert"):
-            cfg = PruneConfig(group_start=8, group_min=2, refresh=refresh)
-            pruned, _, rep = prune_model(tensors, manifest, calib, sched, cfg)
-            outs[refresh] = (pruned, rep)
-        p_t, p_r = outs["trailing"][0], outs["reinvert"][0]
+        p_t, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG)
+        monkeypatch.setattr(pipeline, "prune_heads", reinvert_prune_heads)
+        p_r, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG)
         for k in p_t:
             assert np.abs(p_t[k] - p_r[k]).max() < 1e-6
 

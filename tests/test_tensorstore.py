@@ -153,6 +153,20 @@ class TestReadValidation:
         with pytest.raises(TensorFormatError, match="duplicate"):
             read_tensor_file(path)
 
+    @pytest.mark.parametrize("dtype, tag", [("<f8", "f64"), ("<f4", "f32")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, dtype, tag, bad):
+        path = tmp_path / "nan.obt"
+        values = np.array([1.0, 2.0, bad, 4.0], dtype=dtype)
+        craft_file(
+            path,
+            {"w": {"dtype": tag, "shape": [2, 2], "byte_offset": 0,
+                   "byte_len": values.nbytes}},
+            values.tobytes(),
+        )
+        with pytest.raises(TensorFormatError, match="non-finite"):
+            read_tensor_file(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.obt"
         with open(path, "wb") as fh:
