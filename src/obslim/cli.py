@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_DAMPING
+from .config import DEFAULT_DAMPING, is_finite_real
 from .errors import ObslimError
 from .pipeline import (
     PruneConfig,
@@ -127,6 +127,9 @@ def _merged_settings(args) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             settings[key] = flag_val
+    for key in ("ratio_first", "ratio_last", "global_target"):
+        if settings[key] is not None and not is_finite_real(settings[key]):
+            raise ObslimError(f"{key} must be a finite number, got {settings[key]!r}")
     return settings
 
 

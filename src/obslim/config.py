@@ -1,5 +1,7 @@
 """Central numerical constants shared by all modules."""
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -8,12 +10,10 @@ class Tolerances:
     """Tolerance budget for the numerical kernels.
 
     symmetry          relative asymmetry accepted when constructing an SPD matrix
-    reconstruction    factor / inverse round-trip checks (infinity norm)
     schedule_residual bisection stop criterion for ratio-schedule solving
     """
 
     symmetry: float = 1e-9
-    reconstruction: float = 1e-8
     schedule_residual: float = 1e-6
 
 
@@ -21,3 +21,8 @@ TOL = Tolerances()
 
 # Fraction of the mean Hessian diagonal added as damping before inversion.
 DEFAULT_DAMPING = 0.01
+
+
+def is_finite_real(val) -> bool:
+    """True for a finite int or float; config values arrive untyped and a bool is no number."""
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)

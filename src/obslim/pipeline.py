@@ -11,15 +11,15 @@ the features it will actually receive after compression.
 import csv
 import io
 import json
-import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .calib import HessianAccumulator
-from .config import DEFAULT_DAMPING
+from .config import DEFAULT_DAMPING, is_finite_real
 from .errors import NotSpdError, ObslimError
 from .ffn_pruner import GroupSchedule, prune_channels
 from .head_pruner import HeadLayout, prune_heads
@@ -163,12 +163,6 @@ def _rmsnorm(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt((x * x).mean(axis=0, keepdims=True) + 1e-6)
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
@@ -179,11 +173,13 @@ def _attention(lw: LayerWeights, x: np.ndarray):
     Heads are evaluated one at a time and dead heads (all-zero output
     columns) are skipped: their contribution is exactly zero, and skipping
     keeps a zero-masked model numerically identical to its sliced form.
+    Each head's causal softmax runs in place on one t x t buffer, with the
+    same bits as ``exp(z - max) / sum`` over the masked scores.
     """
     h = _rmsnorm(x)
     d = lw.d_head
     t = x.shape[1]
-    causal = np.tril(np.ones((t, t), dtype=bool))
+    future = np.triu(np.ones((t, t), dtype=bool), k=1)
     ho = np.zeros((lw.n_head * d, t))
     out = np.zeros_like(x)
     for head in range(lw.n_head):
@@ -194,8 +190,13 @@ def _attention(lw: LayerWeights, x: np.ndarray):
         q = np.ascontiguousarray(lw.wq[sl]) @ h
         k = np.ascontiguousarray(lw.wk[sl]) @ h
         v = np.ascontiguousarray(lw.wv[sl]) @ h
-        scores = np.where(causal, (q.T @ k) / np.sqrt(d), -np.inf)
-        ctx = v @ _softmax_rows(scores).T
+        p = q.T @ k
+        p /= np.sqrt(d)
+        np.putmask(p, future, -np.inf)
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        ctx = v @ p.T
         ho[sl] = ctx
         out += np.ascontiguousarray(wo_block) @ ctx
     return x + out, ho
@@ -261,13 +262,7 @@ class PruneConfig:
     calib_mode: str = "pruned"
 
     def __post_init__(self):
-        # Config files hand these in untyped; bool is an int subclass, not a number here.
-        if (
-            not isinstance(self.damping, numbers.Real)
-            or isinstance(self.damping, bool)
-            or not math.isfinite(self.damping)
-            or self.damping < 0
-        ):
+        if not is_finite_real(self.damping) or self.damping < 0:
             raise ValueError(f"damping must be a finite number >= 0, got {self.damping!r}")
         sizes = (self.group_start, self.group_min)
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
@@ -363,6 +358,33 @@ def _hessian_over_batches(feature_batches, damping: float, dim: int):
     return acc.finalize(damping)
 
 
+def _sublayer(fn, cur, ref, kernel, ref_features):
+    """Advance the pruned stream ``cur`` and the original stream ``ref`` past one sublayer.
+
+    ``fn(x)`` runs the sublayer with its weights before pruning and returns
+    ``(output, features into its projection)``; ``kernel(features)``, if
+    not None, prunes the projection and returns ``(w, kept)``. Streams that
+    are the same list share one pass. A separate ``ref`` makes its pass
+    before the kernel when it supplies the features (``ref_features``),
+    else after it. Returns the advanced ``(cur, ref)``.
+    """
+    if kernel is None:
+        out = [fn(x)[0] for x in cur]
+        return out, out if ref is cur else [fn(x)[0] for x in ref]
+    ref_out = None
+    if ref is cur:
+        ref_out, feats = map(list, zip(*map(fn, cur)))
+    else:
+        feats = [fn(x)[1] for x in cur]
+    hess = feats
+    if ref_features and ref is not cur:
+        ref_out, hess = map(list, zip(*map(fn, ref)))
+    w, kept = kernel(hess)
+    out = [x + w @ f[kept] for x, f in zip(cur, feats)]
+    del feats, hess  # not alive during the reference pass below
+    return out, ref_out if ref_out is not None else [fn(x)[0] for x in ref]
+
+
 def prune_model(
     tensors: dict,
     manifest: ModelManifest,
@@ -372,11 +394,16 @@ def prune_model(
 ):
     """Prune every layer at its scheduled ratio.
 
-    Per layer, in order: record the attention projection's input features,
-    build its damped Hessian, remove the scheduled number of heads, slice
-    the coupled q/k/v rows, then do the same for FFN channels with the
-    features recorded after the attention pruning took effect, and finally
-    advance the calibration activations through the pruned layer. Returns
+    Per layer, the damped Hessian of the features into ``wo`` picks the
+    heads to remove (the coupled q/k/v rows are sliced), then that of the
+    features into ``w_down`` picks the channels. With ``calib_mode="pruned"``
+    both come from the calibration stream through the pruned prefix, the
+    FFN features after the layer's own head pruning; with ``"original"``,
+    from the original model. Each of the two streams makes one attention
+    and one FFN pass per batch and layer: the pruned one advances from the
+    features it collected, as ``x + wo' @ feats[kept]`` and then
+    ``x1 + w_down' @ act[kept]``, and until a layer removes something the
+    streams are the same arrays and run once. Returns
     ``(pruned_tensors, pruned_manifest, report)``.
     """
     validate_manifest(manifest, tensors)
@@ -389,8 +416,9 @@ def prune_model(
 
     t_start = time.perf_counter()
     pruned = {name: np.array(arr, dtype=np.float64) for name, arr in tensors.items()}
-    cur_acts = [np.asarray(x, dtype=np.float64) for x in calib]
-    orig_acts = [x.copy() for x in cur_acts]
+    cur = [np.asarray(x, dtype=np.float64) for x in calib]
+    ref = cur
+    from_ref = config.calib_mode == "original"
     new_entries = []
     report = PruneReport(
         variant=sched.variant,
@@ -401,74 +429,53 @@ def prune_model(
     for idx, entry in enumerate(manifest.layers):
         ratio = float(sched.ratios[idx])
         orig_lw = LayerWeights.from_tensors(entry, tensors)
-        n_prune_heads = counts_from_ratio(ratio, entry.n_head)
+        if any(x.ndim != 2 or x.shape[0] != orig_lw.wo.shape[0] for x in cur):
+            raise ValueError(f"calibration activations do not match d_model of layer {idx}")
         d_ff = pruned[entry.ffn_down].shape[1]
+        n_prune_heads = counts_from_ratio(ratio, entry.n_head)
         n_prune_ch = counts_from_ratio(ratio, d_ff)
-        step_error = 0.0
-        kept_heads = list(range(entry.n_head))
-        kept_channels = list(range(d_ff))
+        row = LayerReport(
+            layer=idx,
+            ratio=ratio,
+            heads_removed=n_prune_heads,
+            channels_removed=n_prune_ch,
+            sum_step_error=0.0,
+            output_sq_error=0.0,
+            kept_heads=list(range(entry.n_head)),
+            kept_channels=list(range(d_ff)),
+        )
+
+        def heads(feats):
+            h_attn = _hessian_over_batches(feats, config.damping, entry.n_head * entry.d_head)
+            layout = HeadLayout(entry.n_head, entry.d_head)
+            result = prune_heads(pruned[entry.attn_out], h_attn, layout, n_prune_heads)
+            pruned[entry.attn_out] = result.pruned_w
+            for name in entry.attn_coupled:
+                pruned[name] = pruned[name][result.kept_columns, :]
+            row.sum_step_error += float(result.step_error_sum)
+            row.kept_heads = list(result.kept_heads)
+            return result.pruned_w, result.kept_columns
+
+        def channels(feats):
+            h_ffn = _hessian_over_batches(feats, config.damping, d_ff)
+            sizes = GroupSchedule(config.group_start, config.group_min)
+            new_w, kept, steps = prune_channels(pruned[entry.ffn_down], h_ffn, n_prune_ch, sizes)
+            pruned[entry.ffn_down] = new_w
+            for name in entry.ffn_coupled:
+                pruned[name] = pruned[name][kept, :]
+            row.sum_step_error += sum(err for _, err in steps)
+            row.kept_channels = kept
+            return new_w, kept
+
         try:
-            new_entry = replace(entry)
-
-            if n_prune_heads > 0:
-                if config.calib_mode == "original":
-                    attn_feats = [_attention(orig_lw, x)[1] for x in orig_acts]
-                else:
-                    lw = LayerWeights.from_tensors(entry, pruned)
-                    attn_feats = [_attention(lw, x)[1] for x in cur_acts]
-                h_attn = _hessian_over_batches(
-                    attn_feats, config.damping, entry.n_head * entry.d_head
-                )
-                layout = HeadLayout(entry.n_head, entry.d_head)
-                result = prune_heads(pruned[entry.attn_out], h_attn, layout, n_prune_heads)
-                pruned[entry.attn_out] = result.pruned_w
-                for name in entry.attn_coupled:
-                    pruned[name] = pruned[name][result.kept_columns, :]
-                step_error += result.step_error_sum
-                kept_heads = list(result.kept_heads)
-                new_entry = replace(new_entry, n_head=len(result.kept_heads))
-
-            if n_prune_ch > 0:
-                if config.calib_mode == "original":
-                    ffn_feats = [
-                        forward_layer(orig_lw, x, collect=True)[2] for x in orig_acts
-                    ]
-                else:
-                    lw = LayerWeights.from_tensors(new_entry, pruned)
-                    ffn_feats = [
-                        _ffn(lw, _attention(lw, x)[0])[1] for x in cur_acts
-                    ]
-                h_ffn = _hessian_over_batches(ffn_feats, config.damping, d_ff)
-                new_w, kept, steps = prune_channels(
-                    pruned[entry.ffn_down], h_ffn, n_prune_ch, GroupSchedule(config.group_start, config.group_min)
-                )
-                pruned[entry.ffn_down] = new_w
-                for name in entry.ffn_coupled:
-                    pruned[name] = pruned[name][kept, :]
-                step_error += sum(err for _, err in steps)
-                kept_channels = [int(c) for c in kept]
+            attn, ffn = partial(_attention, orig_lw), partial(_ffn, orig_lw)
+            cur, ref = _sublayer(attn, cur, ref, heads if n_prune_heads else None, from_ref)
+            cur, ref = _sublayer(ffn, cur, ref, channels if n_prune_ch else None, from_ref)
         except (NotSpdError, np.linalg.LinAlgError) as exc:
             raise NotSpdError(f"pruning failed at layer {idx}: {exc}") from exc
-
-        new_entries.append(new_entry)
-        pruned_lw = LayerWeights.from_tensors(new_entry, pruned)
-        cur_acts = [forward_layer(pruned_lw, x) for x in cur_acts]
-        orig_acts = [forward_layer(orig_lw, x) for x in orig_acts]
-        out_err = float(
-            sum(((a - b) ** 2).sum() for a, b in zip(cur_acts, orig_acts))
-        )
-        report.layers.append(
-            LayerReport(
-                layer=idx,
-                ratio=ratio,
-                heads_removed=n_prune_heads,
-                channels_removed=n_prune_ch,
-                sum_step_error=float(step_error),
-                output_sq_error=out_err,
-                kept_heads=kept_heads,
-                kept_channels=kept_channels,
-            )
-        )
+        new_entries.append(replace(entry, n_head=len(row.kept_heads)))
+        row.output_sq_error = float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref)))
+        report.layers.append(row)
 
     report.wall_clock_s = time.perf_counter() - t_start
     pruned_manifest = ModelManifest(n_layers=manifest.n_layers, layers=new_entries)

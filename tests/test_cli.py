@@ -149,6 +149,20 @@ class TestPrune:
             assert code == 2
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, rest", [
+        ("ratio_first", {"global_target": 0.3}),
+        ("ratio_last", {"ratio_first": 0.1}),
+        ("global_target", {}),
+    ])
+    def test_wrongly_typed_schedule_value_exit_2(self, toy_dir, tmp_path, capsys, key, rest):
+        for bad in ("0.3", [0.3], True, float("nan")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**rest, key: bad}))
+            code = run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)]))
+            err = capsys.readouterr().err
+            assert code == 2, bad
+            assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--refresh", "trailing")])
     def test_removed_flags_are_usage_errors(self, toy_dir, tmp_path, flag, value):
         assert run(prune_args(toy_dir, tmp_path / "out", [flag, value])) == 1

@@ -1,11 +1,17 @@
 """Toy model generation, forward pass, and end-to-end pruning."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from obslim import pipeline
+from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
+from obslim.obs_core import least_squares_oracle
 from obslim.pipeline import (
+    CALIB_MODES,
     LayerWeights,
     PruneConfig,
     PruneReport,
@@ -18,7 +24,7 @@ from obslim.pipeline import (
     verify_report,
 )
 from obslim.schedule import PruneSchedule, build_schedule
-from obslim.tensorstore import validate_manifest
+from obslim.tensorstore import ModelManifest, validate_manifest
 
 from conftest import reinvert_prune_heads
 
@@ -249,6 +255,77 @@ class TestPruneModel:
         # deeper layers see different features under the two modes
         assert (reports["pruned"].layers[-1].output_sq_error
                 != reports["original"].layers[-1].output_sq_error)
+
+    @pytest.mark.parametrize("mode", CALIB_MODES)
+    def test_every_layer_matches_least_squares_oracle(self, mode):
+        # Hessians rebuilt from public forward_layer(collect=True) by the
+        # documented rule: "pruned" reads the stream through the pruned
+        # prefix, with the FFN features taken after the layer's own head
+        # pruning; "original" reads the original model's stream and features
+        tensors, manifest, calib = gen_toy(TOY)
+        cfg = PruneConfig(group_start=8, group_min=2, calib_mode=mode)
+        pruned, pmanifest, report = prune_model(
+            tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), cfg)
+
+        def hessian(feats):
+            acc = HessianAccumulator(feats[0].shape[0])
+            for f in feats:
+                acc.accumulate(f)
+            return acc.finalize(cfg.damping)
+
+        def rel_dev(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        cur, ref = list(calib), list(calib)
+        for idx, row in enumerate(report.layers):
+            orig = LayerWeights.from_tensors(manifest.layers[idx], tensors)
+            new = LayerWeights.from_tensors(pmanifest.layers[idx], pruned)
+            stream = ref if mode == "original" else cur
+            assert row.heads_removed > 0 and row.channels_removed > 0
+            kept_cols = np.concatenate(
+                [np.arange(h * orig.d_head, (h + 1) * orig.d_head) for h in row.kept_heads])
+            h_attn = hessian([forward_layer(orig, x, collect=True)[1] for x in stream])
+            assert rel_dev(new.wo, least_squares_oracle(orig.wo, h_attn, kept_cols)) <= 1e-8
+            ffn_input_layer = orig if mode == "original" else replace(
+                orig, wq=new.wq, wk=new.wk, wv=new.wv, wo=new.wo, n_head=new.n_head)
+            h_ffn = hessian([forward_layer(ffn_input_layer, x, collect=True)[2] for x in stream])
+            want = least_squares_oracle(orig.w_down, h_ffn, row.kept_channels)
+            assert rel_dev(new.w_down, want) <= 1e-8
+
+            n = idx + 1
+            head = ModelManifest(n_layers=n, layers=manifest.layers[:n])
+            phead = ModelManifest(n_layers=n, layers=pmanifest.layers[:n])
+            err = sum(((forward_model(pruned, phead, x) - forward_model(tensors, head, x)) ** 2).sum()
+                      for x in calib)
+            assert abs(row.output_sq_error - err) <= 1e-9 * err
+            cur = [forward_layer(new, x) for x in cur]
+            ref = [forward_layer(orig, x) for x in ref]
+
+    @pytest.mark.parametrize("mode", CALIB_MODES)
+    def test_attention_and_ffn_passes_per_layer(self, monkeypatch, mode):
+        # Per-layer counts come from pruning the 1-, 2- and 3-layer prefixes.
+        # Layer 0 removes nothing, so the pruned and the original stream are
+        # still the same arrays and each sublayer runs once per batch; later
+        # layers run each sublayer at most once per stream.
+        calls = Counter()
+        for name in ("_attention", "_ffn"):
+            def counted(*args, _fn=getattr(pipeline, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(pipeline, name, counted)
+        tensors, manifest, calib = gen_toy(TOY)
+        ratios = [0.0, 0.5, 0.5]
+        cfg = PruneConfig(group_start=8, group_min=2, calib_mode=mode)
+        before = Counter()
+        for n in range(1, 4):
+            calls.clear()
+            prune_model(tensors, ModelManifest(n_layers=n, layers=manifest.layers[:n]),
+                        calib, custom_schedule(ratios[:n]), cfg)
+            per_batch = {k: (calls[k] - before[k]) / len(calib) for k in ("_attention", "_ffn")}
+            if n == 1:
+                assert per_batch == {"_attention": 1, "_ffn": 1}
+            assert max(per_batch.values()) <= 2, (n - 1, per_batch)
+            before = Counter(calls)
 
     def test_refresh_modes_agree_end_to_end(self, monkeypatch):
         # the whole run matches one whose head pruning re-inverts every round
