@@ -5,7 +5,7 @@ weight matrices, compensating the surviving weights in closed form from a
 calibration Hessian so the layer's output changes as little as possible.
 """
 
-from .calib import HessianAccumulator, hessian_from_features, load_recorded_features
+from .calib import HessianAccumulator
 from .config import DEFAULT_DAMPING, TOL, Tolerances
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
 from .ffn_pruner import GroupSchedule, group_sizes, prune_channels
@@ -77,10 +77,8 @@ __all__ = [
     "grouped_cholesky",
     "group_sizes",
     "head_errors",
-    "hessian_from_features",
     "invert_spd",
     "least_squares_oracle",
-    "load_recorded_features",
     "mask_residual",
     "prune_channels",
     "prune_heads",

@@ -1,9 +1,11 @@
-"""Layer Hessian accumulation from calibration activations.
+"""Layer Hessian accumulation from calibration features.
 
 The curvature of the layer reconstruction objective is ``2 X X^T`` over the
-layer's input features X (columns are tokens). Batches stream in, sums add
-in arrival order for bit-reproducibility, and a proportional diagonal
-damping is applied once at finalization to survive dead feature channels.
+layer's input features X (columns are tokens). ``prune_model`` streams each
+layer's features through the already-pruned prefix into one accumulator per
+Hessian; sums add in arrival order for bit-reproducibility, and a
+proportional diagonal damping is applied once at finalization to survive
+dead feature channels.
 """
 
 import numpy as np
@@ -11,14 +13,13 @@ import numpy as np
 from .config import DEFAULT_DAMPING
 from .errors import NotSpdError
 from .linalg import SpdMatrix, cholesky_lower
-from .tensorstore import ManifestError, ModelManifest
 
 
 class HessianAccumulator:
     """Running sum of ``2 X_b X_b^T`` over calibration batches.
 
-    A single worker owns an accumulator; use ``merge`` to combine the
-    results of parallel workers in a fixed order.
+    ``HessianAccumulator(d).accumulate(x).finalize(damping)`` builds a
+    damped Hessian from one or more feature batches of shape (d, tokens).
     """
 
     def __init__(self, dim: int):
@@ -41,14 +42,6 @@ class HessianAccumulator:
         self.n_samples += x.shape[1]
         return self
 
-    def merge(self, other: "HessianAccumulator") -> "HessianAccumulator":
-        """Fold another accumulator into this one."""
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {other.dim} vs {self.dim}")
-        self.sum += other.sum
-        self.n_samples += other.n_samples
-        return self
-
     def finalize(self, damping_frac: float = DEFAULT_DAMPING) -> SpdMatrix:
         """Damped Hessian ``sum + damping_frac * mean(diag(sum)) * I``.
 
@@ -67,36 +60,3 @@ class HessianAccumulator:
         except (ValueError, NotSpdError) as exc:
             raise NotSpdError(f"singular Hessian: {exc}") from exc
         return h
-
-
-def hessian_from_features(features, damping_frac: float = DEFAULT_DAMPING) -> SpdMatrix:
-    """One-shot accumulate + finalize for a single feature matrix."""
-    x = np.asarray(features, dtype=np.float64)
-    acc = HessianAccumulator(x.shape[0])
-    return acc.accumulate(x).finalize(damping_frac)
-
-
-def load_recorded_features(tensors: dict, manifest: ModelManifest) -> list:
-    """Per-layer recorded activations declared in the manifest.
-
-    Returns one ``{"attn": X, "ffn": X}`` dict per layer, pulling the
-    matrices from ``tensors`` under the names the manifest declares.
-
-    Raises:
-        ManifestError: if a layer declares no activations or a declared
-            name is missing from the tensor map.
-    """
-    out = []
-    for idx, entry in enumerate(manifest.layers):
-        if not entry.activations:
-            raise ManifestError(f"layer {idx} declares no recorded activations")
-        layer_feats = {}
-        for kind in ("attn", "ffn"):
-            name = entry.activations.get(kind)
-            if name is None:
-                raise ManifestError(f"layer {idx}: no recorded {kind!r} activation name")
-            if name not in tensors:
-                raise ManifestError(f"layer {idx}: recorded activation {name!r} missing")
-            layer_feats[kind] = tensors[name]
-        out.append(layer_feats)
-    return out

@@ -7,12 +7,14 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
-from .config import DEFAULT_DAMPING, is_finite_real
+from .config import is_finite_real
 from .errors import ObslimError
 from .pipeline import (
+    CALIB_MODES,
     PruneConfig,
     PruneReport,
     ToyModelSpec,
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--damping", type=float, default=None)
     prune.add_argument("--group-start", type=int, default=None)
     prune.add_argument("--group-min", type=int, default=None)
-    prune.add_argument("--calib-mode", choices=("pruned", "original"), default=None)
+    prune.add_argument("--calib-mode", choices=CALIB_MODES, default=None)
 
     ver = sub.add_parser("verify", help="re-check the invariants of a written report")
     ver.add_argument("--report", required=True)
@@ -105,16 +107,16 @@ def _cmd_gen_toy(args) -> int:
 
 
 def _merged_settings(args) -> dict:
-    """Config-file values overridden by explicitly given flags."""
+    """Config-file values overridden by explicitly given flags.
+
+    Rejects schedule settings that the chosen variant would silently ignore.
+    """
     settings = {
         "ratio_first": None,
         "ratio_last": None,
         "global_target": None,
         "variant": None,
-        "damping": DEFAULT_DAMPING,
-        "group_start": 1024,
-        "group_min": 8,
-        "calib_mode": "pruned",
+        **PruneConfig().to_dict(),
     }
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -130,6 +132,19 @@ def _merged_settings(args) -> dict:
     for key in ("ratio_first", "ratio_last", "global_target"):
         if settings[key] is not None and not is_finite_real(settings[key]):
             raise ObslimError(f"{key} must be a finite number, got {settings[key]!r}")
+    if not isinstance(settings["variant"], (str, type(None))):
+        raise ObslimError(f"variant must be a string, got {settings['variant']!r}")
+    first, last, target = (settings[k] for k in ("ratio_first", "ratio_last", "global_target"))
+    if last is not None and target is not None:
+        raise ObslimError("ratio_last is solved from global_target; set one of them, not both")
+    if VARIANT_FLAGS.get(settings["variant"], settings["variant"]) == "uniform":
+        if first is not None and target is not None:
+            raise ObslimError("uniform schedule has one ratio; set ratio_first or "
+                              "global_target, not both")
+        r0 = first if first is not None else 0.0
+        if last is not None and last != r0:
+            raise ObslimError(f"uniform schedule needs ratio_last equal to ratio_first, "
+                              f"got {last} and {r0}")
     return settings
 
 
@@ -172,7 +187,9 @@ def _cmd_prune(args) -> int:
         group_min=settings["group_min"],
         calib_mode=settings["calib_mode"],
     )
+    t_start = time.perf_counter()
     pruned, pruned_manifest, report = prune_model(tensors, manifest, calib, sched, config)
+    elapsed = time.perf_counter() - t_start
 
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.obt")
@@ -186,7 +203,7 @@ def _cmd_prune(args) -> int:
     print(_format_report(report))
     print(f"params {total_params} -> {kept_params} "
           f"({1.0 - kept_params / total_params:.1%} removed); "
-          f"wall clock {report.wall_clock_s:.2f}s; outputs in {args.out}")
+          f"wall clock {elapsed:.2f}s; outputs in {args.out}")
     return 0
 
 
@@ -242,10 +259,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ObslimError, np.linalg.LinAlgError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ObslimError, np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

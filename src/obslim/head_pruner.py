@@ -68,8 +68,8 @@ def head_errors(w: np.ndarray, h_inv, layout: HeadLayout) -> np.ndarray:
             f"inconsistent dims: w {w.shape}, h_inv {n}, "
             f"layout {layout.n_head}x{layout.d_head}"
         )
-    gc = grouped_cholesky(h_inv, layout.d_head)
-    denom = gc.diagonals().reshape(-1) ** 2  # (n_cols,)
+    factors = grouped_cholesky(h_inv, layout.d_head)
+    denom = factors.diagonal(axis1=1, axis2=2).reshape(-1) ** 2  # (n_cols,)
     per_col = (w * w).sum(axis=0) / denom
     return per_col.reshape(layout.n_head, layout.d_head).sum(axis=1)
 

@@ -9,8 +9,6 @@ All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -61,26 +59,6 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
-@dataclass(frozen=True)
-class GroupedCholesky:
-    """Stack of lower-triangular factors, one per diagonal block.
-
-    ``factors[k]`` is the Cholesky factor of block ``k`` of the source
-    matrix, so ``factors[k] @ factors[k].T`` reconstructs that block.
-    """
-
-    factors: np.ndarray  # (n_blocks, group_size, group_size)
-    group_size: int
-
-    @property
-    def n_blocks(self) -> int:
-        return self.factors.shape[0]
-
-    def diagonals(self) -> np.ndarray:
-        """Diagonal entries of every factor, shape (n_blocks, group_size)."""
-        return self.factors.diagonal(axis1=1, axis2=2)
-
-
 def as_array(m) -> np.ndarray:
     """The float64 array of an ``SpdMatrix``, or ``m`` as a float64 array.
 
@@ -114,10 +92,12 @@ def invert_spd(m: SpdMatrix) -> SpdMatrix:
     return SpdMatrix(low_inv.T @ low_inv)
 
 
-def grouped_cholesky(h_inv, group_size: int) -> GroupedCholesky:
+def grouped_cholesky(h_inv, group_size: int) -> np.ndarray:
     """Factor every ``group_size`` diagonal block of ``h_inv`` independently.
 
-    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array. The blocks are
+    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array. Returns the
+    (n_blocks, group_size, group_size) stack of lower-triangular factors:
+    ``factors[k] @ factors[k].T`` is diagonal block ``k``. The blocks are
     factored as a batch; the result does not depend on the order in which
     blocks are processed.
 
@@ -135,10 +115,9 @@ def grouped_cholesky(h_inv, group_size: int) -> GroupedCholesky:
     blocks = a.reshape(k, group_size, k, group_size)
     diag_blocks = blocks[np.arange(k), :, np.arange(k), :]
     try:
-        factors = np.linalg.cholesky(diag_blocks)
+        return np.linalg.cholesky(diag_blocks)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"not SPD: a diagonal block failed Cholesky ({exc})") from exc
-    return GroupedCholesky(factors=factors, group_size=group_size)
 
 
 def remove_block(w: np.ndarray, h_inv: np.ndarray, idx):

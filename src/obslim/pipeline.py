@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import numbers
-import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -23,7 +22,7 @@ from .config import DEFAULT_DAMPING, is_finite_real
 from .errors import NotSpdError, ObslimError
 from .ffn_pruner import GroupSchedule, prune_channels
 from .head_pruner import HeadLayout, prune_heads
-from .schedule import PruneSchedule, counts_from_ratio
+from .schedule import VARIANTS, PruneSchedule, counts_from_ratio, ratio_at
 from .tensorstore import LayerEntry, ModelManifest, validate_manifest
 
 CALIB_MODES = ("pruned", "original")
@@ -102,15 +101,15 @@ def layer_names(layer: int) -> dict:
     }
 
 
-def gen_toy(spec: ToyModelSpec, seed: int | None = None):
+def gen_toy(spec: ToyModelSpec):
     """Deterministic toy model plus synthetic calibration batches.
 
     Returns ``(tensors, manifest, calib)`` where ``calib`` is a list of
-    (d_model, tokens) input activations. The same seed reproduces every
-    array bit for bit. Head and channel magnitudes are drawn with a mild
+    (d_model, tokens) input activations. The same ``spec.seed`` reproduces
+    every array bit for bit. Head and channel magnitudes are drawn with a mild
     log-normal spread so pruning has genuinely uneven units to choose from.
     """
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     dm, dff, dh = spec.d_model, spec.d_ff, spec.d_head
     tensors = {}
     entries = []
@@ -298,18 +297,14 @@ class PruneReport:
     variant: str = "uniform"
     ratios: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "variant": self.variant,
             "ratios": list(self.ratios),
             "config": dict(self.config),
             "layers": [asdict(row) for row in self.layers],
         }
-        if include_timing:
-            out["wall_clock_s"] = self.wall_clock_s
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "PruneReport":
@@ -318,13 +313,10 @@ class PruneReport:
             variant=data["variant"],
             ratios=list(data["ratios"]),
             config=dict(data.get("config", {})),
-            wall_clock_s=float(data.get("wall_clock_s", 0.0)),
         )
 
     def to_json(self) -> str:
-        # Timing is excluded from the persisted form so identical runs
-        # produce bit-identical report files; the CLI prints it instead.
-        return json.dumps(self.to_dict(include_timing=False), indent=2)
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -414,7 +406,6 @@ def prune_model(
     if not calib:
         raise ValueError("need at least one calibration batch")
 
-    t_start = time.perf_counter()
     pruned = {name: np.array(arr, dtype=np.float64) for name, arr in tensors.items()}
     cur = [np.asarray(x, dtype=np.float64) for x in calib]
     ref = cur
@@ -477,7 +468,6 @@ def prune_model(
         row.output_sq_error = float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref)))
         report.layers.append(row)
 
-    report.wall_clock_s = time.perf_counter() - t_start
     pruned_manifest = ModelManifest(n_layers=manifest.n_layers, layers=new_entries)
     validate_manifest(pruned_manifest, pruned)
     return pruned, pruned_manifest, report
@@ -497,8 +487,6 @@ def verify_report(
     With the pruned manifest/tensors supplied, also cross-checks the model
     structure against the report's removal counts.
     """
-    from .schedule import VARIANTS, ratio_at  # local import avoids cycle confusion
-
     problems = []
     n = len(report.layers)
     if len(report.ratios) != n:

@@ -96,7 +96,7 @@ def read_tensor_file(path) -> dict:
     if header_end > len(blob):
         raise TensorFormatError("header length exceeds file size")
     header = _parse_header(blob[len(MAGIC) + 8 : header_end])
-    payload = blob[header_end:]
+    payload = memoryview(blob)[header_end:]  # a view: slicing bytes would copy the payload
 
     tensors = {}
     extents = []
@@ -133,7 +133,11 @@ def read_tensor_file(path) -> dict:
 
 @dataclass
 class LayerEntry:
-    """One layer of the manifest: anchor tensors, coupled tensors, head layout."""
+    """One layer of the manifest: anchor tensors, coupled tensors, head layout.
+
+    ``from_dict`` ignores keys it does not read, such as the ``activations``
+    entry older manifests may carry.
+    """
 
     attn_out: str
     attn_coupled: list
@@ -141,19 +145,15 @@ class LayerEntry:
     ffn_coupled: list
     n_head: int
     d_head: int
-    activations: dict | None = None  # optional {"attn": name, "ffn": name}
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "attn_out": self.attn_out,
             "attn_coupled": list(self.attn_coupled),
             "ffn_down": self.ffn_down,
             "ffn_coupled": list(self.ffn_coupled),
             "head_layout": [self.n_head, self.d_head],
         }
-        if self.activations is not None:
-            out["activations"] = dict(self.activations)
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "LayerEntry":
@@ -166,7 +166,6 @@ class LayerEntry:
                 ffn_coupled=list(data["ffn_coupled"]),
                 n_head=n_head,
                 d_head=d_head,
-                activations=dict(data["activations"]) if "activations" in data else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed layer entry: {exc}") from exc

@@ -1,12 +1,11 @@
-"""Hessian accumulation: additivity, damping, recorded-activation mode."""
+"""Hessian accumulation: additivity and damping."""
 
 import numpy as np
 import pytest
 
-from obslim.calib import HessianAccumulator, hessian_from_features, load_recorded_features
-from obslim.errors import ManifestError, NotSpdError
+from obslim.calib import HessianAccumulator
+from obslim.errors import NotSpdError
 from obslim.linalg import cholesky_lower
-from obslim.tensorstore import LayerEntry, ModelManifest
 
 
 class TestAccumulate:
@@ -49,18 +48,6 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="non-finite"):
             HessianAccumulator(2).accumulate(np.array([[np.nan], [0.0]]))
 
-    def test_merge_matches_sequential(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=(4, 6)), rng.normal(size=(4, 8))
-        seq = HessianAccumulator(4).accumulate(a).accumulate(b)
-        left = HessianAccumulator(4).accumulate(a)
-        right = HessianAccumulator(4).accumulate(b)
-        left.merge(right)
-        assert np.array_equal(left.sum, seq.sum)
-        assert left.n_samples == seq.n_samples
-        with pytest.raises(ValueError):
-            left.merge(HessianAccumulator(5))
-
 
 class TestFinalize:
     def test_no_damping_identity(self):
@@ -99,36 +86,3 @@ class TestFinalize:
         with pytest.raises(ValueError):
             acc.finalize(-0.1)
 
-
-class TestRecordedMode:
-    def manifest(self):
-        entry = LayerEntry(
-            attn_out="wo", attn_coupled=[], ffn_down="down", ffn_coupled=[],
-            n_head=1, d_head=4,
-            activations={"attn": "acts.0.attn", "ffn": "acts.0.ffn"},
-        )
-        return ModelManifest(n_layers=1, layers=[entry])
-
-    def test_loads_declared_names(self):
-        rng = np.random.default_rng(3)
-        tensors = {
-            "acts.0.attn": rng.normal(size=(4, 20)),
-            "acts.0.ffn": rng.normal(size=(6, 20)),
-        }
-        feats = load_recorded_features(tensors, self.manifest())
-        assert len(feats) == 1
-        assert np.array_equal(feats[0]["attn"], tensors["acts.0.attn"])
-        assert np.array_equal(feats[0]["ffn"], tensors["acts.0.ffn"])
-        h = hessian_from_features(feats[0]["attn"], 0.01)
-        acc = HessianAccumulator(4).accumulate(tensors["acts.0.attn"])
-        assert np.array_equal(h.a, acc.finalize(0.01).a)
-
-    def test_missing_name(self):
-        with pytest.raises(ManifestError, match="missing"):
-            load_recorded_features({"acts.0.attn": np.zeros((4, 2))}, self.manifest())
-
-    def test_undeclared_activations(self):
-        manifest = self.manifest()
-        manifest.layers[0].activations = None
-        with pytest.raises(ManifestError, match="declares no recorded"):
-            load_recorded_features({}, manifest)

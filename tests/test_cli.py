@@ -138,6 +138,7 @@ class TestPrune:
         {"group_min": True},
         {"group_start": 2, "group_min": 4},
         {"group_min": 0},
+        {"variant": ["uniform"]},
     ])
     def test_wrongly_typed_config_value_exit_2(self, toy_dir, tmp_path, capsys, bad):
         # validated even when no layer prunes a channel (global target 0)
@@ -162,6 +163,28 @@ class TestPrune:
             err = capsys.readouterr().err
             assert code == 2, bad
             assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flags", [
+        ["--variant", "uniform", "--ratio-first", "0.1", "--ratio-last", "0.5"],
+        ["--global-target", "0.3", "--ratio-last", "0.9"],
+        ["--variant", "uniform", "--ratio-first", "0.1", "--global-target", "0.4"],
+    ], ids=["uniform-ratio-last", "target-and-ratio-last", "uniform-ratio-first-and-target"])
+    def test_ignored_schedule_setting_exit_2(self, toy_dir, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = run(prune_args(toy_dir, out, flags))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_uniform_with_equal_endpoints_runs(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(prune_args(toy_dir, out, [
+            "--variant", "uniform", "--ratio-first", "0.25", "--ratio-last", "0.25",
+        ]))
+        assert code == 0
+        assert "wall clock" in capsys.readouterr().out
+        assert PruneReport.load(out / "report.json").ratios == [0.25] * 3
 
     @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--refresh", "trailing")])
     def test_removed_flags_are_usage_errors(self, toy_dir, tmp_path, flag, value):

@@ -141,32 +141,31 @@ class TestPermuteSymmetric:
 
 class TestGroupedCholesky:
     def test_identity_blocks(self):
-        gc = grouped_cholesky(SpdMatrix(np.eye(4)), 2)
-        assert gc.factors.shape == (2, 2, 2)
-        assert np.array_equal(gc.factors[0], np.eye(2))
-        assert np.array_equal(gc.factors[1], np.eye(2))
+        factors = grouped_cholesky(SpdMatrix(np.eye(4)), 2)
+        assert factors.shape == (2, 2, 2)
+        assert np.array_equal(factors[0], np.eye(2))
+        assert np.array_equal(factors[1], np.eye(2))
 
     def test_block_diagonal_known_blocks(self):
         a = np.array([[4.0, 2.0], [2.0, 5.0]])
         b = np.array([[9.0, 3.0], [3.0, 5.0]])
         m = SpdMatrix(np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]]))
-        gc = grouped_cholesky(m, 2)
-        assert np.allclose(gc.factors[0], np.linalg.cholesky(a))
-        assert np.allclose(gc.factors[1], np.linalg.cholesky(b))
+        factors = grouped_cholesky(m, 2)
+        assert np.allclose(factors[0], np.linalg.cholesky(a))
+        assert np.allclose(factors[1], np.linalg.cholesky(b))
 
     def test_per_block_oracle_and_leading_block_identity(self):
         # block k of the grouped factorization equals the Cholesky of that
         # diagonal block; only k=0 coincides with the full factor's slice
         rng = np.random.default_rng(6)
         m = rand_spd(rng, 12)
-        gc = grouped_cholesky(m, 4)
+        factors = grouped_cholesky(m, 4)
         full = np.linalg.cholesky(m.a)
         for k in range(3):
             blk = m.a[4 * k : 4 * (k + 1), 4 * k : 4 * (k + 1)]
-            assert np.abs(gc.factors[k] - np.linalg.cholesky(blk)).max() < 1e-10
-        assert np.abs(gc.factors[0] - full[:4, :4]).max() < 1e-10
-        assert np.abs(gc.factors[1] - full[4:8, 4:8]).max() > 1e-6  # trailing differs
-        assert np.array_equal(gc.diagonals(), gc.factors.diagonal(axis1=1, axis2=2))
+            assert np.abs(factors[k] - np.linalg.cholesky(blk)).max() < 1e-10
+        assert np.abs(factors[0] - full[:4, :4]).max() < 1e-10
+        assert np.abs(factors[1] - full[4:8, 4:8]).max() > 1e-6  # trailing differs
 
     def test_dimension_not_divisible(self):
         with pytest.raises(ValueError, match="divisible"):

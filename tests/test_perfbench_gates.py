@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark's correctness gates against the current sources.
+"""Smoke tests of the benchmark's gates and traced run against the current sources.
 
 ``perfbench/checks.py`` gates every benchmarked job (``obslim verify``,
 byte-identical reports, least-squares oracle) through public obslim
-functions. Running those gates on one small job here keeps them from
-drifting away from ``src/`` unnoticed.
+functions, and ``perfbench/spans.py`` traces a job by patching obslim
+functions and methods by name and binding hook arguments by name. Running
+both on one small job here keeps them from drifting away from ``src/``
+unnoticed.
 """
 
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from obslim import cli
+from obslim.pipeline import PruneReport
 from obslim.tensorstore import read_tensor_file, write_tensor_file
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -25,11 +28,23 @@ def checks(monkeypatch):
     return checks
 
 
+@pytest.fixture()
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    return spans
+
+
+def gen_toy_argv(data):
+    return ["gen-toy", "--out", str(data), "--seed", "3", "--layers", "2",
+            "--d-model", "16", "--heads", "4", "--d-ff", "24",
+            "--batches", "2", "--tokens", "24"]
+
+
 def test_gates_pass_and_flag_a_perturbed_w_down(checks, tmp_path):
     data, out = tmp_path / "data", tmp_path / "out"
-    assert cli.main(["gen-toy", "--out", str(data), "--seed", "3", "--layers", "2",
-                     "--d-model", "16", "--heads", "4", "--d-ff", "24",
-                     "--batches", "2", "--tokens", "24"]) == 0
+    assert cli.main(gen_toy_argv(data)) == 0
     paths = checks.input_paths(data)
     assert cli.main(["prune", "--model", str(paths["model"]),
                      "--manifest", str(paths["manifest"]), "--calib", str(paths["calib"]),
@@ -43,3 +58,21 @@ def test_gates_pass_and_flag_a_perturbed_w_down(checks, tmp_path):
     write_tensor_file(model, out / "model.obt")
     problems, _ = checks.job_problems(data, out, report_bytes)
     assert any("layer 1: w_down deviates" in p for p in problems), problems
+
+
+def test_traced_prune_counts_match_the_report(spans, tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    tracer = spans.Tracer()
+    with tracer.recording(0):
+        assert cli.main(gen_toy_argv(data)) == 0
+        assert cli.main(["prune", "--model", str(data / "model.obt"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--calib", str(data / "calib.obt"),
+                         "--out", str(out), "--global-target", "0.4"]) == 0
+    counts = tracer.job_profile(0)["counts"]
+    report = PruneReport.load(out / "report.json")
+    heads = sum(row.heads_removed for row in report.layers)
+    channels = sum(row.channels_removed for row in report.layers)
+    assert heads > 0 and channels > 0
+    assert counts.get("head_pruner.heads_removed") == heads
+    assert counts.get("ffn_pruner.channels_removed") == channels

@@ -1,5 +1,6 @@
 """Toy model generation, forward pass, and end-to-end pruning."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -49,7 +50,7 @@ class TestGenToy:
 
     def test_different_seed_differs(self):
         t1, _, _ = gen_toy(TOY)
-        t2, _, _ = gen_toy(TOY, seed=1)
+        t2, _, _ = gen_toy(replace(TOY, seed=1))
         assert not np.array_equal(t1["layers.0.attn.wo"], t2["layers.0.attn.wo"])
 
     def test_manifest_shapes(self):
@@ -363,7 +364,7 @@ class TestReports:
         report.save(path)
         back = PruneReport.load(path)
         assert back.to_json() == report.to_json()
-        assert back.wall_clock_s == 0.0  # timing is not persisted
+        assert "wall_clock_s" not in json.loads(report.to_json())  # timing is not persisted
 
     def test_csv_columns(self):
         _, _, report = self.run_once()

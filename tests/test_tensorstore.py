@@ -1,7 +1,9 @@
 """Container round-trips and header validation, manifest checks."""
 
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +73,23 @@ class TestRoundTrip:
         write_tensor_file(tensors, p1)
         write_tensor_file(read_tensor_file(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_read_holds_the_file_once_plus_the_arrays(self, tmp_path):
+        # the raw bytes plus the float64 arrays are 2x an f64 file; a copied
+        # payload on top of them would peak at 3x
+        rng = np.random.default_rng(4)
+        path = tmp_path / "big.obt"
+        write_tensor_file({f"t{i}": rng.normal(size=(512, 512)) for i in range(4)}, path)
+        size = os.path.getsize(path)
+        assert size > 8e6
+        tracemalloc.start()
+        try:
+            back = read_tensor_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 4
+        assert peak < 2.5 * size, peak / size
 
 
 class TestWriteValidation:
@@ -192,7 +211,6 @@ def toy_manifest_and_tensors():
         ffn_coupled=["up", "gate"],
         n_head=2,
         d_head=4,
-        activations={"attn": "acts.attn", "ffn": "acts.ffn"},
     )
     return ModelManifest(n_layers=1, layers=[entry]), tensors
 
@@ -202,6 +220,12 @@ class TestManifest:
         manifest, _ = toy_manifest_and_tensors()
         back = ModelManifest.from_json(manifest.to_json())
         assert back == manifest
+
+    def test_activations_entry_is_ignored(self):
+        manifest, _ = toy_manifest_and_tensors()
+        data = json.loads(manifest.to_json())
+        data["layers"][0]["activations"] = {"attn": "acts.attn", "ffn": "acts.ffn"}
+        assert ModelManifest.from_json(json.dumps(data)) == manifest
 
     def test_save_load(self, tmp_path):
         manifest, _ = toy_manifest_and_tensors()
