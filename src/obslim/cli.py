@@ -14,7 +14,6 @@ import numpy as np
 from .config import is_finite_real
 from .errors import ObslimError
 from .pipeline import (
-    CALIB_MODES,
     PruneConfig,
     PruneReport,
     ToyModelSpec,
@@ -70,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--damping", type=float, default=None)
     prune.add_argument("--group-start", type=int, default=None)
     prune.add_argument("--group-min", type=int, default=None)
-    prune.add_argument("--calib-mode", choices=CALIB_MODES, default=None)
 
     ver = sub.add_parser("verify", help="re-check the invariants of a written report")
     ver.add_argument("--report", required=True)
@@ -107,10 +105,7 @@ def _cmd_gen_toy(args) -> int:
 
 
 def _merged_settings(args) -> dict:
-    """Config-file values overridden by explicitly given flags.
-
-    Rejects schedule settings that the chosen variant would silently ignore.
-    """
+    """Config-file values overridden by explicitly given flags."""
     settings = {
         "ratio_first": None,
         "ratio_last": None,
@@ -121,6 +116,9 @@ def _merged_settings(args) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ObslimError(f"config file {args.config} must hold a JSON object, "
+                              f"got {type(loaded).__name__}")
         unknown = set(loaded) - set(settings)
         if unknown:
             raise ObslimError(f"unknown config keys: {sorted(unknown)}")
@@ -134,17 +132,6 @@ def _merged_settings(args) -> dict:
             raise ObslimError(f"{key} must be a finite number, got {settings[key]!r}")
     if not isinstance(settings["variant"], (str, type(None))):
         raise ObslimError(f"variant must be a string, got {settings['variant']!r}")
-    first, last, target = (settings[k] for k in ("ratio_first", "ratio_last", "global_target"))
-    if last is not None and target is not None:
-        raise ObslimError("ratio_last is solved from global_target; set one of them, not both")
-    if VARIANT_FLAGS.get(settings["variant"], settings["variant"]) == "uniform":
-        if first is not None and target is not None:
-            raise ObslimError("uniform schedule has one ratio; set ratio_first or "
-                              "global_target, not both")
-        r0 = first if first is not None else 0.0
-        if last is not None and last != r0:
-            raise ObslimError(f"uniform schedule needs ratio_last equal to ratio_first, "
-                              f"got {last} and {r0}")
     return settings
 
 
@@ -166,27 +153,15 @@ def _cmd_prune(args) -> int:
     calib_map = read_tensor_file(args.calib)
     calib = list(calib_map.values())
 
-    variant = VARIANT_FLAGS.get(settings["variant"], settings["variant"]) or "log_increase"
-    r0 = settings["ratio_first"] if settings["ratio_first"] is not None else 0.0
-    n = manifest.n_layers
-    if settings["global_target"] is not None:
-        sched = build_schedule(
-            n,
-            variant,
-            r0=r0,
-            global_target=settings["global_target"],
-            layer_param_weights=_layer_param_weights(manifest, tensors),
-        )
-    else:
-        rn = settings["ratio_last"] if settings["ratio_last"] is not None else r0
-        sched = build_schedule(n, variant, r0=r0, rn=rn)
-
-    config = PruneConfig(
-        damping=settings["damping"],
-        group_start=settings["group_start"],
-        group_min=settings["group_min"],
-        calib_mode=settings["calib_mode"],
+    sched = build_schedule(
+        manifest.n_layers,
+        VARIANT_FLAGS.get(settings["variant"], settings["variant"]) or "log_increase",
+        r0=settings["ratio_first"],
+        rn=settings["ratio_last"],
+        global_target=settings["global_target"],
+        layer_param_weights=_layer_param_weights(manifest, tensors),
     )
+    config = PruneConfig(**{key: settings[key] for key in PruneConfig().to_dict()})
     t_start = time.perf_counter()
     pruned, pruned_manifest, report = prune_model(tensors, manifest, calib, sched, config)
     elapsed = time.perf_counter() - t_start

@@ -4,15 +4,15 @@ A small pre-norm residual transformer (causal single-pass attention, gated
 FFN) stands in for full-scale models: it is large enough to exhibit error
 accumulation across layers yet small enough for every numerical claim to
 be checked against exact oracles. Calibration activations propagate
-through the already-pruned prefix by default, so each layer's Hessian sees
-the features it will actually receive after compression.
+through the already-pruned prefix, so each layer's Hessian sees the
+features it will actually receive after compression.
 """
 
 import csv
 import io
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -24,8 +24,6 @@ from .ffn_pruner import GroupSchedule, prune_channels
 from .head_pruner import HeadLayout, prune_heads
 from .schedule import VARIANTS, PruneSchedule, counts_from_ratio, ratio_at
 from .tensorstore import LayerEntry, ModelManifest, validate_manifest
-
-CALIB_MODES = ("pruned", "original")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +256,6 @@ class PruneConfig:
     damping: float = DEFAULT_DAMPING
     group_start: int = 1024
     group_min: int = 8
-    calib_mode: str = "pruned"
 
     def __post_init__(self):
         if not is_finite_real(self.damping) or self.damping < 0:
@@ -266,12 +263,7 @@ class PruneConfig:
         sizes = (self.group_start, self.group_min)
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
             raise ValueError(f"group_start and group_min must be integers, got {sizes!r}")
-        if not 1 <= self.group_min <= self.group_start:
-            raise ValueError(
-                f"need 1 <= group_min <= group_start, got {self.group_min}, {self.group_start}"
-            )
-        if self.calib_mode not in CALIB_MODES:
-            raise ValueError(f"calib_mode must be one of {CALIB_MODES}")
+        GroupSchedule(self.group_start, self.group_min)  # raises unless 1 <= min <= start
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -287,6 +279,19 @@ class LayerReport:
     output_sq_error: float
     kept_heads: list = field(default_factory=list)
     kept_channels: list = field(default_factory=list)
+
+    @classmethod
+    def from_dict(cls, row) -> "LayerReport":
+        """One row of ``report.json``; ``ObslimError`` on a missing, extra or mistyped field."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(row, dict) or sorted(row) != sorted(names):
+            raise ObslimError(f"a report layer row needs exactly the fields {names}")
+        for f in fields(cls):
+            val = row[f.name]
+            if not (isinstance(val, list) if f.type is list else is_finite_real(val)
+                    and (f.type is float or isinstance(val, numbers.Integral))):
+                raise ObslimError(f"report layer {f.name} has the wrong type or value: {val!r}")
+        return cls(**row)
 
 
 @dataclass
@@ -307,12 +312,20 @@ class PruneReport:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PruneReport":
+    def from_dict(cls, data) -> "PruneReport":
+        """Rebuild a report from its JSON form; ``ObslimError`` if it is malformed."""
+        if not isinstance(data, dict) or not {"layers", "variant", "ratios"} <= set(data):
+            raise ObslimError("a report must be a JSON object with layers, variant and ratios")
+        layers, ratios, config = data["layers"], data["ratios"], data.get("config", {})
+        if not isinstance(layers, list) or not isinstance(config, dict):
+            raise ObslimError("report layers must be a list and its config a JSON object")
+        if not isinstance(ratios, list) or not all(map(is_finite_real, ratios)):
+            raise ObslimError(f"report ratios must be a list of finite numbers, got {ratios!r}")
         return cls(
-            layers=[LayerReport(**row) for row in data["layers"]],
+            layers=[LayerReport.from_dict(row) for row in layers],
             variant=data["variant"],
-            ratios=list(data["ratios"]),
-            config=dict(data.get("config", {})),
+            ratios=list(ratios),
+            config=dict(config),
         )
 
     def to_json(self) -> str:
@@ -350,30 +363,26 @@ def _hessian_over_batches(feature_batches, damping: float, dim: int):
     return acc.finalize(damping)
 
 
-def _sublayer(fn, cur, ref, kernel, ref_features):
+def _sublayer(fn, cur, ref, kernel):
     """Advance the pruned stream ``cur`` and the original stream ``ref`` past one sublayer.
 
     ``fn(x)`` runs the sublayer with its weights before pruning and returns
     ``(output, features into its projection)``; ``kernel(features)``, if
-    not None, prunes the projection and returns ``(w, kept)``. Streams that
-    are the same list share one pass. A separate ``ref`` makes its pass
-    before the kernel when it supplies the features (``ref_features``),
-    else after it. Returns the advanced ``(cur, ref)``.
+    not None, prunes the projection on the pruned stream's features and
+    returns ``(w, kept)``. Streams that are the same list share one pass; a
+    separate ``ref`` makes its pass after the kernel. Returns the advanced
+    ``(cur, ref)``.
     """
     if kernel is None:
         out = [fn(x)[0] for x in cur]
         return out, out if ref is cur else [fn(x)[0] for x in ref]
-    ref_out = None
     if ref is cur:
         ref_out, feats = map(list, zip(*map(fn, cur)))
     else:
-        feats = [fn(x)[1] for x in cur]
-    hess = feats
-    if ref_features and ref is not cur:
-        ref_out, hess = map(list, zip(*map(fn, ref)))
-    w, kept = kernel(hess)
+        ref_out, feats = None, [fn(x)[1] for x in cur]
+    w, kept = kernel(feats)
     out = [x + w @ f[kept] for x, f in zip(cur, feats)]
-    del feats, hess  # not alive during the reference pass below
+    del feats  # not alive during the reference pass below
     return out, ref_out if ref_out is not None else [fn(x)[0] for x in ref]
 
 
@@ -388,12 +397,12 @@ def prune_model(
 
     Per layer, the damped Hessian of the features into ``wo`` picks the
     heads to remove (the coupled q/k/v rows are sliced), then that of the
-    features into ``w_down`` picks the channels. With ``calib_mode="pruned"``
-    both come from the calibration stream through the pruned prefix, the
-    FFN features after the layer's own head pruning; with ``"original"``,
-    from the original model. Each of the two streams makes one attention
-    and one FFN pass per batch and layer: the pruned one advances from the
-    features it collected, as ``x + wo' @ feats[kept]`` and then
+    features into ``w_down`` picks the channels. Both come from the
+    calibration stream through the pruned prefix, the FFN features after the
+    layer's own head pruning; the original model's stream is only the
+    reference for ``output_sq_error``. Each of the two streams makes one
+    attention and one FFN pass per batch and layer: the pruned one advances
+    from the features it collected, as ``x + wo' @ feats[kept]`` and then
     ``x1 + w_down' @ act[kept]``, and until a layer removes something the
     streams are the same arrays and run once. Returns
     ``(pruned_tensors, pruned_manifest, report)``.
@@ -409,7 +418,6 @@ def prune_model(
     pruned = {name: np.array(arr, dtype=np.float64) for name, arr in tensors.items()}
     cur = [np.asarray(x, dtype=np.float64) for x in calib]
     ref = cur
-    from_ref = config.calib_mode == "original"
     new_entries = []
     report = PruneReport(
         variant=sched.variant,
@@ -460,8 +468,8 @@ def prune_model(
 
         try:
             attn, ffn = partial(_attention, orig_lw), partial(_ffn, orig_lw)
-            cur, ref = _sublayer(attn, cur, ref, heads if n_prune_heads else None, from_ref)
-            cur, ref = _sublayer(ffn, cur, ref, channels if n_prune_ch else None, from_ref)
+            cur, ref = _sublayer(attn, cur, ref, heads if n_prune_heads else None)
+            cur, ref = _sublayer(ffn, cur, ref, channels if n_prune_ch else None)
         except (NotSpdError, np.linalg.LinAlgError) as exc:
             raise NotSpdError(f"pruning failed at layer {idx}: {exc}") from exc
         new_entries.append(replace(entry, n_head=len(row.kept_heads)))

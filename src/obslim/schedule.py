@@ -157,18 +157,31 @@ class PruneSchedule:
 def build_schedule(
     n: int,
     variant: str = "log_increase",
-    r0: float = 0.0,
+    r0: float | None = None,
     rn: float | None = None,
     global_target: float | None = None,
     layer_param_weights=None,
 ) -> PruneSchedule:
     """Construct a schedule from endpoints or from a global parameter target.
 
-    With ``global_target`` set, ``rn`` is solved by bisection against the
-    (optionally parameter-weighted) mean; the uniform variant simply pins
-    every layer to the target.
+    ``r0`` defaults to 0 and ``rn`` to ``r0``. With ``global_target`` set,
+    ``rn`` is solved by bisection against the (optionally parameter-weighted)
+    mean; the uniform variant pins every layer to the target, else to ``r0``.
+
+    Raises:
+        ValueError: on a setting the schedule would ignore: ``rn`` beside
+            ``global_target``, or under ``uniform`` an ``r0`` beside
+            ``global_target`` or an ``rn`` unequal to ``r0``; and on a
+            variant, ratio or target the curve cannot take.
     """
+    if rn is not None and global_target is not None:
+        raise ValueError("rn is solved from global_target; set one of them, not both")
+    if variant == "uniform" and r0 is not None and global_target is not None:
+        raise ValueError("uniform schedule has one ratio; set r0 or global_target, not both")
+    r0 = r0 if r0 is not None else 0.0
     if variant == "uniform":
+        if rn is not None and rn != r0:
+            raise ValueError(f"uniform schedule needs rn equal to r0, got {rn} and {r0}")
         value = global_target if global_target is not None else r0
         return PruneSchedule(
             ratios=tuple([value] * n), variant=variant, r_first=value, r_last=value

@@ -124,10 +124,21 @@ class TestPrune:
         assert report.config["damping"] == 0.02
         assert report.config["group_start"] == 8
 
-    def test_unknown_config_key(self, toy_dir, tmp_path):
+    def test_unknown_config_key(self, toy_dir, tmp_path, capsys):
+        for key in ("groop_start", "calib_mode"):  # calib_mode is a deleted setting
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: "pruned"}))
+            assert run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)])) == 2
+            assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+
+    @pytest.mark.parametrize("loaded", [[["ratio_first", 0.1]], None, 3, "ratio_first"])
+    def test_config_not_an_object_exit_2(self, toy_dir, tmp_path, capsys, loaded):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"groop_start": 8}))
+        cfg.write_text(json.dumps(loaded))
         assert run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "must hold a JSON object" in err
 
     @pytest.mark.parametrize("bad", [
         {"damping": "x"},
@@ -186,7 +197,9 @@ class TestPrune:
         assert "wall clock" in capsys.readouterr().out
         assert PruneReport.load(out / "report.json").ratios == [0.25] * 3
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--refresh", "trailing")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1"), ("--refresh", "trailing"), ("--calib-mode", "original"),
+    ])
     def test_removed_flags_are_usage_errors(self, toy_dir, tmp_path, flag, value):
         assert run(prune_args(toy_dir, tmp_path / "out", [flag, value])) == 1
 
@@ -206,6 +219,26 @@ class TestPrune:
         assert run(prune_args(toy_dir, tmp_path / "out", [
             "--global-target", "0.1", "--ratio-first", "0.5",
         ])) == 2
+
+
+def with_row(data, **fields):
+    """``data`` with layer 1's fields replaced; ``None`` drops a field."""
+    row = {k: v for k, v in {**data["layers"][1], **fields}.items() if v is not None}
+    return {**data, "layers": [data["layers"][0], row, *data["layers"][2:]]}
+
+
+MALFORMED_REPORTS = {
+    "not-an-object": lambda d: [d],
+    "no-layers": lambda d: {k: v for k, v in d.items() if k != "layers"},
+    "no-variant": lambda d: {k: v for k, v in d.items() if k != "variant"},
+    "no-ratios": lambda d: {k: v for k, v in d.items() if k != "ratios"},
+    "ratios-not-a-list": lambda d: {**d, "ratios": 5},
+    "empty-row": lambda d: {**d, "layers": [{}]},
+    "row-missing-field": lambda d: with_row(d, kept_channels=None),
+    "row-extra-field": lambda d: with_row(d, wall_clock_s=0.1),
+    "step-error-string": lambda d: with_row(d, sum_step_error="0.5"),
+    "kept-heads-int": lambda d: with_row(d, kept_heads=2),
+}
 
 
 class TestVerifyAndReport:
@@ -237,6 +270,34 @@ class TestVerifyAndReport:
                     "--manifest", str(out / "manifest.json"),
                     "--model", str(out / "model.obt")]) == 2
         assert f"layer 1: {len(value)} kept" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tamper", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
+    def test_malformed_report_exit_2(self, toy_dir, tmp_path, capsys, tamper):
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, [
+            "--global-target", "0.4", "--group-start", "8", "--group-min", "2"])) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(tamper(json.loads((out / "report.json").read_text()))))
+        for argv in (["verify", "--report", str(bad), "--manifest", str(out / "manifest.json"),
+                      "--model", str(out / "model.obt")],
+                     ["report", "--report", str(bad)]):
+            assert run(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_report_naming_deleted_calib_mode_still_verifies(self, toy_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, [
+            "--global-target", "0.4", "--group-start", "8", "--group-min", "2"])) == 0
+        report_path = out / "report.json"
+        data = json.loads(report_path.read_text())
+        assert "calib_mode" not in data["config"]
+        data["config"]["calib_mode"] = "pruned"
+        report_path.write_text(json.dumps(data))
+        assert run(["verify", "--report", str(report_path), "--manifest",
+                    str(out / "manifest.json"), "--model", str(out / "model.obt")]) == 0
+        assert run(["report", "--report", str(report_path)]) == 0
 
     def test_report_table_and_csv(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -12,7 +12,6 @@ from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
 from obslim.obs_core import least_squares_oracle
 from obslim.pipeline import (
-    CALIB_MODES,
     LayerWeights,
     PruneConfig,
     PruneReport,
@@ -244,52 +243,35 @@ class TestPruneModel:
         assert out1[1] == out2[1]
         assert out1[2].to_json() == out2[2].to_json()
 
-    def test_calib_modes_both_run(self):
-        tensors, manifest, calib = gen_toy(TOY)
-        sched = build_schedule(3, "uniform", global_target=0.5)
-        reports = {}
-        for mode in ("pruned", "original"):
-            cfg = PruneConfig(group_start=8, group_min=2, calib_mode=mode)
-            _, _, rep = prune_model(tensors, manifest, calib, sched, cfg)
-            reports[mode] = rep
-            assert all(np.isfinite(r.output_sq_error) for r in rep.layers)
-        # deeper layers see different features under the two modes
-        assert (reports["pruned"].layers[-1].output_sq_error
-                != reports["original"].layers[-1].output_sq_error)
-
-    @pytest.mark.parametrize("mode", CALIB_MODES)
-    def test_every_layer_matches_least_squares_oracle(self, mode):
+    def test_every_layer_matches_least_squares_oracle(self):
         # Hessians rebuilt from public forward_layer(collect=True) by the
-        # documented rule: "pruned" reads the stream through the pruned
-        # prefix, with the FFN features taken after the layer's own head
-        # pruning; "original" reads the original model's stream and features
+        # documented rule: the stream through the pruned prefix, with the
+        # FFN features taken after the layer's own head pruning
         tensors, manifest, calib = gen_toy(TOY)
-        cfg = PruneConfig(group_start=8, group_min=2, calib_mode=mode)
         pruned, pmanifest, report = prune_model(
-            tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), cfg)
+            tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG)
 
         def hessian(feats):
             acc = HessianAccumulator(feats[0].shape[0])
             for f in feats:
                 acc.accumulate(f)
-            return acc.finalize(cfg.damping)
+            return acc.finalize(CONFIG.damping)
 
         def rel_dev(got, want):
             return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-        cur, ref = list(calib), list(calib)
+        cur = list(calib)
         for idx, row in enumerate(report.layers):
             orig = LayerWeights.from_tensors(manifest.layers[idx], tensors)
             new = LayerWeights.from_tensors(pmanifest.layers[idx], pruned)
-            stream = ref if mode == "original" else cur
             assert row.heads_removed > 0 and row.channels_removed > 0
             kept_cols = np.concatenate(
                 [np.arange(h * orig.d_head, (h + 1) * orig.d_head) for h in row.kept_heads])
-            h_attn = hessian([forward_layer(orig, x, collect=True)[1] for x in stream])
+            h_attn = hessian([forward_layer(orig, x, collect=True)[1] for x in cur])
             assert rel_dev(new.wo, least_squares_oracle(orig.wo, h_attn, kept_cols)) <= 1e-8
-            ffn_input_layer = orig if mode == "original" else replace(
+            ffn_input_layer = replace(
                 orig, wq=new.wq, wk=new.wk, wv=new.wv, wo=new.wo, n_head=new.n_head)
-            h_ffn = hessian([forward_layer(ffn_input_layer, x, collect=True)[2] for x in stream])
+            h_ffn = hessian([forward_layer(ffn_input_layer, x, collect=True)[2] for x in cur])
             want = least_squares_oracle(orig.w_down, h_ffn, row.kept_channels)
             assert rel_dev(new.w_down, want) <= 1e-8
 
@@ -300,14 +282,13 @@ class TestPruneModel:
                       for x in calib)
             assert abs(row.output_sq_error - err) <= 1e-9 * err
             cur = [forward_layer(new, x) for x in cur]
-            ref = [forward_layer(orig, x) for x in ref]
 
-    @pytest.mark.parametrize("mode", CALIB_MODES)
-    def test_attention_and_ffn_passes_per_layer(self, monkeypatch, mode):
+    def test_attention_and_ffn_passes_per_layer(self, monkeypatch):
         # Per-layer counts come from pruning the 1-, 2- and 3-layer prefixes.
         # Layer 0 removes nothing, so the pruned and the original stream are
-        # still the same arrays and each sublayer runs once per batch; later
-        # layers run each sublayer at most once per stream.
+        # still the same arrays and each sublayer runs once per batch. Layer 1
+        # shares its attention pass, then its head pruning splits the streams,
+        # so its FFN and all of layer 2 run once per stream.
         calls = Counter()
         for name in ("_attention", "_ffn"):
             def counted(*args, _fn=getattr(pipeline, name), _name=name):
@@ -316,16 +297,14 @@ class TestPruneModel:
             monkeypatch.setattr(pipeline, name, counted)
         tensors, manifest, calib = gen_toy(TOY)
         ratios = [0.0, 0.5, 0.5]
-        cfg = PruneConfig(group_start=8, group_min=2, calib_mode=mode)
+        expect = [(1, 1), (1, 2), (2, 2)]
         before = Counter()
         for n in range(1, 4):
             calls.clear()
             prune_model(tensors, ModelManifest(n_layers=n, layers=manifest.layers[:n]),
-                        calib, custom_schedule(ratios[:n]), cfg)
-            per_batch = {k: (calls[k] - before[k]) / len(calib) for k in ("_attention", "_ffn")}
-            if n == 1:
-                assert per_batch == {"_attention": 1, "_ffn": 1}
-            assert max(per_batch.values()) <= 2, (n - 1, per_batch)
+                        calib, custom_schedule(ratios[:n]), CONFIG)
+            per_batch = tuple((calls[k] - before[k]) / len(calib) for k in ("_attention", "_ffn"))
+            assert per_batch == expect[n - 1], (n - 1, per_batch)
             before = Counter(calls)
 
     def test_refresh_modes_agree_end_to_end(self, monkeypatch):

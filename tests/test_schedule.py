@@ -142,6 +142,23 @@ class TestPruneSchedule:
         assert sched.ratios[0] == 0.1
         assert sched.ratios[-1] == pytest.approx(0.6, abs=1e-15)
 
+    def test_build_defaults(self):
+        assert build_schedule(4, "linear_increase").ratios == (0.0,) * 4
+        assert build_schedule(4, "log_increase", r0=0.3).ratios == pytest.approx((0.3,) * 4)
+        assert build_schedule(4, "uniform", r0=0.2, rn=0.2).ratios == (0.2,) * 4
+
+    @pytest.mark.parametrize("variant, kwargs", [
+        ("log_increase", {"rn": 0.5, "global_target": 0.3}),
+        ("uniform", {"rn": 0.5, "global_target": 0.3}),
+        ("uniform", {"r0": 0.1, "global_target": 0.4}),
+        ("uniform", {"r0": 0.1, "rn": 0.5}),
+        ("uniform", {"rn": 0.5}),
+    ], ids=["rn-and-target", "uniform-rn-and-target", "uniform-r0-and-target",
+            "uniform-rn-unequal", "uniform-rn-without-r0"])
+    def test_ignored_setting_raises(self, variant, kwargs):
+        with pytest.raises(ValueError):
+            build_schedule(6, variant, **kwargs)
+
     def test_reversed_mirror(self):
         inc = build_schedule(8, "log_increase", r0=0.25, global_target=0.5)
         dec = inc.reversed()
