@@ -22,7 +22,7 @@ from .pipeline import (
     verify_report,
 )
 from .schedule import build_schedule
-from .tensorstore import ModelManifest, read_tensor_file, write_tensor_file
+from .tensorstore import ModelManifest, read_tensor_file, validate_manifest, write_tensor_file
 
 VARIANT_FLAGS = {
     "log-inc": "log_increase",
@@ -152,6 +152,7 @@ def _cmd_prune(args) -> int:
     manifest = ModelManifest.load(args.manifest)
     calib_map = read_tensor_file(args.calib)
     calib = list(calib_map.values())
+    validate_manifest(manifest, tensors)
 
     sched = build_schedule(
         manifest.n_layers,

@@ -164,19 +164,27 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
+# Query rows per attention tile; on a 512-token head, 64 ran faster than 128.
+_TILE = 64
+
+
 def _attention(lw: LayerWeights, x: np.ndarray):
     """Causal attention; returns (stream after residual add, features into wo).
 
     Heads are evaluated one at a time and dead heads (all-zero output
     columns) are skipped: their contribution is exactly zero, and skipping
     keeps a zero-masked model numerically identical to its sliced form.
-    Each head's causal softmax runs in place on one t x t buffer, with the
-    same bits as ``exp(z - max) / sum`` over the masked scores.
+    Each head takes its query rows in tiles of ``_TILE``. A tile scores
+    against the keys up to its last row only, so the masked future beyond
+    its diagonal block is never computed, and it sees all of those keys at
+    once: the softmax is the exact two-pass ``exp(z - max) / sum``, with no
+    online rescaling. ``1/sqrt(d)`` is folded into the queries, and the
+    division by the row sums is applied after the product with the values.
     """
     h = _rmsnorm(x)
     d = lw.d_head
     t = x.shape[1]
-    future = np.triu(np.ones((t, t), dtype=bool), k=1)
+    future = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
     ho = np.zeros((lw.n_head * d, t))
     out = np.zeros_like(x)
     for head in range(lw.n_head):
@@ -185,16 +193,17 @@ def _attention(lw: LayerWeights, x: np.ndarray):
         if not wo_block.any():
             continue
         q = np.ascontiguousarray(lw.wq[sl]) @ h
+        q /= np.sqrt(d)
         k = np.ascontiguousarray(lw.wk[sl]) @ h
         v = np.ascontiguousarray(lw.wv[sl]) @ h
-        p = q.T @ k
-        p /= np.sqrt(d)
-        np.putmask(p, future, -np.inf)
-        p -= p.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        ctx = v @ p.T
-        ho[sl] = ctx
+        ctx = ho[sl]
+        for start in range(0, t, _TILE):
+            end = min(start + _TILE, t)
+            p = q[:, start:end].T @ k[:, :end]
+            np.putmask(p[:, start:], future[: end - start, : end - start], -np.inf)
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            ctx[:, start:end] = (v[:, :end] @ p.T) / p.sum(axis=1)
         out += np.ascontiguousarray(wo_block) @ ctx
     return x + out, ho
 
@@ -356,10 +365,20 @@ class PruneReport:
             return cls.from_dict(json.load(fh))
 
 
-def _hessian_over_batches(feature_batches, damping: float, dim: int):
-    acc = HessianAccumulator(dim)
+def _hessian_over_batches(feature_batches, damping: float, w: np.ndarray):
+    """Damped Hessian of the features into ``w``, with dead features made harmless.
+
+    A feature that is zero on every batch (``diag(H) == 0`` on the undamped
+    sum) gets ``H_ii = 1`` before the damping is computed, and its column of
+    ``w`` is zeroed in place, as in SparseGPT: it then costs nothing to
+    remove, and the other features keep the Hessian they would have alone.
+    """
+    acc = HessianAccumulator(w.shape[1])
     for feats in feature_batches:
         acc.accumulate(feats)
+    dead = np.flatnonzero(np.diag(acc.sum) == 0)
+    acc.sum[dead, dead] = 1.0
+    w[:, dead] = 0.0
     return acc.finalize(damping)
 
 
@@ -445,7 +464,7 @@ def prune_model(
         )
 
         def heads(feats):
-            h_attn = _hessian_over_batches(feats, config.damping, entry.n_head * entry.d_head)
+            h_attn = _hessian_over_batches(feats, config.damping, pruned[entry.attn_out])
             layout = HeadLayout(entry.n_head, entry.d_head)
             result = prune_heads(pruned[entry.attn_out], h_attn, layout, n_prune_heads)
             pruned[entry.attn_out] = result.pruned_w
@@ -456,7 +475,7 @@ def prune_model(
             return result.pruned_w, result.kept_columns
 
         def channels(feats):
-            h_ffn = _hessian_over_batches(feats, config.damping, d_ff)
+            h_ffn = _hessian_over_batches(feats, config.damping, pruned[entry.ffn_down])
             sizes = GroupSchedule(config.group_start, config.group_min)
             new_w, kept, steps = prune_channels(pruned[entry.ffn_down], h_ffn, n_prune_ch, sizes)
             pruned[entry.ffn_down] = new_w

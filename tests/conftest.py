@@ -13,6 +13,31 @@ from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import column_errors, least_squares_oracle, mask_residual
 
 
+def dense_causal_attention(lw, x):
+    """Reference causal attention over the full masked t x t scores.
+
+    Returns ``(stream after residual add, features into wo)`` like
+    ``pipeline._attention``: per head, ``softmax(q^T k / sqrt(d))`` with the
+    future masked to -inf, as ``exp(z - max) / sum`` row by row. Heads with
+    an all-zero ``wo`` block contribute nothing and leave their feature rows 0.
+    """
+    h = x / np.sqrt((x * x).mean(axis=0, keepdims=True) + 1e-6)
+    d, t = lw.d_head, x.shape[1]
+    future = np.triu(np.ones((t, t), dtype=bool), k=1)
+    feats = np.zeros((lw.n_head * d, t))
+    out = x.copy()
+    for head in range(lw.n_head):
+        sl = slice(head * d, (head + 1) * d)
+        if not lw.wo[:, sl].any():
+            continue
+        q, k, v = lw.wq[sl] @ h, lw.wk[sl] @ h, lw.wv[sl] @ h
+        z = np.where(future, -np.inf, q.T @ k / np.sqrt(d))
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        feats[sl] = v @ (e / e.sum(axis=1, keepdims=True)).T
+        out += lw.wo[:, sl] @ feats[sl]
+    return out, feats
+
+
 def rand_spd(rng, n: int, m_factor: int = 4, gamma: float = 0.3) -> SpdMatrix:
     """SPD Hessian of mildly mixed features, 2 X X^T with m_factor*n tokens."""
     mix = np.eye(n) + gamma * rng.normal(size=(n, n)) / np.sqrt(n)

@@ -204,16 +204,46 @@ class TestPrune:
         assert run(prune_args(toy_dir, tmp_path / "out", [flag, value])) == 1
 
     def test_numerical_failure_exit_2(self, toy_dir, tmp_path, capsys):
-        # zero calibration features with zero damping: singular Hessian
-        calib_path = tmp_path / "calib0.obt"
-        write_tensor_file({"calib.0": np.zeros((16, 8))}, calib_path)
+        # 8 tokens for 16 attention features with zero damping: the Hessian
+        # is rank-deficient with no dead feature, so it stays singular
+        calib_path = tmp_path / "calib8.obt"
+        x = np.random.default_rng(0).normal(size=(16, 8))
+        write_tensor_file({"calib.0": x}, calib_path)
         args = prune_args(toy_dir, tmp_path / "out", [
             "--global-target", "0.5", "--ratio-first", "0.25", "--damping", "0",
             "--group-start", "8", "--group-min", "2",
         ])
         args[args.index("--calib") + 1] = str(calib_path)
         assert run(args) == 2
-        assert "failed at layer 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: pruning failed at layer 0") and err.count("\n") == 1, err
+
+    def test_dead_channel_at_zero_damping_runs(self, toy_dir, tmp_path):
+        # channel 5 of layer 1 never fires, so its undamped Hessian row is 0
+        tensors = read_tensor_file(toy_dir / "model.obt")
+        tensors["layers.1.ffn.w_up"][5] = 0.0
+        write_tensor_file(tensors, toy_dir / "model.obt")
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, [
+            "--ratio-last", "0.25", "--variant", "lin-inc", "--damping", "0",
+            "--group-start", "8", "--group-min", "2",
+        ])) == 0
+        report = PruneReport.load(out / "report.json")
+        assert report.layers[1].channels_removed > 0
+        assert 5 not in report.layers[1].kept_channels
+        assert run(["verify", "--report", str(out / "report.json"),
+                    "--manifest", str(out / "manifest.json"),
+                    "--model", str(out / "model.obt")]) == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--global-target", "0.4"]],
+                             ids=["ratios", "global-target"])
+    def test_manifest_naming_missing_tensor_exit_2(self, toy_dir, tmp_path, capsys, flags):
+        manifest = ModelManifest.load(toy_dir / "manifest.json")
+        manifest.layers[1].attn_out = "layers.1.attn.renamed"
+        manifest.save(toy_dir / "manifest.json")
+        assert run(prune_args(toy_dir, tmp_path / "out", flags)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: layer 1: tensor 'layers.1.attn.renamed' missing\n"
 
     def test_unreachable_target_exit_2(self, toy_dir, tmp_path):
         assert run(prune_args(toy_dir, tmp_path / "out", [

@@ -10,6 +10,7 @@ import pytest
 from obslim import pipeline
 from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
+from obslim.linalg import SpdMatrix
 from obslim.obs_core import least_squares_oracle
 from obslim.pipeline import (
     LayerWeights,
@@ -26,7 +27,7 @@ from obslim.pipeline import (
 from obslim.schedule import PruneSchedule, build_schedule
 from obslim.tensorstore import ModelManifest, validate_manifest
 
-from conftest import reinvert_prune_heads
+from conftest import dense_causal_attention, reinvert_prune_heads
 
 TOY = ToyModelSpec(n_layers=3, d_model=16, n_head=4, d_ff=24,
                    n_calib_batches=2, tokens_per_batch=24)
@@ -122,15 +123,37 @@ class TestForwardLayer:
         with pytest.raises(ValueError):
             forward_layer(lw, np.zeros((TOY.d_model + 1, 4)))
 
+    @pytest.mark.parametrize("tokens", [1, 2, 63, 64, 65, 128, 129, 300])
+    def test_attention_matches_dense_reference(self, tokens):
+        # tile edges on both sides of 64 and 128, and a partial last tile
+        tensors, manifest, calib = gen_toy(ToyModelSpec(
+            n_layers=1, d_model=16, n_head=4, d_ff=8,
+            n_calib_batches=1, tokens_per_batch=tokens, seed=tokens))
+        lw = LayerWeights.from_tensors(manifest.layers[0], tensors)
+        lw.wo[:, 4:8] = 0.0  # head 1 is dead
+        out, feats = pipeline._attention(lw, calib[0])
+        want_out, want_feats = dense_causal_attention(lw, calib[0])
+        assert not feats[4:8].any()
+        assert np.linalg.norm(feats - want_feats) <= 1e-12 * np.linalg.norm(want_feats)
+        assert np.linalg.norm(out - want_out) <= 1e-12 * np.linalg.norm(want_out)
+
 
 class TestMaskedVsSliced:
     def test_layer_level_exact_equality(self):
+        self.check_layer_level_exact_equality(tokens=19)
+
+    def test_layer_level_exact_equality_multi_tile(self):
+        # 150 tokens: three attention tiles, the last one partial
+        self.check_layer_level_exact_equality(tokens=150)
+
+    @staticmethod
+    def check_layer_level_exact_equality(tokens):
         # zero-masking pruned structures and physically slicing them produce
         # numerically identical layer outputs
         rng = np.random.default_rng(1)
         tensors, manifest, calib = gen_toy(ToyModelSpec(
             n_layers=1, d_model=24, n_head=4, d_ff=17,
-            n_calib_batches=1, tokens_per_batch=19, seed=3))
+            n_calib_batches=1, tokens_per_batch=tokens, seed=3))
         entry = manifest.layers[0]
         names = layer_names(0)
         kept_heads = [0, 2, 3]
@@ -244,10 +267,18 @@ class TestPruneModel:
         assert out1[2].to_json() == out2[2].to_json()
 
     def test_every_layer_matches_least_squares_oracle(self):
+        self.check_every_layer_matches_least_squares_oracle(TOY)
+
+    def test_every_layer_matches_least_squares_oracle_multi_tile(self):
+        # 150 tokens: three attention tiles, the last one partial
+        self.check_every_layer_matches_least_squares_oracle(replace(TOY, tokens_per_batch=150))
+
+    @staticmethod
+    def check_every_layer_matches_least_squares_oracle(spec):
         # Hessians rebuilt from public forward_layer(collect=True) by the
         # documented rule: the stream through the pruned prefix, with the
         # FFN features taken after the layer's own head pruning
-        tensors, manifest, calib = gen_toy(TOY)
+        tensors, manifest, calib = gen_toy(spec)
         pruned, pmanifest, report = prune_model(
             tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG)
 
@@ -318,12 +349,63 @@ class TestPruneModel:
             assert np.abs(p_t[k] - p_r[k]).max() < 1e-6
 
     def test_failure_names_layer(self):
+        # 8 tokens for 16 attention features: rank-deficient, but no feature
+        # is dead, so undamped Cholesky fails
         tensors, manifest, calib = gen_toy(TOY)
-        calib = [np.zeros_like(x) for x in calib]  # degenerate features
+        calib = [calib[0][:, :8]]
         sched = build_schedule(3, "uniform", global_target=0.5)
         cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
         with pytest.raises(NotSpdError, match="layer 0"):
             prune_model(tensors, manifest, calib, sched, cfg)
+
+    def test_dead_channel_matches_oracle_on_live_subspace(self):
+        # Channel 5 of layer 1 never fires (its w_up row is zero), so at
+        # damping 0 its Hessian row and column are zero. It is removed at no
+        # cost, and the kept channels get the least-squares weights of the
+        # live channels alone.
+        spec = ToyModelSpec(n_layers=2, seed=7)
+        tensors, manifest, calib = gen_toy(spec)
+        tensors["layers.1.ffn.w_up"][5] = 0.0
+        cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
+        pruned, pmanifest, report = prune_model(
+            tensors, manifest, calib, custom_schedule([0.0, 0.25]), cfg)
+        row = report.layers[1]
+        assert row.channels_removed == 16 and 5 not in row.kept_channels
+        orig = LayerWeights.from_tensors(manifest.layers[1], tensors)
+        new = LayerWeights.from_tensors(pmanifest.layers[1], pruned)
+        layer0 = LayerWeights.from_tensors(manifest.layers[0], tensors)
+        ffn_input_layer = replace(
+            orig, wq=new.wq, wk=new.wk, wv=new.wv, wo=new.wo, n_head=new.n_head)
+        feats = [forward_layer(ffn_input_layer, forward_layer(layer0, x), collect=True)[2]
+                 for x in calib]
+        assert not any(f[5].any() for f in feats)
+        live = np.setdiff1d(np.arange(spec.d_ff), [5])
+        h_live = SpdMatrix(sum(2.0 * f[live] @ f[live].T for f in feats))
+        want = least_squares_oracle(
+            orig.w_down[:, live], h_live, np.searchsorted(live, row.kept_channels))
+        assert np.linalg.norm(new.w_down - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_dead_feature_rule(self):
+        rng = np.random.default_rng(0)
+        feats = [rng.normal(size=(6, 20)) for _ in range(2)]
+        w = rng.normal(size=(3, 6))
+        w0 = w.copy()
+        acc = HessianAccumulator(6)
+        for f in feats:
+            acc.accumulate(f)
+        # no dead feature: the same bits as a plain damped sum, w untouched
+        h = pipeline._hessian_over_batches(feats, 0.01, w)
+        assert np.array_equal(h.a, acc.finalize(0.01).a)
+        assert np.array_equal(w, w0)
+        for f in feats:
+            f[2] = 0.0
+        h = pipeline._hessian_over_batches(feats, 0.01, w)
+        diag = np.diag(sum(2.0 * f @ f.T for f in feats)).copy()
+        diag[2] = 1.0
+        assert h.a[2, 2] == 1.0 + 0.01 * diag.mean()
+        assert not np.delete(h.a[2], 2).any()
+        assert not w[:, 2].any()
+        assert np.array_equal(np.delete(w, 2, axis=1), np.delete(w0, 2, axis=1))
 
     def test_schedule_length_mismatch(self):
         tensors, manifest, calib = gen_toy(TOY)
