@@ -45,6 +45,8 @@ class HessianAccumulator:
     def finalize(self, damping_frac: float = DEFAULT_DAMPING) -> SpdMatrix:
         """Damped Hessian ``sum + damping_frac * mean(diag(sum)) * I``.
 
+        Its Cholesky factor, the PD check, stays cached as ``low`` for ``invert_spd``.
+
         Raises:
             NotSpdError: if the damped sum is still not positive definite
                 (e.g. an all-zero accumulator with zero damping).
@@ -56,7 +58,7 @@ class HessianAccumulator:
         lam = damping_frac * float(np.mean(np.diag(self.sum)))
         try:
             h = SpdMatrix(self.sum + lam * np.eye(self.dim))
-            cholesky_lower(h)
+            h.low = cholesky_lower(h)
         except (ValueError, NotSpdError) as exc:
             raise NotSpdError(f"singular Hessian: {exc}") from exc
         return h

@@ -1,16 +1,17 @@
 """Dense symmetric-positive-definite linear algebra.
 
 Everything the pruning kernels need from an SPD matrix lives here:
-Cholesky factorization, Cholesky-based inversion, per-block (grouped)
+Cholesky factorization, inversion from the factor, per-block (grouped)
 factorization of diagonal blocks, and the block-OBS kernel that removes a
 set of columns from a weight matrix and its inverse Hessian in one solve.
 
-All operations are pure: inputs are never mutated and identical inputs
-produce bit-identical outputs.
+Identical inputs produce bit-identical outputs. Inputs are never mutated,
+except that ``invert_spd`` consumes the factor an ``SpdMatrix`` caches.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .config import TOL
 from .errors import NotSpdError
@@ -23,10 +24,11 @@ class SpdMatrix:
     that the asymmetry is within ``TOL.symmetry`` relative to the largest
     entry. Positive definiteness is enforced where a factorization is
     actually taken (`cholesky_lower`, `invert_spd`), which raise
-    ``NotSpdError`` on failure.
+    ``NotSpdError`` on failure. ``low`` caches a ``cholesky_lower`` factor
+    for ``invert_spd`` to consume, or is None.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "low")
 
     def __init__(self, data):
         a = np.asarray(data, dtype=np.float64)
@@ -42,6 +44,7 @@ class SpdMatrix:
                 f"exceeds {TOL.symmetry:.0e} relative tolerance"
             )
         self.a = (a + a.T) / 2.0
+        self.low = None
 
     @property
     def n(self) -> int:
@@ -70,26 +73,31 @@ def as_array(m) -> np.ndarray:
 
 
 def cholesky_lower(m: SpdMatrix) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == m.
+    """Lower-triangular L with L @ L.T == m, a new array from LAPACK ``dpotrf``.
 
     Raises:
         NotSpdError: if the matrix is not positive definite.
     """
-    try:
-        return np.linalg.cholesky(m.a)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"not SPD: Cholesky failed ({exc})") from exc
+    low, info = dpotrf(m.a, lower=1, clean=1)
+    if info != 0:
+        raise NotSpdError(f"not SPD: Cholesky failed at leading minor {info}")
+    return low
 
 
 def invert_spd(m: SpdMatrix) -> SpdMatrix:
-    """Inverse of an SPD matrix via its Cholesky factor.
+    """Exactly symmetric inverse of an SPD matrix, validated as ``SpdMatrix``.
+
+    LAPACK ``dpotri`` overwrites the Cholesky factor (``m.low``, then reset
+    to None, or else a new ``cholesky_lower(m)``) with the inverse's lower
+    triangle, which is mirrored into the upper one.
 
     Raises:
         NotSpdError: if the matrix is not positive definite.
     """
-    low = cholesky_lower(m)
-    low_inv = solve_triangular(low, np.eye(m.n), lower=True, check_finite=False)
-    return SpdMatrix(low_inv.T @ low_inv)
+    low, m.low = (cholesky_lower(m) if m.low is None else m.low), None
+    inv, _ = dpotri(low, lower=1, overwrite_c=1)
+    inv += np.tril(inv, -1).T
+    return SpdMatrix(inv)
 
 
 def grouped_cholesky(h_inv, group_size: int) -> np.ndarray:

@@ -485,12 +485,12 @@ def prune_model(
             row.kept_channels = kept
             return new_w, kept
 
-        try:
-            attn, ffn = partial(_attention, orig_lw), partial(_ffn, orig_lw)
-            cur, ref = _sublayer(attn, cur, ref, heads if n_prune_heads else None)
-            cur, ref = _sublayer(ffn, cur, ref, channels if n_prune_ch else None)
-        except (NotSpdError, np.linalg.LinAlgError) as exc:
-            raise NotSpdError(f"pruning failed at layer {idx}: {exc}") from exc
+        for name, fn, kernel in (("attention", _attention, heads if n_prune_heads else None),
+                                 ("FFN", _ffn, channels if n_prune_ch else None)):
+            try:
+                cur, ref = _sublayer(partial(fn, orig_lw), cur, ref, kernel)
+            except (NotSpdError, np.linalg.LinAlgError) as exc:
+                raise NotSpdError(f"pruning failed at layer {idx} ({name}): {exc}") from exc
         new_entries.append(replace(entry, n_head=len(row.kept_heads)))
         row.output_sq_error = float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref)))
         report.layers.append(row)

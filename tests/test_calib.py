@@ -77,6 +77,18 @@ class TestFinalize:
         with pytest.raises(NotSpdError, match="singular Hessian"):
             acc.finalize(0.0)
 
+    def test_indefinite_sum(self):
+        acc = HessianAccumulator(2)
+        acc.sum = np.array([[1.0, 2.0], [2.0, 1.0]])
+        acc.n_samples = 1
+        with pytest.raises(NotSpdError, match="singular Hessian"):
+            acc.finalize(0.0)
+
+    def test_caches_factor_of_damped_hessian(self):
+        acc = HessianAccumulator(5).accumulate(np.random.default_rng(3).normal(size=(5, 9)))
+        h = acc.finalize(0.01)
+        assert np.array_equal(h.low, cholesky_lower(h))
+
     def test_empty_accumulator(self):
         with pytest.raises(ValueError, match="empty"):
             HessianAccumulator(2).finalize()

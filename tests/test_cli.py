@@ -218,6 +218,22 @@ class TestPrune:
         err = capsys.readouterr().err
         assert err.startswith("error: pruning failed at layer 0") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("ratio, sublayer", [("0.5", "attention"), ("0.1", "FFN")])
+    def test_numerical_failure_names_sublayer(self, toy_dir, tmp_path, capsys, ratio, sublayer):
+        # 8 undamped tokens: the attention (16) and FFN (24) Hessians are both
+        # rank-deficient; ratio 0.1 removes no head but 2 of 24 channels
+        calib_path = tmp_path / "calib8.obt"
+        write_tensor_file({"calib.0": np.random.default_rng(0).normal(size=(16, 8))}, calib_path)
+        args = prune_args(toy_dir, tmp_path / "out", [
+            "--variant", "uniform", "--ratio-first", ratio, "--ratio-last", ratio,
+            "--damping", "0", "--group-start", "8", "--group-min", "2",
+        ])
+        args[args.index("--calib") + 1] = str(calib_path)
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pruning failed at layer 0 ({sublayer}): "), err
+        assert err.count("\n") == 1, err
+
     def test_dead_channel_at_zero_damping_runs(self, toy_dir, tmp_path):
         # channel 5 of layer 1 never fires, so its undamped Hessian row is 0
         tensors = read_tensor_file(toy_dir / "model.obt")

@@ -66,6 +66,31 @@ class TestInvertSpd:
         with pytest.raises(NotSpdError, match="not SPD"):
             invert_spd(bad)
 
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 7, 64, 200):
+            inv = invert_spd(rand_spd(rng, n)).a
+            assert np.array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("cond", [1e0, 1e2, 1e4, 1e6, 1e8])
+    def test_matches_numpy_inverse_up_to_condition(self, cond):
+        # Two backward-stable inverses agree only to about cond * eps (at
+        # cond 1e8, np.linalg.inv and a triangular-solve inverse differ by
+        # 2e-9), so the bound scales as 1e-15 * cond: 1e-10 at cond 1e5.
+        rng = np.random.default_rng(int(np.log10(cond)))
+        for n in (8, 32, 128):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            m = SpdMatrix((q * np.logspace(0, -np.log10(cond), n)) @ q.T)
+            inv, ref = invert_spd(m).a, np.linalg.inv(m.a)
+            assert np.abs(inv - ref).max() <= 1e-15 * cond * np.abs(ref).max()
+
+    def test_consumes_cached_factor(self):
+        m = rand_spd(np.random.default_rng(12), 9)
+        m.low = cholesky_lower(m)
+        cached = invert_spd(m).a
+        assert m.low is None
+        assert np.array_equal(cached, invert_spd(m).a)
+
 
 class TestCholeskyLower:
     def test_identity(self):

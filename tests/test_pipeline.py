@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from obslim import pipeline
+from obslim import linalg, pipeline
 from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
 from obslim.linalg import SpdMatrix
@@ -357,6 +357,39 @@ class TestPruneModel:
         cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
         with pytest.raises(NotSpdError, match="layer 0"):
             prune_model(tensors, manifest, calib, sched, cfg)
+
+    @pytest.mark.parametrize("ratio, sublayer", [(0.5, "attention"), (0.1, "FFN")])
+    def test_failure_names_sublayer(self, ratio, sublayer):
+        # 8 tokens leave both undamped Hessians (16 and 24 features)
+        # rank-deficient; ratio 0.1 removes 0 of 4 heads but 2 of 24
+        # channels, so only the FFN Hessian is built
+        tensors, manifest, calib = gen_toy(TOY)
+        cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
+        sched = custom_schedule([ratio, 0.0, 0.0])
+        with pytest.raises(NotSpdError, match=rf"^pruning failed at layer 0 \({sublayer}\): "):
+            prune_model(tensors, manifest, [calib[0][:, :8]], sched, cfg)
+
+    def test_one_factorization_per_hessian(self, monkeypatch):
+        # The positive-definiteness check in finalize is the only
+        # factorization of a full Hessian: invert_spd inverts from its factor.
+        # Head blocks (4) and channel groups (<= 8) are smaller than both dims.
+        counts = Counter()
+        full = (TOY.d_model, TOY.d_ff)
+
+        def counting(fn, key, dims=None):
+            def wrapped(a, *args, **kwargs):
+                if dims is None or (np.ndim(a) == 2 and len(a) in dims):
+                    counts[key] += 1
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linalg, "dpotrf", counting(linalg.dpotrf, "factor", full))
+        monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, "factor", full))
+        monkeypatch.setattr(HessianAccumulator, "finalize",
+                            counting(HessianAccumulator.finalize, "hessian"))
+        tensors, manifest, calib = gen_toy(TOY)
+        prune_model(tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG)
+        assert counts == {"hessian": 6, "factor": 6}
 
     def test_dead_channel_matches_oracle_on_live_subspace(self):
         # Channel 5 of layer 1 never fires (its w_up row is zero), so at
