@@ -40,16 +40,18 @@ for p, err in enumerate(errs):
 print(f"cheapest column: {np.argmin(errs)}")
 
 # --- prune three columns greedily, one remove_block call per column ---------
-w_cur, h_inv_cur = w, h_inv
-kept = list(range(d))
+# remove_block updates w and h_inv in place over their full width and clears
+# the removed columns in a survivor mask; read both through that mask.
+w_cur, h_inv_cur = w.copy(), h_inv.copy()
+alive = np.ones(d, dtype=bool)
 step_sum = 0.0
 for _ in range(3):
-    cur = column_errors(w_cur, h_inv_cur)
-    pick = int(np.argmin(cur))
-    print(f"removing original column {kept[pick]} (estimated error {cur[pick]:.3f})")
-    w_cur, h_inv_cur, steps = remove_block(w_cur, h_inv_cur, [pick])
-    step_sum += float(steps[0])
-    kept.pop(pick)
+    cur = column_errors(w_cur, h_inv_cur, alive)
+    pick = int(np.flatnonzero(alive)[np.argmin(cur)])
+    print(f"removing original column {pick} (estimated error {cur.min():.3f})")
+    step_sum += float(remove_block(w_cur, h_inv_cur, [pick], alive)[0])
+kept = np.flatnonzero(alive).tolist()
+w_cur = w_cur[:, alive]
 
 greedy_resid = mask_residual(w, h, kept)
 print(f"\nkept columns: {kept}")
@@ -69,9 +71,11 @@ print(f"greedy / optimal residual ratio:  {greedy_resid / best_err:.4f}")
 # --- one block call, any order: same final weights and inverse Hessian ------
 removed = sorted(set(range(d)) - set(kept))
 for order in (removed, removed[::-1]):
-    w_blk, h_inv_blk, steps = remove_block(w, h_inv, order)
+    w_blk, h_inv_blk, alive = w.copy(), h_inv.copy(), np.ones(d, dtype=bool)
+    steps = remove_block(w_blk, h_inv_blk, order, alive)
     print(f"\nblock removal in order {order}: step errors {np.round(steps, 3)}"
           f" (sum {steps.sum():.3f})")
-    print("  same final weights:", np.abs(w_blk - w_cur).max() < 1e-10)
+    print("  same final weights:", np.abs(w_blk[:, alive] - w_cur).max() < 1e-10)
     print("  inverse Hessian equals inv(H[kept, kept]):",
-          np.abs(h_inv_blk - np.linalg.inv(h.a[np.ix_(kept, kept)])).max() < 1e-10)
+          np.abs(h_inv_blk[np.ix_(alive, alive)]
+                 - np.linalg.inv(h.a[np.ix_(kept, kept)])).max() < 1e-10)

@@ -53,23 +53,24 @@ def group_sizes(total_to_prune: int, sched: GroupSchedule) -> list[int]:
 def prune_channels(w: np.ndarray, h: SpdMatrix, n_prune: int, sched: GroupSchedule):
     """Remove ``n_prune`` channels (columns) of ``w`` under the group schedule.
 
-    Per group: estimate all column errors once, pick the group's k cheapest
-    (ties to the lowest original index), then remove them in ascending
-    estimated-error order with one ``remove_block`` call. Returns
+    Per group: estimate all live column errors once, pick the group's k
+    cheapest (ties to the lowest original index), then remove them in
+    ascending estimated-error order with one in-place ``remove_block`` call;
+    ``w`` is compacted through the survivor mask once, at the end. Returns
     ``(pruned_w, kept, step_errors)`` with the kept columns in original
     order and one ``(original column, error)`` pair per removal.
     """
-    w = np.array(w, dtype=np.float64)
+    w = np.array(w, dtype=np.float64, order="C")
     if w.ndim != 2 or w.shape[1] != h.n:
         raise ValueError(f"weight shape {w.shape} inconsistent with Hessian dim {h.n}")
     if not 0 <= n_prune < w.shape[1]:
         raise ValueError(f"cannot prune {n_prune} of {w.shape[1]} channels")
     h_inv = invert_spd(h).a
-    alive = np.arange(w.shape[1])
+    alive = np.ones(w.shape[1], dtype=bool)
     step_errors = []
-    for k in group_sizes(n_prune, sched):
-        order = np.argsort(column_errors(w, h_inv), kind="stable")[:k]
-        w, h_inv, steps = remove_block(w, h_inv, order)
-        step_errors.extend(zip(alive[order].tolist(), steps.tolist()))
-        alive = np.delete(alive, order)
-    return w, alive.tolist(), step_errors
+    sizes = group_sizes(n_prune, sched)
+    for i, k in enumerate(sizes):
+        order = np.flatnonzero(alive)[np.argsort(column_errors(w, h_inv, alive), kind="stable")[:k]]
+        steps = remove_block(w, h_inv, order, alive, downdate=i + 1 < len(sizes))
+        step_errors.extend(zip(order.tolist(), steps.tolist()))
+    return w[:, alive], np.flatnonzero(alive).tolist(), step_errors

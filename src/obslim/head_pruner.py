@@ -3,7 +3,7 @@
 Heads are contiguous, equal-width column blocks. Each round estimates the
 removal error of every surviving head at once from per-block Cholesky
 factors of the inverse Hessian, then removes the cheapest head with one
-exact block-OBS step that compensates everything that survives.
+exact, in-place block-OBS step that compensates everything that survives.
 """
 
 from dataclasses import dataclass
@@ -51,15 +51,16 @@ class HeadPruneResult:
     step_error_sum: float
 
 
-def head_errors(w: np.ndarray, h_inv, layout: HeadLayout) -> np.ndarray:
-    """Estimated removal error of every head, without touching the weights.
+def head_errors(w: np.ndarray, h_inv, layout: HeadLayout, alive=None) -> np.ndarray:
+    """Estimated removal error of every live head, without touching the weights.
 
     Each head's block of the inverse Hessian is factored on its own; the
     squared factor diagonals play the role the updated inverse-Hessian
     diagonal would play under sequential column removal, so
     ``err[h] = sum over the head's columns j and all rows of
     w[:, j]**2 / L_h[j, j]**2``. Weight compensation is skipped during
-    estimation. ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array.
+    estimation. ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array; with
+    the survivor mask ``alive`` of ``remove_block``, only whole live heads are scored.
     """
     w = np.asarray(w, dtype=np.float64)
     n = as_array(h_inv).shape[0]
@@ -68,10 +69,12 @@ def head_errors(w: np.ndarray, h_inv, layout: HeadLayout) -> np.ndarray:
             f"inconsistent dims: w {w.shape}, h_inv {n}, "
             f"layout {layout.n_head}x{layout.d_head}"
         )
-    factors = grouped_cholesky(h_inv, layout.d_head)
-    denom = factors.diagonal(axis1=1, axis2=2).reshape(-1) ** 2  # (n_cols,)
-    per_col = (w * w).sum(axis=0) / denom
-    return per_col.reshape(layout.n_head, layout.d_head).sum(axis=1)
+    factors = grouped_cholesky(h_inv, layout.d_head, alive)
+    denom = factors.diagonal(axis1=1, axis2=2) ** 2  # (live heads, d_head)
+    per_col = (w * w).sum(axis=0).reshape(layout.n_head, layout.d_head)
+    if alive is not None:
+        per_col = per_col[alive.reshape(layout.n_head, -1).all(axis=1)]
+    return (per_col / denom).sum(axis=1)
 
 
 def prune_heads(
@@ -83,35 +86,34 @@ def prune_heads(
     """Remove ``n_prune`` heads, one per round, cheapest estimated head first.
 
     Each round re-estimates all surviving heads on the current (already
-    compensated) weights, removes the argmin (ties break to the lowest head
-    index) with one ``remove_block`` call over its columns, and carries the
-    resulting inverse Hessian of the survivors into the next round.
+    compensated) weights and removes the argmin (ties break to the lowest
+    head index) with one in-place ``remove_block`` call over its columns;
+    the weights are compacted through the survivor mask once, at the end.
     """
     if not 0 <= n_prune < layout.n_head:
         raise ValueError(f"cannot prune {n_prune} of {layout.n_head} heads")
-    work = np.array(w, dtype=np.float64)
+    work = np.array(w, dtype=np.float64, order="C")
     if work.ndim != 2 or work.shape[1] != layout.n_cols or h.n != layout.n_cols:
         raise ValueError("weight / Hessian dims inconsistent with layout")
 
     d = layout.d_head
-    alive_heads = list(range(layout.n_head))
+    alive = np.ones(layout.n_cols, dtype=bool)
     errors_per_round = np.full((n_prune, layout.n_head), np.nan)
     step_error_sum = 0.0
     h_inv = invert_spd(h).a if n_prune else None
 
     for rnd in range(n_prune):
-        errs = head_errors(work, h_inv, HeadLayout(len(alive_heads), d))
-        errors_per_round[rnd, alive_heads] = errs
-        pos = int(np.argmin(errs))
-        work, h_inv, steps = remove_block(work, h_inv, np.arange(pos * d, (pos + 1) * d))
+        live_heads = np.flatnonzero(alive[::d])
+        errs = head_errors(work, h_inv, layout, alive)
+        errors_per_round[rnd, live_heads] = errs
+        cols = live_heads[np.argmin(errs)] * d + np.arange(d)
+        steps = remove_block(work, h_inv, cols, alive, downdate=rnd + 1 < n_prune)
         step_error_sum += float(steps.sum())
-        alive_heads.pop(pos)
 
-    kept_columns = np.concatenate([np.arange(hd * d, (hd + 1) * d) for hd in alive_heads])
     return HeadPruneResult(
-        pruned_w=work,
-        kept_heads=alive_heads,
-        kept_columns=kept_columns,
+        pruned_w=work[:, alive],
+        kept_heads=np.flatnonzero(alive[::d]).tolist(),
+        kept_columns=np.flatnonzero(alive),
         head_errors_per_round=errors_per_round,
         total_rounds=n_prune,
         step_error_sum=step_error_sum,

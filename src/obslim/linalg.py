@@ -5,12 +5,13 @@ Cholesky factorization, inversion from the factor, per-block (grouped)
 factorization of diagonal blocks, and the block-OBS kernel that removes a
 set of columns from a weight matrix and its inverse Hessian in one solve.
 
-Identical inputs produce bit-identical outputs. Inputs are never mutated,
-except that ``invert_spd`` consumes the factor an ``SpdMatrix`` caches.
+Identical inputs produce bit-identical outputs. Only ``remove_block`` (in
+place) and ``invert_spd`` (the factor an ``SpdMatrix`` caches) mutate inputs.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .config import TOL
@@ -85,33 +86,39 @@ def cholesky_lower(m: SpdMatrix) -> np.ndarray:
 
 
 def invert_spd(m: SpdMatrix) -> SpdMatrix:
-    """Exactly symmetric inverse of an SPD matrix, validated as ``SpdMatrix``.
+    """Exactly symmetric inverse of an SPD matrix, as an ``SpdMatrix``.
 
     LAPACK ``dpotri`` overwrites the Cholesky factor (``m.low``, then reset
     to None, or else a new ``cholesky_lower(m)``) with the inverse's lower
-    triangle, which is mirrored into the upper one.
+    triangle, which is mirrored into the upper one: exactly symmetric, so
+    only finiteness is checked, and its transpose is the same matrix in C order.
 
     Raises:
         NotSpdError: if the matrix is not positive definite.
+        ValueError: if the inverse has non-finite entries.
     """
     low, m.low = (cholesky_lower(m) if m.low is None else m.low), None
     inv, _ = dpotri(low, lower=1, overwrite_c=1)
     inv += np.tril(inv, -1).T
-    return SpdMatrix(inv)
+    if not np.all(np.isfinite(inv)):
+        raise ValueError("matrix contains non-finite entries")
+    out = SpdMatrix.__new__(SpdMatrix)
+    out.a, out.low = inv.T, None
+    return out
 
 
-def grouped_cholesky(h_inv, group_size: int) -> np.ndarray:
-    """Factor every ``group_size`` diagonal block of ``h_inv`` independently.
+def grouped_cholesky(h_inv, group_size: int, alive=None) -> np.ndarray:
+    """Factor every live ``group_size`` diagonal block of ``h_inv`` independently.
 
-    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array. Returns the
-    (n_blocks, group_size, group_size) stack of lower-triangular factors:
-    ``factors[k] @ factors[k].T`` is diagonal block ``k``. The blocks are
-    factored as a batch; the result does not depend on the order in which
-    blocks are processed.
+    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array; with the survivor
+    mask ``alive`` of ``remove_block``, only blocks whose columns all survive
+    are factored. Returns their (n_blocks, group_size, group_size) stack of
+    lower-triangular factors, in block order. The blocks are factored as a
+    batch; the result does not depend on the order they are processed in.
 
     Raises:
         ValueError: if the dimension is not divisible by ``group_size``.
-        NotSpdError: if any diagonal block is not positive definite.
+        NotSpdError: if any factored diagonal block is not positive definite.
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
@@ -119,52 +126,60 @@ def grouped_cholesky(h_inv, group_size: int) -> np.ndarray:
     n = a.shape[0]
     if n % group_size != 0:
         raise ValueError(f"dimension {n} not divisible by group size {group_size}")
-    k = n // group_size
-    blocks = a.reshape(k, group_size, k, group_size)
-    diag_blocks = blocks[np.arange(k), :, np.arange(k), :]
+    cols = np.arange(n).reshape(-1, group_size)
+    if alive is not None:
+        cols = cols[alive.reshape(-1, group_size).all(axis=1)]
     try:
-        return np.linalg.cholesky(diag_blocks)
+        return np.linalg.cholesky(a[cols[:, :, None], cols[:, None, :]])
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"not SPD: a diagonal block failed Cholesky ({exc})") from exc
 
 
-def remove_block(w: np.ndarray, h_inv: np.ndarray, idx):
-    """Remove columns ``idx`` of ``w``, in the given order, with exact compensation.
+def remove_block(w: np.ndarray, h_inv: np.ndarray, idx, alive, downdate=True) -> np.ndarray:
+    """Remove live columns ``idx`` of ``w``, in the given order, with exact compensation.
 
-    This is the group Optimal Brain Surgeon step on raw float64 arrays.
-    With ``L`` the Cholesky factor of ``h_inv[idx, idx]`` (taken in removal
-    order), ``Q = w[:, idx] L^-T`` and ``C = L^-1 h_inv[idx, rest]``:
-
-    - ``w_rest = w[:, rest] - Q C`` is the optimally compensated remainder;
-    - ``h_inv_rest = h_inv[rest, rest] - C^T C`` (the Schur complement) is
-      the inverse of the Hessian with rows/columns ``idx`` deleted;
-    - ``step_errors[i] = ||Q[:, i]||^2`` is the exact error paid by
-      removing ``idx[i]`` after ``idx[:i]``, as in one-at-a-time removal.
-
-    ``rest`` lists the surviving columns in ascending order. Returns
-    ``(w_rest, h_inv_rest, step_errors)``.
+    The group Optimal Brain Surgeon step, in place on writeable C-contiguous
+    float64 arrays whose boolean survivor mask is ``alive``. With ``L`` the
+    Cholesky factor of ``h_inv[idx, idx]`` (in removal order),
+    ``Q = w[:, idx] L^-T`` and ``C = L^-1 h_inv[idx, :]``, ``w -= Q C``
+    optimally compensates the live columns and ``h_inv -= C^T C`` leaves the
+    inverse of the Hessian with every dead index deleted (Schur complement)
+    on the live rows and columns; ``alive[idx]`` is cleared. Both updates
+    are BLAS ``dgemm`` calls with beta = 1 on the Fortran-order views
+    ``w.T`` and ``h_inv.T``: nothing n x n is allocated. Removed entries
+    are left at rounding level (about 1e-16), not zero: read both arrays
+    through ``alive``. ``downdate=False`` skips the n^2 k-flop ``h_inv``
+    update, for a loop's last call, after which nothing reads ``h_inv``.
+    Returns ``step_errors[i] = ||Q[:, i]||^2``, the exact error paid by
+    removing ``idx[i]`` after ``idx[:i]``.
 
     Raises:
-        ValueError: if ``idx`` is empty, repeats an index or is out of range.
+        ValueError: if ``idx`` is empty, repeats an index, is out of range or
+            names a dead column, or if an array cannot be updated in place.
         NotSpdError: if ``h_inv[idx, idx]`` is not positive definite.
     """
-    n = h_inv.shape[0]
+    n = alive.size
+    if not all(a.dtype == np.float64 and a.flags.carray for a in (w, h_inv)):
+        raise ValueError("w and h_inv must be writeable C-contiguous float64 arrays")
+    if w.ndim != 2 or w.shape[1] != n or h_inv.shape != (n, n):
+        raise ValueError(f"inconsistent dims: w {w.shape}, h_inv {h_inv.shape}, mask {n}")
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError(f"idx must be a non-empty 1-D index list, got shape {idx.shape}")
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"index out of range for dimension {n}: {idx.tolist()}")
-    keep = np.ones(n, dtype=bool)
-    keep[idx] = False
-    if n - np.count_nonzero(keep) != idx.size:
+    if np.unique(idx).size != idx.size:
         raise ValueError(f"repeated index in {idx.tolist()}")
-    rest = np.flatnonzero(keep)
+    if not alive[idx].all():
+        raise ValueError(f"index already removed in {idx.tolist()}")
     try:
         low = np.linalg.cholesky(h_inv[np.ix_(idx, idx)])
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"not SPD: removed block failed Cholesky ({exc})") from exc
     q_t = solve_triangular(low, w[:, idx].T, lower=True, check_finite=False)
-    c = solve_triangular(low, h_inv[np.ix_(idx, rest)], lower=True, check_finite=False)
-    w_rest = w[:, rest] - q_t.T @ c
-    h_inv_rest = h_inv[np.ix_(rest, rest)] - c.T @ c
-    return w_rest, h_inv_rest, (q_t * q_t).sum(axis=1)
+    c = solve_triangular(low, h_inv[idx], lower=True, check_finite=False)
+    dgemm(-1.0, c, q_t, beta=1.0, c=w.T, trans_a=1, overwrite_c=1)
+    if downdate:
+        dgemm(-1.0, c, c, beta=1.0, c=h_inv.T, trans_a=1, overwrite_c=1)
+    alive[idx] = False
+    return (q_t * q_t).sum(axis=1)

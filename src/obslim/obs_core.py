@@ -19,12 +19,13 @@ from .linalg import SpdMatrix, as_array
 ENUMERATION_GUARD = 100_000
 
 
-def column_errors(w: np.ndarray, h_inv) -> np.ndarray:
+def column_errors(w: np.ndarray, h_inv, alive=None) -> np.ndarray:
     """Pruning error of each column: squared norm over the inverse-Hessian diagonal.
 
     ``err[p] = sum(w[:, p]**2) / h_inv[p, p]`` is the exact increase of the
     reconstruction objective if column ``p`` alone were removed now.
-    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array.
+    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array; with the survivor
+    mask ``alive`` of ``remove_block``, only the live columns are scored.
     """
     w = np.asarray(w, dtype=np.float64)
     diag = np.diag(as_array(h_inv))
@@ -32,9 +33,10 @@ def column_errors(w: np.ndarray, h_inv) -> np.ndarray:
         raise ValueError(
             f"weight shape {w.shape} inconsistent with inverse Hessian dim {diag.size}"
         )
-    if np.any(diag <= 0.0):
+    live = slice(None) if alive is None else alive
+    if np.any(diag[live] <= 0.0):
         raise NotSpdError("non-positive diagonal entry in inverse Hessian")
-    return (w * w).sum(axis=0) / diag
+    return (w * w).sum(axis=0)[live] / diag[live]
 
 
 def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:

@@ -73,17 +73,8 @@ class LayerWeights:
     def from_tensors(cls, entry: LayerEntry, tensors: dict) -> "LayerWeights":
         wq, wk, wv = (tensors[name] for name in entry.attn_coupled)
         w_up, w_gate = (tensors[name] for name in entry.ffn_coupled)
-        return cls(
-            wq=wq,
-            wk=wk,
-            wv=wv,
-            wo=tensors[entry.attn_out],
-            w_up=w_up,
-            w_gate=w_gate,
-            w_down=tensors[entry.ffn_down],
-            n_head=entry.n_head,
-            d_head=entry.d_head,
-        )
+        return cls(wq=wq, wk=wk, wv=wv, wo=tensors[entry.attn_out], w_up=w_up, w_gate=w_gate,
+                   w_down=tensors[entry.ffn_down], n_head=entry.n_head, d_head=entry.d_head)
 
 
 def layer_names(layer: int) -> dict:
@@ -122,17 +113,8 @@ def gen_toy(spec: ToyModelSpec):
         w_gate = rng.normal(size=(dff, dm)) / np.sqrt(dm)
         w_down = rng.normal(size=(dm, dff)) / np.sqrt(dff)
         w_down *= np.exp(0.5 * rng.normal(size=dff))[None, :]
-        tensors.update(
-            {
-                names["wq"]: wq,
-                names["wk"]: wk,
-                names["wv"]: wv,
-                names["wo"]: wo,
-                names["w_up"]: w_up,
-                names["w_gate"]: w_gate,
-                names["w_down"]: w_down,
-            }
-        )
+        arrays = dict(wq=wq, wk=wk, wv=wv, wo=wo, w_up=w_up, w_gate=w_gate, w_down=w_down)
+        tensors.update({names[key]: arr for key, arr in arrays.items()})
         entries.append(
             LayerEntry(
                 attn_out=names["wo"],
@@ -187,11 +169,9 @@ def _attention(lw: LayerWeights, x: np.ndarray):
     future = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
     ho = np.zeros((lw.n_head * d, t))
     out = np.zeros_like(x)
-    for head in range(lw.n_head):
+    live = lw.wo.any(axis=0).reshape(lw.n_head, d).any(axis=1)
+    for head in np.flatnonzero(live):
         sl = slice(head * d, (head + 1) * d)
-        wo_block = lw.wo[:, sl]
-        if not wo_block.any():
-            continue
         q = np.ascontiguousarray(lw.wq[sl]) @ h
         q /= np.sqrt(d)
         k = np.ascontiguousarray(lw.wk[sl]) @ h
@@ -204,7 +184,7 @@ def _attention(lw: LayerWeights, x: np.ndarray):
             p -= p.max(axis=1, keepdims=True)
             np.exp(p, out=p)
             ctx[:, start:end] = (v[:, :end] @ p.T) / p.sum(axis=1)
-        out += np.ascontiguousarray(wo_block) @ ctx
+        out += np.ascontiguousarray(lw.wo[:, sl]) @ ctx
     return x + out, ho
 
 

@@ -7,6 +7,7 @@ always present).
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from obslim.head_pruner import HeadLayout, HeadPruneResult, head_errors
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
@@ -102,20 +103,49 @@ def ffn_instance(rng, max_channels: int = 64):
     return w, h, d // 2
 
 
-def remove_sequentially(w, h_inv, order):
-    """Remove the original columns ``order`` one ``remove_block`` (k = 1) call at a time.
+def compact_remove_block(w, h_inv, idx):
+    """The compacting block-OBS formula: an oracle for the in-place ``remove_block``.
 
-    Returns ``(w_kept, h_inv_kept, kept, step_errors)`` with ``kept`` the
-    surviving original columns in ascending order and one
-    ``(original column, error)`` pair per removal.
+    With ``rest`` the other columns in ascending order, ``L`` the Cholesky
+    factor of ``h_inv[idx, idx]``, ``Q = w[:, idx] L^-T`` and
+    ``C = L^-1 h_inv[idx, rest]``, returns ``(w[:, rest] - Q C,
+    h_inv[rest, rest] - C^T C, step_errors)``: new arrays over the survivors.
     """
-    kept = list(range(w.shape[1]))
-    steps = []
-    for orig in order:
-        pos = kept.index(int(orig))
-        w, h_inv, step = remove_block(w, h_inv, [pos])
-        steps.append((kept.pop(pos), float(step[0])))
-    return w, h_inv, kept, steps
+    idx = np.asarray(idx, dtype=np.intp)
+    rest = np.setdiff1d(np.arange(h_inv.shape[0]), idx)
+    low = np.linalg.cholesky(h_inv[np.ix_(idx, idx)])
+    q_t = solve_triangular(low, w[:, idx].T, lower=True)
+    c = solve_triangular(low, h_inv[np.ix_(idx, rest)], lower=True)
+    return w[:, rest] - q_t.T @ c, h_inv[np.ix_(rest, rest)] - c.T @ c, (q_t * q_t).sum(axis=1)
+
+
+def remove_compacted(w, h_inv, idx):
+    """``remove_block`` on fresh copies of ``w`` and ``h_inv``, compacted through its mask.
+
+    Returns ``(w_rest, h_inv_rest, step_errors)`` over the surviving columns
+    in ascending order, as ``compact_remove_block`` does; the arguments are
+    left as they were.
+    """
+    w = np.array(w, dtype=np.float64, order="C")
+    h_inv = np.array(h_inv, dtype=np.float64, order="C")
+    alive = np.ones(h_inv.shape[0], dtype=bool)
+    steps = remove_block(w, h_inv, idx, alive)
+    return w[:, alive], h_inv[np.ix_(alive, alive)], steps
+
+
+def remove_sequentially(w, h_inv, order):
+    """Remove the original columns ``order`` one in-place ``remove_block`` (k = 1) call at a time.
+
+    Works on copies. Returns ``(w_kept, h_inv_kept, kept, step_errors)``
+    compacted through the survivor mask, with ``kept`` the surviving
+    original columns in ascending order and one ``(original column, error)``
+    pair per removal.
+    """
+    w = np.array(w, dtype=np.float64, order="C")
+    h_inv = np.array(h_inv, dtype=np.float64, order="C")
+    alive = np.ones(h_inv.shape[0], dtype=bool)
+    steps = [(int(orig), float(remove_block(w, h_inv, [orig], alive)[0])) for orig in order]
+    return w[:, alive], h_inv[np.ix_(alive, alive)], np.flatnonzero(alive).tolist(), steps
 
 
 def greedy_channels(w, h: SpdMatrix, n_prune: int):
@@ -123,15 +153,14 @@ def greedy_channels(w, h: SpdMatrix, n_prune: int):
 
     Returns ``(pruned_w, kept, step_errors)`` like ``prune_channels``.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = np.array(w, dtype=np.float64, order="C")
     h_inv = invert_spd(h).a
-    kept = list(range(w.shape[1]))
+    alive = np.ones(w.shape[1], dtype=bool)
     steps = []
     for _ in range(n_prune):
-        pos = int(np.argmin(column_errors(w, h_inv)))
-        w, h_inv, step = remove_block(w, h_inv, [pos])
-        steps.append((kept.pop(pos), float(step[0])))
-    return w, kept, steps
+        orig = int(np.flatnonzero(alive)[np.argmin(column_errors(w, h_inv, alive))])
+        steps.append((orig, float(remove_block(w, h_inv, [orig], alive)[0])))
+    return w[:, alive], np.flatnonzero(alive).tolist(), steps
 
 
 def reinvert_prune_heads(w, h: SpdMatrix, layout: HeadLayout, n_prune: int) -> HeadPruneResult:

@@ -14,12 +14,19 @@ from scipy.stats import binomtest
 from obslim.cli import main as cli_main
 from obslim.ffn_pruner import GroupSchedule, prune_channels
 from obslim.head_pruner import HeadLayout, head_errors, prune_heads
-from obslim.linalg import SpdMatrix, cholesky_lower, invert_spd, remove_block
+from obslim.linalg import SpdMatrix, cholesky_lower, invert_spd
 from obslim.obs_core import least_squares_oracle, mask_residual
 from obslim.pipeline import PruneConfig, ToyModelSpec, gen_toy, prune_model
 from obslim.schedule import PruneSchedule, build_schedule
 
-from conftest import ffn_instance, greedy_channels, head_instance, other_cols, rand_spd
+from conftest import (
+    ffn_instance,
+    greedy_channels,
+    head_instance,
+    other_cols,
+    rand_spd,
+    remove_compacted,
+)
 
 
 def report_line(num: int, ok: bool, detail: str):
@@ -77,11 +84,12 @@ def test_c02_remove_update_oracle():
         w = np.zeros((1, n))
         for p in range(n):
             direct = np.linalg.inv(np.delete(np.delete(h.a, p, 0), p, 1))
-            worst = max(worst, float(np.abs(remove_block(w, h_inv, [p])[1] - direct).max()))
+            worst = max(worst, float(np.abs(remove_compacted(w, h_inv, [p])[1] - direct).max()))
         idx = rng_block.permutation(n)[: int(rng_block.integers(1, n))]
         rest = np.setdiff1d(np.arange(n), idx)
         direct = np.linalg.inv(h.a[np.ix_(rest, rest)])
-        worst_block = max(worst_block, float(np.abs(remove_block(w, h_inv, idx)[1] - direct).max()))
+        block_dev = np.abs(remove_compacted(w, h_inv, idx)[1] - direct).max()
+        worst_block = max(worst_block, float(block_dev))
     worst_refresh = 0.0
     for _ in range(50):
         n = int(rng.integers(4, 17))
@@ -114,7 +122,7 @@ def test_c03_compensation_exactness():
         norm = max(np.linalg.norm(expect), 1e-30)
         for _ in range(3):
             order = rng.permutation(removed)
-            w_kept, _, _ = remove_block(w, invert_spd(h).a, order)
+            w_kept, _, _ = remove_compacted(w, invert_spd(h).a, order)
             worst = max(worst, float(np.linalg.norm(w_kept - expect) / norm))
     ok = worst < 1e-8
     report_line(

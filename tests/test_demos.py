@@ -1,4 +1,4 @@
-"""The demos that call the linear-algebra entry points directly still run."""
+"""The demos that call the linear-algebra and pruning entry points directly still run."""
 
 import os
 import subprocess
@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["02_column_pruning.py", "03_head_pruning.py"])
+@pytest.mark.parametrize(
+    "demo", ["02_column_pruning.py", "03_head_pruning.py", "04_channel_groups.py"]
+)
 def test_demo_exits_0(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,

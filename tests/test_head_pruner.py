@@ -14,6 +14,7 @@ from conftest import (
     other_cols,
     rand_spd,
     reinvert_prune_heads,
+    remove_compacted,
 )
 
 
@@ -63,6 +64,20 @@ class TestHeadErrors:
         assert np.argmin(he) == np.argmin(ce)
         assert np.abs(he - ce).max() < 1e-12 * ce.max()
 
+    def test_survivor_mask_scores_live_heads_only(self):
+        # live heads score as on the compacted arrays; a dead head's block,
+        # not positive definite here, is never factored
+        rng = np.random.default_rng(17)
+        lay = HeadLayout(4, 3)
+        w = rng.normal(size=(5, 12))
+        h_inv = invert_spd(rand_spd(rng, 12)).a
+        alive = np.ones(12, dtype=bool)
+        remove_block(w, h_inv, head_cols(lay, 1), alive)
+        h_inv[3:6, 3:6] = -np.eye(3)
+        errs = head_errors(w, h_inv, lay, alive)
+        compact = head_errors(w[:, alive], h_inv[np.ix_(alive, alive)], HeadLayout(3, 3))
+        assert np.array_equal(errs, compact)
+
 
 class TestReorder:
     """Removing one head's columns with ``remove_block``, wherever the head sits."""
@@ -73,14 +88,14 @@ class TestReorder:
         lay = HeadLayout(3, 2)
         w = rng.normal(size=(4, 6))
         h_inv = invert_spd(rand_spd(rng, 6)).a
-        _, h_rest, _ = remove_block(w, h_inv, head_cols(lay, 0))
+        _, h_rest, _ = remove_compacted(w, h_inv, head_cols(lay, 0))
         tail = cholesky_lower(SpdMatrix(h_inv))[2:, 2:]
         assert np.abs(h_rest - tail @ tail.T).max() < 1e-10 * np.abs(h_inv).max()
 
     def test_two_heads_target_one(self):
         lay = HeadLayout(2, 3)
         w = np.arange(12.0).reshape(2, 6)
-        w_rest, h_rest, _ = remove_block(w, np.eye(6), head_cols(lay, 1))
+        w_rest, h_rest, _ = remove_compacted(w, np.eye(6), head_cols(lay, 1))
         assert np.array_equal(w_rest, w[:, :3])
         assert np.array_equal(h_rest, np.eye(3))
 
@@ -89,7 +104,7 @@ class TestReorder:
         lay = HeadLayout(4, 3)
         h = rand_spd(rng, 12)
         w = rng.normal(size=(5, 12))
-        _, h_rest, _ = remove_block(w, invert_spd(h).a, head_cols(lay, 2))
+        _, h_rest, _ = remove_compacted(w, invert_spd(h).a, head_cols(lay, 2))
         kept = other_cols(lay, 2)
         direct = np.linalg.inv(h.a[np.ix_(kept, kept)])
         assert np.abs(h_rest - direct).max() < 1e-8
@@ -100,7 +115,7 @@ class TestPruneOneHead:
         rng = np.random.default_rng(5)
         lay = HeadLayout(3, 2)
         w = rng.normal(size=(4, 6))
-        w_rest, _, steps = remove_block(w, np.eye(6), head_cols(lay, 1))
+        w_rest, _, steps = remove_compacted(w, np.eye(6), head_cols(lay, 1))
         assert np.array_equal(w_rest, w[:, [0, 1, 4, 5]])
         assert np.allclose(steps, (w[:, [2, 3]] ** 2).sum(axis=0), rtol=1e-15, atol=0)
 
@@ -111,7 +126,7 @@ class TestPruneOneHead:
             w = rng.normal(size=(4, 5))
             h_inv = invert_spd(rand_spd(rng, 5)).a
             target = int(rng.integers(5))
-            w_rest, _, _ = remove_block(w, h_inv, head_cols(HeadLayout(5, 1), target))
+            w_rest, _, _ = remove_compacted(w, h_inv, head_cols(HeadLayout(5, 1), target))
             expect = w - np.outer(w[:, target] / h_inv[target, target], h_inv[target])
             kept = [c for c in range(5) if c != target]
             assert np.abs(w_rest - expect[:, kept]).max() < 1e-10 * max(1, np.abs(w).max())
@@ -124,7 +139,7 @@ class TestPruneOneHead:
             w = rng.normal(size=(4, n))
             h = rand_spd(rng, n)
             target = int(rng.integers(2))
-            w_rest, _, _ = remove_block(w, invert_spd(h).a, head_cols(lay, target))
+            w_rest, _, _ = remove_compacted(w, invert_spd(h).a, head_cols(lay, target))
             expect = least_squares_oracle(w, h, other_cols(lay, target))
             assert np.abs(w_rest - expect).max() < 1e-8
 

@@ -1,6 +1,8 @@
 """SPD kernel tests: every derived value comes from an independent oracle
 (np.linalg.inv / explicit reconstruction), never from the code under test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from obslim.linalg import (
 )
 from obslim.obs_core import least_squares_oracle, mask_residual
 
-from conftest import rand_spd, remove_sequentially
+from conftest import compact_remove_block, rand_spd, remove_compacted, remove_sequentially
 
 
 def delete_rc(a: np.ndarray, p: int) -> np.ndarray:
@@ -127,7 +129,7 @@ class TestPermuteSymmetric:
         h = rand_spd(rng, 7)
         w = rng.normal(size=(3, 7))
         h_inv = invert_spd(h).a
-        w_blk, h_blk, steps = remove_block(w, h_inv, [1, 3, 4])
+        w_blk, h_blk, steps = remove_compacted(w, h_inv, [1, 3, 4])
         w_seq, h_seq, kept, seq_steps = remove_sequentially(w, h_inv, [1, 3, 4])
         assert kept == [0, 2, 5, 6]
         assert np.abs(w_blk - w_seq).max() < 1e-10 * np.abs(w).max()
@@ -139,8 +141,8 @@ class TestPermuteSymmetric:
         # not their sum, the surviving weights or the Schur complement
         h_inv = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
         w = np.array([[1.0, 1.0, 1.0]])
-        w01, h01, s01 = remove_block(w, h_inv, [0, 1])
-        w10, h10, s10 = remove_block(w, h_inv, [1, 0])
+        w01, h01, s01 = remove_compacted(w, h_inv, [0, 1])
+        w10, h10, s10 = remove_compacted(w, h_inv, [1, 0])
         assert np.allclose(s01, [1 / 4, 1 / 16], rtol=0, atol=1e-15)
         assert np.allclose(s10, [1 / 5, 9 / 80], rtol=0, atol=1e-15)
         for w_rest, h_rest in ((w01, h01), (w10, h10)):
@@ -155,13 +157,13 @@ class TestPermuteSymmetric:
             h = rand_spd(rng, n)
             idx = rng.permutation(n)[: int(rng.integers(1, n))]
             rest = np.setdiff1d(np.arange(n), idx)
-            _, h_rest, _ = remove_block(np.zeros((1, n)), invert_spd(h).a, idx)
+            _, h_rest, _ = remove_compacted(np.zeros((1, n)), invert_spd(h).a, idx)
             assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
 
     def test_rejects_non_bijection(self):
         h_inv = invert_spd(rand_spd(np.random.default_rng(5), 3)).a
         with pytest.raises(ValueError, match="repeated"):
-            remove_block(np.ones((1, 3)), h_inv, [0, 0, 2])
+            remove_compacted(np.ones((1, 3)), h_inv, [0, 0, 2])
 
 
 class TestGroupedCholesky:
@@ -208,12 +210,12 @@ class TestRemoveUpdate:
     def test_known_2x2(self):
         # H = [[2,1],[1,2]]; deleting index 0 leaves [2] whose inverse is 0.5
         h = np.array([[2.0, 1.0], [1.0, 2.0]])
-        _, out, _ = remove_block(np.zeros((1, 2)), np.linalg.inv(h), [0])
+        _, out, _ = remove_compacted(np.zeros((1, 2)), np.linalg.inv(h), [0])
         assert out.shape == (1, 1)
         assert abs(out[0, 0] - 0.5) < 1e-12
 
     def test_diagonal(self):
-        _, out, _ = remove_block(np.zeros((1, 3)), np.diag([1.0, 2.0, 3.0]), [1])
+        _, out, _ = remove_compacted(np.zeros((1, 3)), np.diag([1.0, 2.0, 3.0]), [1])
         assert np.allclose(out, np.diag([1.0, 3.0]))
 
     def test_direct_inversion_oracle_all_indices(self):
@@ -223,16 +225,16 @@ class TestRemoveUpdate:
             h_inv = invert_spd(h).a
             for p in range(6):
                 expect = np.linalg.inv(delete_rc(h.a, p))
-                _, out, _ = remove_block(np.zeros((1, 6)), h_inv, [p])
+                _, out, _ = remove_compacted(np.zeros((1, 6)), h_inv, [p])
                 assert np.abs(out - expect).max() < 1e-8
 
     def test_zero_pivot(self):
         with pytest.raises(NotSpdError, match="not SPD"):
-            remove_block(np.ones((1, 2)), np.diag([1.0, 0.0]), [1])
+            remove_compacted(np.ones((1, 2)), np.diag([1.0, 0.0]), [1])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            remove_block(np.ones((1, 2)), np.eye(2), [2])
+            remove_compacted(np.ones((1, 2)), np.eye(2), [2])
 
 
 class TestProperties:
@@ -278,7 +280,7 @@ class TestProperties:
         assert np.array_equal(invert_spd(m).a, invert_spd(m).a)
         assert np.array_equal(cholesky_lower(m), cholesky_lower(m))
         w = rng.normal(size=(2, 9))
-        first, second = remove_block(w, m.a, [3, 1]), remove_block(w, m.a, [3, 1])
+        first, second = remove_compacted(w, m.a, [3, 1]), remove_compacted(w, m.a, [3, 1])
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
@@ -304,7 +306,7 @@ class TestRemoveBlock:
     def test_inverse_of_deleted_hessian(self, inst):
         w, h, idx = inst
         rest = np.setdiff1d(np.arange(h.n), idx)
-        _, h_rest, _ = remove_block(w, invert_spd(h).a, idx)
+        _, h_rest, _ = remove_compacted(w, invert_spd(h).a, idx)
         assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
 
     @PROPERTY
@@ -312,7 +314,7 @@ class TestRemoveBlock:
     def test_weights_and_errors_match_least_squares(self, inst):
         w, h, idx = inst
         rest = np.setdiff1d(np.arange(h.n), idx)
-        w_rest, _, steps = remove_block(w, invert_spd(h).a, idx)
+        w_rest, _, steps = remove_compacted(w, invert_spd(h).a, idx)
         expect = least_squares_oracle(w, h, rest)
         assert np.linalg.norm(w_rest - expect) < 1e-8 * max(np.linalg.norm(expect), 1e-12)
         resid = mask_residual(w, h, rest)
@@ -324,7 +326,131 @@ class TestRemoveBlock:
     def test_step_errors_follow_the_given_order(self, inst):
         w, h, idx = inst
         h_inv = invert_spd(h).a
-        _, _, steps = remove_block(w, h_inv, idx)
+        _, _, steps = remove_compacted(w, h_inv, idx)
         _, _, _, seq = remove_sequentially(w, h_inv, idx)
         assert [orig for orig, _ in seq] == list(idx)
         assert np.abs(steps - [e for _, e in seq]).max() < 1e-8 * max(1.0, steps.max())
+
+
+@st.composite
+def removal_sequences(draw):
+    """A random SPD instance and disjoint blocks to remove in turn, leaving a column.
+
+    With ``heads`` drawn true, the columns form ``n_head`` heads of ``d``
+    and every block is one whole head; otherwise the blocks are random
+    index sets in a random order.
+    """
+    heads = draw(st.booleans())
+    if heads:
+        d, n_head = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+        n = n_head * d
+        order = draw(st.permutations(range(n_head)))[: draw(st.integers(1, n_head - 1))]
+        blocks = [list(range(hd * d, (hd + 1) * d)) for hd in order]
+    else:
+        n = draw(st.integers(2, 16))
+        perm = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=1, unique=True)))
+        blocks = [perm[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.normal(size=(draw(st.integers(1, 6)), n))
+    return w, rand_spd(rng, n), blocks, heads
+
+
+def assert_rel_close(got, expect, bound=1e-12):
+    assert np.abs(got - expect).max() <= bound * max(np.abs(expect).max(), 1e-300)
+
+
+class TestRemoveBlockInPlace:
+    """The in-place kernel and its survivor mask against the compacting formula."""
+
+    @PROPERTY
+    @given(removal_sequences())
+    def test_masked_sequence_matches_compacting_oracle(self, inst):
+        # every call, made on arrays that already hold dead rows and columns,
+        # leaves the survivors where the compacting formula takes them from
+        # the compacted state before the call
+        w, h, blocks, heads = inst
+        w_run, h_run = w.copy(), invert_spd(h).a
+        alive = np.ones(h.n, dtype=bool)
+        for blk in blocks:
+            live = np.flatnonzero(alive)
+            w_ref, h_ref, steps_ref = compact_remove_block(
+                w_run[:, live], h_run[np.ix_(live, live)], np.searchsorted(live, blk))
+            steps = remove_block(w_run, h_run, blk, alive)
+            assert np.array_equal(np.flatnonzero(alive), np.setdiff1d(live, blk))
+            assert_rel_close(w_run[:, alive], w_ref)
+            assert_rel_close(h_run[np.ix_(alive, alive)], h_ref)
+            assert_rel_close(steps, steps_ref)
+            if heads and min(w_ref.shape) > 1:
+                # bit for bit, while the oracle's Q C is a matrix product
+                # too: numpy computes one with a single row or column by gemv
+                assert np.array_equal(w_run[:, alive], w_ref)
+                assert np.array_equal(steps, steps_ref)
+        # the removed rows and columns are left at rounding level
+        dead = ~alive
+        assert np.abs(h_run[dead]).max() <= 1e-12 * np.abs(h_run).max()
+        assert np.abs(w_run[:, dead]).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
+
+    def test_without_downdate_only_h_inv_is_left_alone(self):
+        rng = np.random.default_rng(18)
+        h_inv = invert_spd(rand_spd(rng, 9)).a
+        w = rng.normal(size=(3, 9))
+        runs = []
+        for downdate in (True, False):
+            w_run, h_run, alive = w.copy(), h_inv.copy(), np.ones(9, dtype=bool)
+            steps = remove_block(w_run, h_run, [4, 0, 7], alive, downdate=downdate)
+            runs.append((w_run, h_run, alive, steps))
+        (w1, h1, alive1, steps1), (w2, h2, alive2, steps2) = runs
+        assert np.array_equal(w1, w2) and np.array_equal(steps1, steps2)
+        assert np.array_equal(alive1, alive2) and alive2.sum() == 6
+        assert np.array_equal(h2, h_inv) and not np.array_equal(h1, h_inv)
+
+    def test_rejected_calls_change_nothing(self):
+        rng = np.random.default_rng(16)
+        h_inv = invert_spd(rand_spd(rng, 5)).a
+        w = rng.normal(size=(2, 5))
+        alive = np.ones(5, dtype=bool)
+        remove_block(w, h_inv, [3], alive)
+        before = w.copy(), h_inv.copy(), alive.copy()
+        for idx, err, match in (([3], ValueError, "already removed"),
+                                ([0, 3], ValueError, "already removed"),
+                                ([1, 1], ValueError, "repeated"),
+                                ([5], ValueError, "out of range"),
+                                ([], ValueError, "non-empty")):
+            with pytest.raises(err, match=match):
+                remove_block(w, h_inv, idx, alive)
+        h_bad = h_inv.copy()
+        h_bad[1, 1] = -1.0
+        with pytest.raises(NotSpdError, match="not SPD"):
+            remove_block(w, h_bad, [1], alive)
+        for got, expect in zip((w, h_inv, alive), before):
+            assert np.array_equal(got, expect)
+
+    def test_rejects_arrays_it_cannot_update_in_place(self):
+        h_inv, w = np.eye(4), np.ones((2, 4))
+        read_only = w.copy()
+        read_only.flags.writeable = False
+        for w_bad, h_bad in ((np.ones((4, 2)).T, h_inv),
+                             (w, np.asfortranarray(np.diag([1.0, 2.0, 3.0, 4.0]))),
+                             (w.astype(np.float32), h_inv),
+                             (read_only, h_inv)):
+            alive = np.ones(4, dtype=bool)
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                remove_block(w_bad, h_bad, [0], alive)
+            assert alive.all()
+
+    def test_one_call_allocates_less_than_one_n_by_n_array(self):
+        # w (n x n) and h_inv are updated in place: the call's temporaries
+        # are k x n, never n x n (8 n^2 bytes, 2.1 MB at n = 512)
+        rng = np.random.default_rng(17)
+        n = 512
+        h_inv = invert_spd(rand_spd(rng, n, m_factor=2)).a
+        w = rng.normal(size=(n, n))
+        alive = np.ones(n, dtype=bool)
+        tracemalloc.start()
+        try:
+            remove_block(w, h_inv, np.arange(100, 108), alive)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n

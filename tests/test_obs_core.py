@@ -16,7 +16,7 @@ from obslim.obs_core import (
     mask_residual,
 )
 
-from conftest import rand_spd, remove_sequentially
+from conftest import rand_spd, remove_compacted, remove_sequentially
 
 
 def residual_of(w, h: SpdMatrix, kept, w_hat) -> float:
@@ -56,6 +56,21 @@ class TestColumnErrors:
         with pytest.raises(ValueError):
             column_errors(np.ones((2, 3)), SpdMatrix(np.eye(2)))
 
+    def test_survivor_mask_reads_only_live_entries(self):
+        # the errors of the live columns equal those of the compacted arrays;
+        # a dead diagonal entry is never read, a non-positive live one raises
+        rng = np.random.default_rng(16)
+        w = rng.normal(size=(3, 6))
+        h_inv = invert_spd(rand_spd(rng, 6)).a
+        alive = np.ones(6, dtype=bool)
+        remove_block(w, h_inv, [4, 1], alive)
+        compact = column_errors(w[:, alive], h_inv[np.ix_(alive, alive)])
+        h_inv[1, 1], h_inv[4, 4] = -1.0, 0.0
+        assert np.array_equal(column_errors(w, h_inv, alive), compact)
+        h_inv[2, 2] = 0.0
+        with pytest.raises(NotSpdError, match="diagonal"):
+            column_errors(w, h_inv, alive)
+
 
 class TestPruneColumn:
     """Removing one column: ``remove_block`` with a single index."""
@@ -63,7 +78,7 @@ class TestPruneColumn:
     def test_identity_hinv_zeroes_only_target(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 4))
-        w_rest, h_rest, _ = remove_block(w, np.eye(4), [1])
+        w_rest, h_rest, _ = remove_compacted(w, np.eye(4), [1])
         assert np.array_equal(w_rest, w[:, [0, 2, 3]])
         assert np.array_equal(h_rest, np.eye(3))
 
@@ -72,7 +87,7 @@ class TestPruneColumn:
         w = rng.normal(size=(3, 3))
         w[:, 1] = 0.0
         h = rand_spd(rng, 3)
-        w_rest, _, steps = remove_block(w, invert_spd(h).a, [1])
+        w_rest, _, steps = remove_compacted(w, invert_spd(h).a, [1])
         assert steps.tolist() == [0.0]
         assert np.array_equal(w_rest, w[:, [0, 2]])
 
@@ -82,14 +97,14 @@ class TestPruneColumn:
             w = rng.normal(size=(3, 3))
             h = rand_spd(rng, 3)
             p = int(rng.integers(3))
-            w_rest, _, _ = remove_block(w, invert_spd(h).a, [p])
+            w_rest, _, _ = remove_compacted(w, invert_spd(h).a, [p])
             kept = [c for c in range(3) if c != p]
             expect = least_squares_oracle(w, h, kept)
             assert np.abs(w_rest - expect).max() < 1e-8
 
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
-            remove_block(np.ones((2, 2)), np.eye(2), [2])
+            remove_compacted(np.ones((2, 2)), np.eye(2), [2])
 
     def test_single_row_degenerates_to_single_weight_rule(self):
         # with one row, column pruning is classic single-weight pruning:
@@ -103,7 +118,7 @@ class TestPruneColumn:
             assert abs(errs[p] - w[0, p] ** 2 / h_inv.a[p, p]) < 1e-15 * errs.max()
         p = int(np.argmin(errs))
         expect = w[0] - (w[0, p] / h_inv.a[p, p]) * h_inv.a[p, :]
-        w_rest, _, steps = remove_block(w, h_inv.a, [p])
+        w_rest, _, steps = remove_compacted(w, h_inv.a, [p])
         kept = [c for c in range(d) if c != p]
         assert np.abs(w_rest[0] - expect[kept]).max() < 1e-12
         assert abs(steps[0] - errs[p]) < 1e-12 * errs[p]
@@ -208,7 +223,7 @@ class TestSequentialExactness:
             norm = max(np.linalg.norm(expect), 1e-12)
             for _ in range(3):
                 order = rng.permutation(removed)
-                w_blk, _, _ = remove_block(w, invert_spd(h).a, order)
+                w_blk, _, _ = remove_compacted(w, invert_spd(h).a, order)
                 w_seq, _, alive, _ = remove_sequentially(w, invert_spd(h).a, order)
                 assert alive == kept
                 assert np.linalg.norm(w_blk - expect) / norm < 1e-8
@@ -239,6 +254,6 @@ class TestSequentialExactness:
         errs2 = column_errors(w, invert_spd(h2))
         assert np.argmin(errs1) == np.argmin(errs2)
         assert np.abs(errs2 - 2.0 * errs1).max() < 1e-8 * errs1.max()
-        w1, _, _ = remove_block(w, invert_spd(h).a, [2])
-        w2, _, _ = remove_block(w, invert_spd(h2).a, [2])
+        w1, _, _ = remove_compacted(w, invert_spd(h).a, [2])
+        w2, _, _ = remove_compacted(w, invert_spd(h2).a, [2])
         assert np.abs(w1 - w2).max() < 1e-12
