@@ -68,9 +68,8 @@ def prune_channels(w: np.ndarray, h: SpdMatrix, n_prune: int, sched: GroupSchedu
     h_inv = invert_spd(h).a
     alive = np.ones(w.shape[1], dtype=bool)
     step_errors = []
-    sizes = group_sizes(n_prune, sched)
-    for i, k in enumerate(sizes):
+    for k in group_sizes(n_prune, sched):
         order = np.flatnonzero(alive)[np.argsort(column_errors(w, h_inv, alive), kind="stable")[:k]]
-        steps = remove_block(w, h_inv, order, alive, downdate=i + 1 < len(sizes))
+        steps = remove_block(w, h_inv, order, alive)
         step_errors.extend(zip(order.tolist(), steps.tolist()))
     return w[:, alive], np.flatnonzero(alive).tolist(), step_errors

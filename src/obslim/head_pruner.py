@@ -107,7 +107,7 @@ def prune_heads(
         errs = head_errors(work, h_inv, layout, alive)
         errors_per_round[rnd, live_heads] = errs
         cols = live_heads[np.argmin(errs)] * d + np.arange(d)
-        steps = remove_block(work, h_inv, cols, alive, downdate=rnd + 1 < n_prune)
+        steps = remove_block(work, h_inv, cols, alive)
         step_error_sum += float(steps.sum())
 
     return HeadPruneResult(

@@ -32,11 +32,7 @@ class SpdMatrix:
     __slots__ = ("a", "low")
 
     def __init__(self, data):
-        a = np.asarray(data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix contains non-finite entries")
+        a = self._finite_square(data)
         scale = max(1.0, float(np.abs(a).max()))
         asym = float(np.abs(a - a.T).max())
         if asym > TOL.symmetry * scale:
@@ -46,6 +42,22 @@ class SpdMatrix:
             )
         self.a = (a + a.T) / 2.0
         self.low = None
+
+    @classmethod
+    def _exact(cls, data) -> "SpdMatrix":
+        """Wrap an exactly symmetric matrix as is: no symmetry check or pass."""
+        m = cls.__new__(cls)
+        m.a, m.low = cls._finite_square(data), None
+        return m
+
+    @staticmethod
+    def _finite_square(data) -> np.ndarray:
+        a = np.asarray(data, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix contains non-finite entries")
+        return a
 
     @property
     def n(self) -> int:
@@ -91,7 +103,7 @@ def invert_spd(m: SpdMatrix) -> SpdMatrix:
     LAPACK ``dpotri`` overwrites the Cholesky factor (``m.low``, then reset
     to None, or else a new ``cholesky_lower(m)``) with the inverse's lower
     triangle, which is mirrored into the upper one: exactly symmetric, so
-    only finiteness is checked, and its transpose is the same matrix in C order.
+    ``SpdMatrix._exact`` wraps its transpose, the same matrix in C order.
 
     Raises:
         NotSpdError: if the matrix is not positive definite.
@@ -100,11 +112,7 @@ def invert_spd(m: SpdMatrix) -> SpdMatrix:
     low, m.low = (cholesky_lower(m) if m.low is None else m.low), None
     inv, _ = dpotri(low, lower=1, overwrite_c=1)
     inv += np.tril(inv, -1).T
-    if not np.all(np.isfinite(inv)):
-        raise ValueError("matrix contains non-finite entries")
-    out = SpdMatrix.__new__(SpdMatrix)
-    out.a, out.low = inv.T, None
-    return out
+    return SpdMatrix._exact(inv.T)
 
 
 def grouped_cholesky(h_inv, group_size: int, alive=None) -> np.ndarray:
@@ -135,7 +143,7 @@ def grouped_cholesky(h_inv, group_size: int, alive=None) -> np.ndarray:
         raise NotSpdError(f"not SPD: a diagonal block failed Cholesky ({exc})") from exc
 
 
-def remove_block(w: np.ndarray, h_inv: np.ndarray, idx, alive, downdate=True) -> np.ndarray:
+def remove_block(w: np.ndarray, h_inv: np.ndarray, idx, alive) -> np.ndarray:
     """Remove live columns ``idx`` of ``w``, in the given order, with exact compensation.
 
     The group Optimal Brain Surgeon step, in place on writeable C-contiguous
@@ -148,10 +156,8 @@ def remove_block(w: np.ndarray, h_inv: np.ndarray, idx, alive, downdate=True) ->
     are BLAS ``dgemm`` calls with beta = 1 on the Fortran-order views
     ``w.T`` and ``h_inv.T``: nothing n x n is allocated. Removed entries
     are left at rounding level (about 1e-16), not zero: read both arrays
-    through ``alive``. ``downdate=False`` skips the n^2 k-flop ``h_inv``
-    update, for a loop's last call, after which nothing reads ``h_inv``.
-    Returns ``step_errors[i] = ||Q[:, i]||^2``, the exact error paid by
-    removing ``idx[i]`` after ``idx[:i]``.
+    through ``alive``. Returns ``step_errors[i] = ||Q[:, i]||^2``, the
+    exact error paid by removing ``idx[i]`` after ``idx[:i]``.
 
     Raises:
         ValueError: if ``idx`` is empty, repeats an index, is out of range or
@@ -179,7 +185,6 @@ def remove_block(w: np.ndarray, h_inv: np.ndarray, idx, alive, downdate=True) ->
     q_t = solve_triangular(low, w[:, idx].T, lower=True, check_finite=False)
     c = solve_triangular(low, h_inv[idx], lower=True, check_finite=False)
     dgemm(-1.0, c, q_t, beta=1.0, c=w.T, trans_a=1, overwrite_c=1)
-    if downdate:
-        dgemm(-1.0, c, c, beta=1.0, c=h_inv.T, trans_a=1, overwrite_c=1)
+    dgemm(-1.0, c, c, beta=1.0, c=h_inv.T, trans_a=1, overwrite_c=1)
     alive[idx] = False
     return (q_t * q_t).sum(axis=1)

@@ -73,8 +73,17 @@ class LayerWeights:
     def from_tensors(cls, entry: LayerEntry, tensors: dict) -> "LayerWeights":
         wq, wk, wv = (tensors[name] for name in entry.attn_coupled)
         w_up, w_gate = (tensors[name] for name in entry.ffn_coupled)
-        return cls(wq=wq, wk=wk, wv=wv, wo=tensors[entry.attn_out], w_up=w_up, w_gate=w_gate,
-                   w_down=tensors[entry.ffn_down], n_head=entry.n_head, d_head=entry.d_head)
+        return cls(
+            wq=wq,
+            wk=wk,
+            wv=wv,
+            wo=tensors[entry.attn_out],
+            w_up=w_up,
+            w_gate=w_gate,
+            w_down=tensors[entry.ffn_down],
+            n_head=entry.n_head,
+            d_head=entry.d_head,
+        )
 
 
 def layer_names(layer: int) -> dict:
@@ -113,8 +122,17 @@ def gen_toy(spec: ToyModelSpec):
         w_gate = rng.normal(size=(dff, dm)) / np.sqrt(dm)
         w_down = rng.normal(size=(dm, dff)) / np.sqrt(dff)
         w_down *= np.exp(0.5 * rng.normal(size=dff))[None, :]
-        arrays = dict(wq=wq, wk=wk, wv=wv, wo=wo, w_up=w_up, w_gate=w_gate, w_down=w_down)
-        tensors.update({names[key]: arr for key, arr in arrays.items()})
+        tensors.update(
+            {
+                names["wq"]: wq,
+                names["wk"]: wk,
+                names["wv"]: wv,
+                names["wo"]: wo,
+                names["w_up"]: w_up,
+                names["w_gate"]: w_gate,
+                names["w_down"]: w_down,
+            }
+        )
         entries.append(
             LayerEntry(
                 attn_out=names["wo"],

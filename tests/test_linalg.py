@@ -68,6 +68,11 @@ class TestInvertSpd:
         with pytest.raises(NotSpdError, match="not SPD"):
             invert_spd(bad)
 
+    def test_rejects_overflowing_inverse(self):
+        # dpotrf accepts the subnormal pivot; its inverse overflows to inf
+        with pytest.raises(ValueError, match="non-finite"):
+            invert_spd(SpdMatrix(np.diag([1e-310, 1.0])))
+
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(11)
         for n in (1, 7, 64, 200):
@@ -390,20 +395,6 @@ class TestRemoveBlockInPlace:
         dead = ~alive
         assert np.abs(h_run[dead]).max() <= 1e-12 * np.abs(h_run).max()
         assert np.abs(w_run[:, dead]).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
-
-    def test_without_downdate_only_h_inv_is_left_alone(self):
-        rng = np.random.default_rng(18)
-        h_inv = invert_spd(rand_spd(rng, 9)).a
-        w = rng.normal(size=(3, 9))
-        runs = []
-        for downdate in (True, False):
-            w_run, h_run, alive = w.copy(), h_inv.copy(), np.ones(9, dtype=bool)
-            steps = remove_block(w_run, h_run, [4, 0, 7], alive, downdate=downdate)
-            runs.append((w_run, h_run, alive, steps))
-        (w1, h1, alive1, steps1), (w2, h2, alive2, steps2) = runs
-        assert np.array_equal(w1, w2) and np.array_equal(steps1, steps2)
-        assert np.array_equal(alive1, alive2) and alive2.sum() == 6
-        assert np.array_equal(h2, h_inv) and not np.array_equal(h1, h_inv)
 
     def test_rejected_calls_change_nothing(self):
         rng = np.random.default_rng(16)
