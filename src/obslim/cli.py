@@ -22,7 +22,13 @@ from .pipeline import (
     verify_report,
 )
 from .schedule import build_schedule
-from .tensorstore import ModelManifest, read_tensor_file, validate_manifest, write_tensor_file
+from .tensorstore import (
+    ModelManifest,
+    read_tensor_file,
+    read_tensor_header,
+    validate_manifest,
+    write_tensor_file,
+)
 
 VARIANT_FLAGS = {
     "log-inc": "log_increase",
@@ -136,7 +142,7 @@ def _merged_settings(args) -> dict:
 
 
 def _layer_param_weights(manifest: ModelManifest, tensors: dict) -> np.ndarray:
-    """Prunable parameter count per layer (anchor plus coupled tensors)."""
+    """Prunable parameter count per layer (anchor plus coupled tensors, or their headers)."""
     weights = []
     for entry in manifest.layers:
         count = tensors[entry.attn_out].size + tensors[entry.ffn_down].size
@@ -148,24 +154,25 @@ def _layer_param_weights(manifest: ModelManifest, tensors: dict) -> np.ndarray:
 
 def _cmd_prune(args) -> int:
     settings = _merged_settings(args)
-    tensors = read_tensor_file(args.model)
+    header = read_tensor_header(args.model)
     manifest = ModelManifest.load(args.manifest)
-    calib_map = read_tensor_file(args.calib)
-    calib = list(calib_map.values())
-    validate_manifest(manifest, tensors)
-
+    validate_manifest(manifest, header)
+    # the schedule needs only the shapes, so a bad setting costs no payload read
     sched = build_schedule(
         manifest.n_layers,
         VARIANT_FLAGS.get(settings["variant"], settings["variant"]) or "log_increase",
         r0=settings["ratio_first"],
         rn=settings["ratio_last"],
         global_target=settings["global_target"],
-        layer_param_weights=_layer_param_weights(manifest, tensors),
+        layer_param_weights=_layer_param_weights(manifest, header),
     )
     config = PruneConfig(**{key: settings[key] for key in PruneConfig().to_dict()})
+    tensors = read_tensor_file(args.model)
+    calib = list(read_tensor_file(args.calib).values())
     t_start = time.perf_counter()
     pruned, pruned_manifest, report = prune_model(tensors, manifest, calib, sched, config)
     elapsed = time.perf_counter() - t_start
+    del tensors  # the pruned model shares no memory with it: free it before the write
 
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.obt")
@@ -174,7 +181,7 @@ def _cmd_prune(args) -> int:
     report.save(os.path.join(args.out, "report.json"))
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
-    total_params = sum(a.size for a in tensors.values())
+    total_params = sum(entry.size for entry in header.values())
     kept_params = sum(a.size for a in pruned.values())
     print(_format_report(report))
     print(f"params {total_params} -> {kept_params} "

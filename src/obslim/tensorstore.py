@@ -5,11 +5,17 @@ header mapping each tensor name to ``{dtype, shape, byte_offset, byte_len}``,
 then the raw payload (little-endian, row-major). Offsets are relative to the
 start of the payload. Only ``f32`` and ``f64`` matrices are stored; matrices
 come back as float64 (float32 values convert exactly).
+
+The reader checks the whole header against the file size, then reads each
+payload straight into its array; the writer writes each tensor as it
+converts it. Neither holds the file's bytes next to the arrays.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +31,10 @@ def write_tensor_file(tensors: dict, path) -> None:
     """Write a name -> matrix map; round-trips bit-exactly through read_tensor_file.
 
     Matrices must be 2-D, finite, and float32 or float64 (the dtype is
-    preserved on disk).
+    preserved on disk). All are checked before the file is opened; then each
+    is written as it is converted, so at most one tensor is ever copied.
     """
     entries = {}
-    chunks = []
     offset = 0
     for name, value in tensors.items():
         if not isinstance(name, str) or not name:
@@ -41,22 +47,33 @@ def write_tensor_file(tensors: dict, path) -> None:
             raise TensorFormatError(f"{name}: expected a 2-D matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise TensorFormatError(f"{name}: non-finite values rejected")
-        data = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
         entries[name] = {
             "dtype": tag,
             "shape": [int(arr.shape[0]), int(arr.shape[1])],
             "byte_offset": offset,
-            "byte_len": len(data),
+            "byte_len": arr.nbytes,
         }
-        chunks.append(data)
-        offset += len(data)
+        offset += arr.nbytes
     header = json.dumps(entries, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for chunk in chunks:
-            fh.write(chunk)
+        for name, value in tensors.items():
+            fh.write(np.ascontiguousarray(value, dtype=_DTYPES[entries[name]["dtype"]]).data)
+
+
+class TensorEntry(NamedTuple):
+    """One validated header entry: payload dtype, matrix shape, absolute byte extent."""
+
+    dtype: np.dtype
+    shape: tuple
+    start: int
+    length: int
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
 
 
 def _parse_header(raw: bytes) -> dict:
@@ -77,29 +94,21 @@ def _parse_header(raw: bytes) -> dict:
     return header
 
 
-def read_tensor_file(path) -> dict:
-    """Read a container back into a name -> float64 matrix map.
-
-    Raises:
-        TensorFormatError: bad magic, malformed header, unknown dtype,
-            payload bounds violations (overlap, overflow, length mismatch),
-            or non-finite values, which the writer refuses as well.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
+def _read_header(fh) -> dict:
+    """Read and validate the header of the open container ``fh``; see read_tensor_header."""
+    lead = fh.read(len(MAGIC) + 8)
+    if lead[: len(MAGIC)] != MAGIC:
         raise TensorFormatError(f"bad magic: expected {MAGIC!r}")
-    if len(blob) < len(MAGIC) + 8:
+    if len(lead) < len(MAGIC) + 8:
         raise TensorFormatError("file truncated before header length")
-    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    (header_len,) = struct.unpack_from("<Q", lead, len(MAGIC))
     header_end = len(MAGIC) + 8 + header_len
-    if header_end > len(blob):
+    payload_len = os.fstat(fh.fileno()).st_size - header_end
+    if payload_len < 0:
         raise TensorFormatError("header length exceeds file size")
-    header = _parse_header(blob[len(MAGIC) + 8 : header_end])
-    payload = memoryview(blob)[header_end:]  # a view: slicing bytes would copy the payload
+    header = _parse_header(fh.read(header_len))
 
-    tensors = {}
-    extents = []
+    entries = {}
     for name, entry in header.items():
         try:
             tag = entry["dtype"]
@@ -117,17 +126,49 @@ def read_tensor_file(path) -> dict:
             raise TensorFormatError(
                 f"{name}: byte_len {length} inconsistent with shape {rows}x{cols} ({tag})"
             )
-        if off < 0 or off + length > len(payload):
+        if off < 0 or off + length > payload_len:
             raise TensorFormatError(f"{name}: payload bounds exceeded")
-        extents.append((off, off + length, name))
-        arr = np.frombuffer(payload, dtype=dtype, count=rows * cols, offset=off)
-        if not np.all(np.isfinite(arr)):
-            raise TensorFormatError(f"{name}: non-finite values in payload")
-        tensors[name] = arr.reshape(rows, cols).astype(np.float64)
-    extents.sort()
+        entries[name] = TensorEntry(dtype, (rows, cols), header_end + off, length)
+    extents = sorted((e.start, e.start + e.length, name) for name, e in entries.items())
     for (_, prev_end, prev_name), (start, _, name) in zip(extents, extents[1:]):
         if start < prev_end:
             raise TensorFormatError(f"overlapping payload: {prev_name!r} and {name!r}")
+    return entries
+
+
+def read_tensor_header(path) -> dict:
+    """The checked header as a name -> ``TensorEntry`` map, without reading any payload.
+
+    Entries have a ``shape`` and ``size`` like their matrices, so
+    ``validate_manifest`` accepts the map. Raises ``TensorFormatError`` on
+    bad magic, a malformed header, an unknown dtype, or payload bounds
+    violations (overlap, overflow, length mismatch).
+    """
+    with open(path, "rb") as fh:
+        return _read_header(fh)
+
+
+def read_tensor_file(path) -> dict:
+    """Read a container back into a name -> float64 matrix map.
+
+    Each payload is read straight into its array (for ``f32``, a temporary
+    that is then upcast) once ``read_tensor_header``'s checks have passed.
+
+    Raises:
+        TensorFormatError: a header error, a payload cut short while it is
+            read, or non-finite values, which the writer refuses as well.
+    """
+    tensors = {}
+    with open(path, "rb") as fh:
+        for name, entry in _read_header(fh).items():
+            arr = np.empty(entry.shape, dtype=entry.dtype)
+            fh.seek(entry.start)
+            # through a byte view: exporting arr's own buffer would cache its format on arr
+            if fh.readinto(arr.view(np.uint8)) != entry.length:
+                raise TensorFormatError(f"{name}: payload truncated")
+            if not np.all(np.isfinite(arr)):
+                raise TensorFormatError(f"{name}: non-finite values in payload")
+            tensors[name] = arr.astype(np.float64, copy=False)
     return tensors
 
 

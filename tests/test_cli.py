@@ -1,10 +1,14 @@
 """End-to-end CLI behavior and exit codes (0 ok, 1 usage, 2 numerical)."""
 
 import json
+import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from obslim import cli
 from obslim.cli import main
 from obslim.pipeline import PruneReport
 from obslim.tensorstore import ModelManifest, read_tensor_file, write_tensor_file
@@ -25,6 +29,15 @@ def toy_dir(tmp_path):
                 "--batches", "2", "--tokens", "24"])
     assert code == 0
     return out
+
+
+@pytest.fixture()
+def no_payload_read(monkeypatch):
+    """Make ``prune`` fail the test if it reads a tensor file's payload."""
+    def fail(path):
+        raise AssertionError(f"payload of {path} read")
+
+    monkeypatch.setattr(cli, "read_tensor_file", fail)
 
 
 class TestGenToy:
@@ -70,6 +83,14 @@ def prune_args(toy_dir, out, extra=()):
         "--out", str(out),
         *extra,
     ]
+
+
+MALFORMED_MODELS = {
+    "bad-magic": lambda b: b"NOTMAGIC" + b[8:],
+    "header-length": lambda b: b[:8] + struct.pack("<Q", 2**40) + b[16:],
+    "non-finite": lambda b: b[:-8] + np.array([np.nan]).tobytes(),
+    "truncated": lambda b: b[:-8],
+}
 
 
 class TestPrune:
@@ -180,7 +201,8 @@ class TestPrune:
         ["--global-target", "0.3", "--ratio-last", "0.9"],
         ["--variant", "uniform", "--ratio-first", "0.1", "--global-target", "0.4"],
     ], ids=["uniform-ratio-last", "target-and-ratio-last", "uniform-ratio-first-and-target"])
-    def test_ignored_schedule_setting_exit_2(self, toy_dir, tmp_path, capsys, flags):
+    def test_ignored_schedule_setting_exit_2(self, toy_dir, tmp_path, capsys, flags,
+                                             no_payload_read):
         out = tmp_path / "out"
         code = run(prune_args(toy_dir, out, flags))
         err = capsys.readouterr().err
@@ -260,6 +282,46 @@ class TestPrune:
         assert run(prune_args(toy_dir, tmp_path / "out", flags)) == 2
         err = capsys.readouterr().err
         assert err == "error: layer 1: tensor 'layers.1.attn.renamed' missing\n"
+
+    @pytest.mark.parametrize("renamed, flags", [
+        (True, ["--global-target", "0.4"]),
+        (False, ["--group-start", "2", "--group-min", "4"]),
+    ], ids=["manifest-missing-tensor", "config-group-sizes"])
+    def test_manifest_or_config_error_reads_no_payload(self, toy_dir, tmp_path, capsys,
+                                                       no_payload_read, renamed, flags):
+        if renamed:
+            manifest = ModelManifest.load(toy_dir / "manifest.json")
+            manifest.layers[1].attn_out = "layers.1.attn.renamed"
+            manifest.save(toy_dir / "manifest.json")
+        assert run(prune_args(toy_dir, tmp_path / "out", flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("tamper", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+    def test_malformed_model_exit_2(self, toy_dir, tmp_path, capsys, tamper):
+        path = toy_dir / "model.obt"
+        path.write_bytes(tamper(path.read_bytes()))
+        assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_job_holds_the_model_less_than_twice(self, tmp_path):
+        # reading into preallocated arrays, pruning without copying the whole
+        # model up front and streaming the write keep a prune job below 2x
+        # the model file, pruned copy and one layer's working state included
+        data = tmp_path / "m"
+        assert run(["gen-toy", "--out", str(data), "--layers", "16", "--d-model", "64",
+                    "--heads", "4", "--d-ff", "128", "--batches", "2", "--tokens", "32"]) == 0
+        size = os.path.getsize(data / "model.obt")
+        tracemalloc.start()
+        try:
+            code = run(prune_args(data, tmp_path / "out", [
+                "--variant", "uniform", "--ratio-first", "0.5", "--ratio-last", "0.5"]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * size, peak / size
 
     def test_unreachable_target_exit_2(self, toy_dir, tmp_path):
         assert run(prune_args(toy_dir, tmp_path / "out", [

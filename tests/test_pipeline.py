@@ -418,6 +418,26 @@ class TestPruneModel:
             orig.w_down[:, live], h_live, np.searchsorted(live, row.kept_channels))
         assert np.linalg.norm(new.w_down - want) <= 1e-8 * np.linalg.norm(want)
 
+    def test_leaves_its_input_alone(self):
+        # layer 0 removes nothing, so its tensors come back unsliced; layer 1
+        # has a dead FFN channel at damping 0, whose w_down column the
+        # dead-feature rule zeroes in place; "embed" belongs to no layer and
+        # is float32
+        tensors, manifest, calib = gen_toy(ToyModelSpec(n_layers=2, seed=7))
+        tensors["layers.1.ffn.w_up"][5] = 0.0
+        tensors["embed"] = np.ones((3, 4), dtype=np.float32)
+        before = {name: arr.copy() for name, arr in tensors.items()}
+        calib_before = [x.copy() for x in calib]
+        cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
+        pruned, _, report = prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.25]), cfg)
+        assert report.layers[0].channels_removed == 0 and 5 not in report.layers[1].kept_channels
+        assert list(pruned) == list(tensors)
+        for name, arr in tensors.items():
+            assert arr.dtype == before[name].dtype and arr.tobytes() == before[name].tobytes(), name
+            assert pruned[name].dtype == np.float64, name
+            assert not np.shares_memory(pruned[name], arr), name
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(calib, calib_before))
+
     def test_dead_feature_rule(self):
         rng = np.random.default_rng(0)
         feats = [rng.normal(size=(6, 20)) for _ in range(2)]

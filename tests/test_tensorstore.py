@@ -8,12 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from obslim import tensorstore
 from obslim.errors import ManifestError, TensorFormatError
 from obslim.tensorstore import (
     MAGIC,
     LayerEntry,
     ModelManifest,
     read_tensor_file,
+    read_tensor_header,
     validate_manifest,
     write_tensor_file,
 )
@@ -23,6 +25,17 @@ def craft_file(path, header: dict, payload: bytes):
     raw = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<Q", len(raw)) + raw + payload)
+
+
+def traced_peak(fn):
+    """``(fn(), peak traced heap in bytes while it ran)``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 class TestRoundTrip:
@@ -90,6 +103,30 @@ class TestRoundTrip:
             tracemalloc.stop()
         assert len(back) == 4
         assert peak < 2.5 * size, peak / size
+
+    def test_read_f64_holds_only_the_arrays(self, tmp_path):
+        # each payload is read straight into its result; only the header and
+        # one tensor's finiteness mask come on top
+        rng = np.random.default_rng(5)
+        path = tmp_path / "big.obt"
+        write_tensor_file({f"t{i}": rng.normal(size=(256, 512)) for i in range(8)}, path)
+        size = os.path.getsize(path)
+        back, peak = traced_peak(lambda: read_tensor_file(path))
+        assert len(back) == 8
+        assert peak <= 1.1 * size, peak / size
+
+    def test_write_holds_one_converted_tensor_at_most(self, tmp_path):
+        # the largest tensor is Fortran-ordered, so it alone needs a contiguous
+        # copy; the payload as a whole is never held
+        rng = np.random.default_rng(6)
+        tensors = {f"t{i}": rng.normal(size=(256, 512)) for i in range(6)}
+        tensors["f"] = np.asfortranarray(rng.normal(size=(512, 512)))
+        tensors["s"] = rng.normal(size=(64, 512)).astype(np.float32)
+        path = tmp_path / "w.obt"
+        _, peak = traced_peak(lambda: write_tensor_file(tensors, path))
+        assert peak < tensors["f"].nbytes + 2**16, peak
+        back = read_tensor_file(path)
+        assert all(np.array_equal(back[name], tensors[name]) for name in tensors)
 
 
 class TestWriteValidation:
@@ -185,6 +222,46 @@ class TestReadValidation:
         )
         with pytest.raises(TensorFormatError, match="non-finite"):
             read_tensor_file(path)
+
+    def test_header_promising_missing_payload_allocates_nothing(self, tmp_path):
+        # the header is checked against the file size before any array exists
+        path = tmp_path / "short.obt"
+        craft_file(
+            path,
+            {"w": {"dtype": "f64", "shape": [1000, 1000], "byte_offset": 0,
+                   "byte_len": 8_000_000}},
+            b"\x00" * 64,
+        )
+        for read in (read_tensor_file, read_tensor_header):
+            def attempt(read=read):
+                with pytest.raises(TensorFormatError, match="w: payload bounds exceeded"):
+                    read(path)
+
+            _, peak = traced_peak(attempt)
+            assert peak < 2**16, (read.__name__, peak)
+
+    def test_payload_cut_short_while_reading(self, tmp_path, monkeypatch):
+        # the file shrinks between the header check and the payload read
+        path = tmp_path / "cut.obt"
+        write_tensor_file({"a": np.ones((64, 64)), "b": np.ones((64, 64))}, path)
+        parse = tensorstore._read_header
+
+        def parse_then_truncate(fh):
+            entries = parse(fh)
+            os.truncate(path, os.path.getsize(path) - 8)
+            return entries
+
+        monkeypatch.setattr(tensorstore, "_read_header", parse_then_truncate)
+        with pytest.raises(TensorFormatError, match="b: payload truncated"):
+            read_tensor_file(path)
+
+    def test_header_alone(self, tmp_path):
+        path = tmp_path / "h.obt"
+        write_tensor_file({"a": np.zeros((2, 3)), "b": np.zeros((4, 1), dtype=np.float32)}, path)
+        header = read_tensor_header(path)
+        assert list(header) == ["a", "b"]
+        assert [(e.shape, e.size, e.length) for e in header.values()] == [
+            ((2, 3), 6, 48), ((4, 1), 4, 16)]
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.obt"
