@@ -31,7 +31,7 @@ x = mix @ rng.normal(size=(d, tokens))
 w = rng.normal(size=(5, d)) * np.exp(0.6 * rng.normal(size=d))[None, :]
 
 h = HessianAccumulator(d).accumulate(x).finalize(damping_frac=0.01)
-h_inv = invert_spd(h).a
+h_inv = invert_spd(h)
 
 errs = column_errors(w, h_inv)
 print("per-column removal errors:")

@@ -5,14 +5,16 @@ layer's input features X (columns are tokens). ``prune_model`` streams each
 layer's features through the already-pruned prefix into one accumulator per
 Hessian; sums add in arrival order for bit-reproducibility, and a
 proportional diagonal damping is applied once at finalization to survive
-dead feature channels.
+dead feature channels. ``finalize`` validates the damped sum as an
+``SpdMatrix`` but does not factor it: its positive definiteness is checked
+by the one factorization it gets, in ``linalg.invert_spd``.
 """
 
 import numpy as np
 
 from .config import DEFAULT_DAMPING
 from .errors import NotSpdError
-from .linalg import SpdMatrix, cholesky_lower
+from .linalg import SpdMatrix
 
 
 class HessianAccumulator:
@@ -45,11 +47,11 @@ class HessianAccumulator:
     def finalize(self, damping_frac: float = DEFAULT_DAMPING) -> SpdMatrix:
         """Damped Hessian ``sum + damping_frac * mean(diag(sum)) * I``.
 
-        Its Cholesky factor, the PD check, stays cached as ``low`` for ``invert_spd``.
+        Not factored here: ``invert_spd`` raises ``NotSpdError`` if it is not
+        positive definite (e.g. an all-zero accumulator with zero damping).
 
         Raises:
-            NotSpdError: if the damped sum is still not positive definite
-                (e.g. an all-zero accumulator with zero damping).
+            NotSpdError: if the damped sum has non-finite entries.
         """
         if self.n_samples <= 0:
             raise ValueError("cannot finalize an empty accumulator")
@@ -57,8 +59,6 @@ class HessianAccumulator:
             raise ValueError(f"damping_frac must be >= 0, got {damping_frac}")
         lam = damping_frac * float(np.mean(np.diag(self.sum)))
         try:
-            h = SpdMatrix(self.sum + lam * np.eye(self.dim))
-            h.low = cholesky_lower(h)
-        except (ValueError, NotSpdError) as exc:
+            return SpdMatrix(self.sum + lam * np.eye(self.dim))
+        except ValueError as exc:
             raise NotSpdError(f"singular Hessian: {exc}") from exc
-        return h

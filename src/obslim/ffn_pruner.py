@@ -65,7 +65,7 @@ def prune_channels(w: np.ndarray, h: SpdMatrix, n_prune: int, sched: GroupSchedu
         raise ValueError(f"weight shape {w.shape} inconsistent with Hessian dim {h.n}")
     if not 0 <= n_prune < w.shape[1]:
         raise ValueError(f"cannot prune {n_prune} of {w.shape[1]} channels")
-    h_inv = invert_spd(h).a
+    h_inv = invert_spd(h)
     alive = np.ones(w.shape[1], dtype=bool)
     step_errors = []
     for k in group_sizes(n_prune, sched):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpdMatrix, as_array, grouped_cholesky, invert_spd, remove_block
+from .linalg import SpdMatrix, grouped_cholesky, invert_spd, remove_block
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class HeadPruneResult:
     step_error_sum: float
 
 
-def head_errors(w: np.ndarray, h_inv, layout: HeadLayout, alive=None) -> np.ndarray:
+def head_errors(w: np.ndarray, h_inv: np.ndarray, layout: HeadLayout, alive=None) -> np.ndarray:
     """Estimated removal error of every live head, without touching the weights.
 
     Each head's block of the inverse Hessian is factored on its own; the
@@ -59,11 +59,11 @@ def head_errors(w: np.ndarray, h_inv, layout: HeadLayout, alive=None) -> np.ndar
     diagonal would play under sequential column removal, so
     ``err[h] = sum over the head's columns j and all rows of
     w[:, j]**2 / L_h[j, j]**2``. Weight compensation is skipped during
-    estimation. ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array; with
-    the survivor mask ``alive`` of ``remove_block``, only whole live heads are scored.
+    estimation. ``h_inv`` is a symmetric float64 array; with the survivor
+    mask ``alive`` of ``remove_block``, only whole live heads are scored.
     """
     w = np.asarray(w, dtype=np.float64)
-    n = as_array(h_inv).shape[0]
+    n = h_inv.shape[0]
     if w.ndim != 2 or w.shape[1] != layout.n_cols or n != layout.n_cols:
         raise ValueError(
             f"inconsistent dims: w {w.shape}, h_inv {n}, "
@@ -100,7 +100,7 @@ def prune_heads(
     alive = np.ones(layout.n_cols, dtype=bool)
     errors_per_round = np.full((n_prune, layout.n_head), np.nan)
     step_error_sum = 0.0
-    h_inv = invert_spd(h).a if n_prune else None
+    h_inv = invert_spd(h) if n_prune else None
 
     for rnd in range(n_prune):
         live_heads = np.flatnonzero(alive[::d])

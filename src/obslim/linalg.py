@@ -5,8 +5,9 @@ Cholesky factorization, inversion from the factor, per-block (grouped)
 factorization of diagonal blocks, and the block-OBS kernel that removes a
 set of columns from a weight matrix and its inverse Hessian in one solve.
 
-Identical inputs produce bit-identical outputs. Only ``remove_block`` (in
-place) and ``invert_spd`` (the factor an ``SpdMatrix`` caches) mutate inputs.
+``SpdMatrix`` validates a Hessian where it enters the public API; past
+that point, inverses are plain float64 arrays. Identical inputs produce
+bit-identical outputs. Only ``remove_block`` mutates its inputs, in place.
 """
 
 import numpy as np
@@ -19,20 +20,23 @@ from .errors import NotSpdError
 
 
 class SpdMatrix:
-    """A symmetric positive-definite matrix in float64.
+    """A validated symmetric float64 matrix, the Hessian type of the public API.
 
-    The constructor symmetrizes its input as (M + M^T)/2 after checking
-    that the asymmetry is within ``TOL.symmetry`` relative to the largest
-    entry. Positive definiteness is enforced where a factorization is
-    actually taken (`cholesky_lower`, `invert_spd`), which raise
-    ``NotSpdError`` on failure. ``low`` caches a ``cholesky_lower`` factor
-    for ``invert_spd`` to consume, or is None.
+    The constructor checks that its input is square and finite and that the
+    asymmetry is within ``TOL.symmetry`` relative to the largest entry, then
+    symmetrizes it as (M + M^T)/2. Positive definiteness is checked by the
+    one factorization the matrix gets (`cholesky_lower`, `invert_spd`), which
+    raises ``NotSpdError`` on failure.
     """
 
-    __slots__ = ("a", "low")
+    __slots__ = ("a",)
 
     def __init__(self, data):
-        a = self._finite_square(data)
+        a = np.asarray(data, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix contains non-finite entries")
         scale = max(1.0, float(np.abs(a).max()))
         asym = float(np.abs(a - a.T).max())
         if asym > TOL.symmetry * scale:
@@ -41,48 +45,13 @@ class SpdMatrix:
                 f"exceeds {TOL.symmetry:.0e} relative tolerance"
             )
         self.a = (a + a.T) / 2.0
-        self.low = None
-
-    @classmethod
-    def _exact(cls, data) -> "SpdMatrix":
-        """Wrap an exactly symmetric matrix as is: no symmetry check or pass."""
-        m = cls.__new__(cls)
-        m.a, m.low = cls._finite_square(data), None
-        return m
-
-    @staticmethod
-    def _finite_square(data) -> np.ndarray:
-        a = np.asarray(data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix contains non-finite entries")
-        return a
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.a)
-
-    def submatrix(self, idx) -> "SpdMatrix":
-        """Principal submatrix on the given index sequence."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return SpdMatrix(self.a[np.ix_(idx, idx)])
-
     def __repr__(self):
         return f"SpdMatrix(n={self.n})"
-
-
-def as_array(m) -> np.ndarray:
-    """The float64 array of an ``SpdMatrix``, or ``m`` as a float64 array.
-
-    Public entry points validate their Hessians as ``SpdMatrix``; the
-    pruning loops then carry raw arrays, which the scoring kernels accept
-    through this helper without re-validating them.
-    """
-    return m.a if isinstance(m, SpdMatrix) else np.asarray(m, dtype=np.float64)
 
 
 def cholesky_lower(m: SpdMatrix) -> np.ndarray:
@@ -97,32 +66,35 @@ def cholesky_lower(m: SpdMatrix) -> np.ndarray:
     return low
 
 
-def invert_spd(m: SpdMatrix) -> SpdMatrix:
-    """Exactly symmetric inverse of an SPD matrix, as an ``SpdMatrix``.
+def invert_spd(m: SpdMatrix) -> np.ndarray:
+    """Exactly symmetric inverse of an SPD matrix, as a writeable C-contiguous array.
 
-    LAPACK ``dpotri`` overwrites the Cholesky factor (``m.low``, then reset
-    to None, or else a new ``cholesky_lower(m)``) with the inverse's lower
-    triangle, which is mirrored into the upper one: exactly symmetric, so
-    ``SpdMatrix._exact`` wraps its transpose, the same matrix in C order.
+    ``cholesky_lower(m)`` is the positive-definiteness check and the only
+    factorization ``m`` gets; LAPACK ``dpotri`` overwrites that factor with
+    the inverse's lower triangle, which is mirrored into the upper one. The
+    result is the transpose of the Fortran-order factor array, the same
+    matrix in C order, ready for ``remove_block``.
 
     Raises:
         NotSpdError: if the matrix is not positive definite.
         ValueError: if the inverse has non-finite entries.
     """
-    low, m.low = (cholesky_lower(m) if m.low is None else m.low), None
-    inv, _ = dpotri(low, lower=1, overwrite_c=1)
+    inv, _ = dpotri(cholesky_lower(m), lower=1, overwrite_c=1)
     inv += np.tril(inv, -1).T
-    return SpdMatrix._exact(inv.T)
+    if not np.all(np.isfinite(inv)):
+        raise ValueError("inverse has non-finite entries")
+    return inv.T
 
 
-def grouped_cholesky(h_inv, group_size: int, alive=None) -> np.ndarray:
+def grouped_cholesky(h_inv: np.ndarray, group_size: int, alive=None) -> np.ndarray:
     """Factor every live ``group_size`` diagonal block of ``h_inv`` independently.
 
-    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array; with the survivor
-    mask ``alive`` of ``remove_block``, only blocks whose columns all survive
-    are factored. Returns their (n_blocks, group_size, group_size) stack of
-    lower-triangular factors, in block order. The blocks are factored as a
-    batch; the result does not depend on the order they are processed in.
+    ``h_inv`` is a symmetric float64 array, such as ``invert_spd``'s result;
+    with the survivor mask ``alive`` of ``remove_block``, only blocks whose
+    columns all survive are factored. Returns their (n_blocks, group_size,
+    group_size) stack of lower-triangular factors, in block order. The
+    blocks are factored as a batch; the result does not depend on the order
+    they are processed in.
 
     Raises:
         ValueError: if the dimension is not divisible by ``group_size``.
@@ -130,15 +102,14 @@ def grouped_cholesky(h_inv, group_size: int, alive=None) -> np.ndarray:
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    a = as_array(h_inv)
-    n = a.shape[0]
+    n = h_inv.shape[0]
     if n % group_size != 0:
         raise ValueError(f"dimension {n} not divisible by group size {group_size}")
     cols = np.arange(n).reshape(-1, group_size)
     if alive is not None:
         cols = cols[alive.reshape(-1, group_size).all(axis=1)]
     try:
-        return np.linalg.cholesky(a[cols[:, :, None], cols[:, None, :]])
+        return np.linalg.cholesky(h_inv[cols[:, :, None], cols[:, None, :]])
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"not SPD: a diagonal block failed Cholesky ({exc})") from exc
 

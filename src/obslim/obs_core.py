@@ -13,22 +13,22 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NotSpdError
-from .linalg import SpdMatrix, as_array
+from .linalg import SpdMatrix
 
 # Exhaustive search refuses to enumerate more subsets than this.
 ENUMERATION_GUARD = 100_000
 
 
-def column_errors(w: np.ndarray, h_inv, alive=None) -> np.ndarray:
+def column_errors(w: np.ndarray, h_inv: np.ndarray, alive=None) -> np.ndarray:
     """Pruning error of each column: squared norm over the inverse-Hessian diagonal.
 
     ``err[p] = sum(w[:, p]**2) / h_inv[p, p]`` is the exact increase of the
     reconstruction objective if column ``p`` alone were removed now.
-    ``h_inv`` is an ``SpdMatrix`` or a raw symmetric array; with the survivor
-    mask ``alive`` of ``remove_block``, only the live columns are scored.
+    ``h_inv`` is a symmetric float64 array; with the survivor mask ``alive``
+    of ``remove_block``, only the live columns are scored.
     """
     w = np.asarray(w, dtype=np.float64)
-    diag = np.diag(as_array(h_inv))
+    diag = np.diag(h_inv)
     if w.ndim != 2 or w.shape[1] != diag.size:
         raise ValueError(
             f"weight shape {w.shape} inconsistent with inverse Hessian dim {diag.size}"
@@ -56,7 +56,7 @@ def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:
     try:
         return np.linalg.solve(h_kk, (w @ h_k).T).T
     except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"kept-column submatrix is singular ({exc})") from exc
+        raise NotSpdError(f"kept-column block of the Hessian is singular ({exc})") from exc
 
 
 def mask_residual(w: np.ndarray, h: SpdMatrix, kept) -> float:

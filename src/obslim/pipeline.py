@@ -43,10 +43,10 @@ class ToyModelSpec:
     tokens_per_batch: int = 64
 
     def __post_init__(self):
-        if self.d_model % self.n_head != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_head {self.n_head}")
         if min(self.n_layers, self.d_model, self.n_head, self.d_ff) < 1:
             raise ValueError("all dimensions must be >= 1")
+        if self.d_model % self.n_head != 0:
+            raise ValueError(f"d_model {self.d_model} not divisible by n_head {self.n_head}")
         if min(self.n_calib_batches, self.tokens_per_batch) < 1:
             raise ValueError("calibration needs at least one batch of one token")
 

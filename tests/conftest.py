@@ -154,7 +154,7 @@ def greedy_channels(w, h: SpdMatrix, n_prune: int):
     Returns ``(pruned_w, kept, step_errors)`` like ``prune_channels``.
     """
     w = np.array(w, dtype=np.float64, order="C")
-    h_inv = invert_spd(h).a
+    h_inv = invert_spd(h)
     alive = np.ones(w.shape[1], dtype=bool)
     steps = []
     for _ in range(n_prune):
@@ -176,7 +176,8 @@ def reinvert_prune_heads(w, h: SpdMatrix, layout: HeadLayout, n_prune: int) -> H
     for rnd in range(n_prune):
         cols = np.concatenate([head_cols(layout, hd) for hd in alive])
         w_cur = least_squares_oracle(w, h, cols)
-        errs = head_errors(w_cur, invert_spd(h.submatrix(cols)), HeadLayout(len(alive), d))
+        h_kept = SpdMatrix(h.a[np.ix_(cols, cols)])
+        errs = head_errors(w_cur, invert_spd(h_kept), HeadLayout(len(alive), d))
         errors[rnd, alive] = errs
         alive.pop(int(np.argmin(errs)))
     cols = np.concatenate([head_cols(layout, hd) for hd in alive])

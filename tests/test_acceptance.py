@@ -56,8 +56,8 @@ def test_c01_lemma_suite():
         m = rand_spd(rng, n)
         perm = rng.permutation(n)
         sym = np.ix_(perm, perm)
-        lhs = invert_spd(m).a[sym]
-        rhs = invert_spd(SpdMatrix(m.a[sym])).a
+        lhs = invert_spd(m)[sym]
+        rhs = invert_spd(SpdMatrix(m.a[sym]))
         worst_perm = max(worst_perm, float(np.abs(lhs - rhs).max()))
         k = int(rng.integers(1, n + 1))
         low = cholesky_lower(m)
@@ -80,7 +80,7 @@ def test_c02_remove_update_oracle():
     for _ in range(200):
         n = int(rng.integers(2, 13))
         h = rand_spd(rng, n)
-        h_inv = invert_spd(h).a
+        h_inv = invert_spd(h)
         w = np.zeros((1, n))
         for p in range(n):
             direct = np.linalg.inv(np.delete(np.delete(h.a, p, 0), p, 1))
@@ -95,10 +95,10 @@ def test_c02_remove_update_oracle():
         n = int(rng.integers(4, 17))
         d = int(rng.integers(1, n - 1))
         h = rand_spd(rng, n)
-        low = cholesky_lower(invert_spd(h))
+        low = cholesky_lower(SpdMatrix(invert_spd(h)))
         tail = low[d:, d:]
         trailing = tail @ tail.T
-        reinv = invert_spd(SpdMatrix(h.a[d:, d:])).a
+        reinv = invert_spd(SpdMatrix(h.a[d:, d:]))
         worst_refresh = max(worst_refresh, float(np.abs(trailing - reinv).max()))
     ok = worst < 1e-8 and worst_block < 1e-8 and worst_refresh < 1e-6
     report_line(
@@ -122,7 +122,7 @@ def test_c03_compensation_exactness():
         norm = max(np.linalg.norm(expect), 1e-30)
         for _ in range(3):
             order = rng.permutation(removed)
-            w_kept, _, _ = remove_compacted(w, invert_spd(h).a, order)
+            w_kept, _, _ = remove_compacted(w, invert_spd(h), order)
             worst = max(worst, float(np.linalg.norm(w_kept - expect) / norm))
     ok = worst < 1e-8
     report_line(

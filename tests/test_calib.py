@@ -5,7 +5,7 @@ import pytest
 
 from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
-from obslim.linalg import cholesky_lower
+from obslim.linalg import SpdMatrix, cholesky_lower, invert_spd
 
 
 class TestAccumulate:
@@ -74,20 +74,31 @@ class TestFinalize:
     def test_singular_without_damping(self):
         acc = HessianAccumulator(3)
         acc.accumulate(np.zeros((3, 2)))
-        with pytest.raises(NotSpdError, match="singular Hessian"):
-            acc.finalize(0.0)
+        with pytest.raises(NotSpdError, match="not SPD"):
+            invert_spd(acc.finalize(0.0))
 
     def test_indefinite_sum(self):
         acc = HessianAccumulator(2)
         acc.sum = np.array([[1.0, 2.0], [2.0, 1.0]])
         acc.n_samples = 1
+        with pytest.raises(NotSpdError, match="not SPD"):
+            invert_spd(acc.finalize(0.0))
+
+    def test_rank_deficient_is_rejected_where_inverted(self):
+        # finalize validates but does not factor: the one factorization,
+        # in invert_spd, finds the rank-1 sum not positive definite
+        acc = HessianAccumulator(4).accumulate(np.ones((4, 1)))
+        h = acc.finalize(0.0)
+        assert isinstance(h, SpdMatrix)
+        assert np.array_equal(h.a, 2.0 * np.ones((4, 4)))
+        with pytest.raises(NotSpdError, match="not SPD"):
+            invert_spd(h)
+
+    def test_non_finite_sum(self):
+        acc = HessianAccumulator(2).accumulate(np.eye(2))
+        acc.sum[0, 0] = np.inf
         with pytest.raises(NotSpdError, match="singular Hessian"):
             acc.finalize(0.0)
-
-    def test_caches_factor_of_damped_hessian(self):
-        acc = HessianAccumulator(5).accumulate(np.random.default_rng(3).normal(size=(5, 9)))
-        h = acc.finalize(0.01)
-        assert np.array_equal(h.low, cholesky_lower(h))
 
     def test_empty_accumulator(self):
         with pytest.raises(ValueError, match="empty"):

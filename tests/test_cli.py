@@ -58,6 +58,13 @@ class TestGenToy:
         for name in ("model.obt", "manifest.json", "calib.obt"):
             assert (toy_dir / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--heads", "--d-model", "--layers", "--d-ff"])
+    def test_zero_dimension_exit_2(self, tmp_path, capsys, flag):
+        assert run(["gen-toy", "--out", str(tmp_path / "toy"), flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dimensions must be >= 1" in err
+        assert err.count("\n") == 1, err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

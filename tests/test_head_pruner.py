@@ -35,11 +35,11 @@ class TestHeadErrors:
     def test_dhead_one_identity(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(5, 4))
-        errs = head_errors(w, SpdMatrix(np.eye(4)), HeadLayout(4, 1))
+        errs = head_errors(w, np.eye(4), HeadLayout(4, 1))
         assert np.allclose(errs, (w * w).sum(axis=0))
 
     def test_zero_weights(self):
-        errs = head_errors(np.zeros((3, 8)), rand_spd(np.random.default_rng(1), 8),
+        errs = head_errors(np.zeros((3, 8)), rand_spd(np.random.default_rng(1), 8).a,
                            HeadLayout(2, 4))
         assert np.array_equal(errs, np.zeros(2))
 
@@ -48,7 +48,7 @@ class TestHeadErrors:
         # blocks: per-element error is w^2 over the squared factor diagonal
         a = np.array([[4.0, 2.0], [2.0, 5.0]])   # chol diag: 2, 2
         b = np.array([[9.0, 3.0], [3.0, 5.0]])   # chol diag: 3, 2
-        h_inv = SpdMatrix(np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]]))
+        h_inv = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
         w = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
         errs = head_errors(w, h_inv, HeadLayout(2, 2))
         head0 = (1 + 25) / 4.0 + (4 + 36) / 4.0
@@ -70,7 +70,7 @@ class TestHeadErrors:
         rng = np.random.default_rng(17)
         lay = HeadLayout(4, 3)
         w = rng.normal(size=(5, 12))
-        h_inv = invert_spd(rand_spd(rng, 12)).a
+        h_inv = invert_spd(rand_spd(rng, 12))
         alive = np.ones(12, dtype=bool)
         remove_block(w, h_inv, head_cols(lay, 1), alive)
         h_inv[3:6, 3:6] = -np.eye(3)
@@ -87,7 +87,7 @@ class TestReorder:
         rng = np.random.default_rng(3)
         lay = HeadLayout(3, 2)
         w = rng.normal(size=(4, 6))
-        h_inv = invert_spd(rand_spd(rng, 6)).a
+        h_inv = invert_spd(rand_spd(rng, 6))
         _, h_rest, _ = remove_compacted(w, h_inv, head_cols(lay, 0))
         tail = cholesky_lower(SpdMatrix(h_inv))[2:, 2:]
         assert np.abs(h_rest - tail @ tail.T).max() < 1e-10 * np.abs(h_inv).max()
@@ -104,7 +104,7 @@ class TestReorder:
         lay = HeadLayout(4, 3)
         h = rand_spd(rng, 12)
         w = rng.normal(size=(5, 12))
-        _, h_rest, _ = remove_compacted(w, invert_spd(h).a, head_cols(lay, 2))
+        _, h_rest, _ = remove_compacted(w, invert_spd(h), head_cols(lay, 2))
         kept = other_cols(lay, 2)
         direct = np.linalg.inv(h.a[np.ix_(kept, kept)])
         assert np.abs(h_rest - direct).max() < 1e-8
@@ -124,7 +124,7 @@ class TestPruneOneHead:
         rng = np.random.default_rng(6)
         for _ in range(10):
             w = rng.normal(size=(4, 5))
-            h_inv = invert_spd(rand_spd(rng, 5)).a
+            h_inv = invert_spd(rand_spd(rng, 5))
             target = int(rng.integers(5))
             w_rest, _, _ = remove_compacted(w, h_inv, head_cols(HeadLayout(5, 1), target))
             expect = w - np.outer(w[:, target] / h_inv[target, target], h_inv[target])
@@ -139,7 +139,7 @@ class TestPruneOneHead:
             w = rng.normal(size=(4, n))
             h = rand_spd(rng, n)
             target = int(rng.integers(2))
-            w_rest, _, _ = remove_compacted(w, invert_spd(h).a, head_cols(lay, target))
+            w_rest, _, _ = remove_compacted(w, invert_spd(h), head_cols(lay, target))
             expect = least_squares_oracle(w, h, other_cols(lay, target))
             assert np.abs(w_rest - expect).max() < 1e-8
 

@@ -41,27 +41,22 @@ class TestSpdMatrix:
         with pytest.raises(ValueError):
             SpdMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_submatrix(self):
-        m = rand_spd(np.random.default_rng(0), 5)
-        sub = m.submatrix([0, 2, 4])
-        assert np.array_equal(sub.a, m.a[np.ix_([0, 2, 4], [0, 2, 4])])
-
 
 class TestInvertSpd:
     def test_identity(self):
-        assert np.allclose(invert_spd(SpdMatrix(np.eye(3))).a, np.eye(3))
+        assert np.allclose(invert_spd(SpdMatrix(np.eye(3))), np.eye(3))
 
     def test_diagonal(self):
         inv = invert_spd(SpdMatrix(np.diag([2.0, 4.0])))
-        assert np.allclose(inv.a, np.diag([0.5, 0.25]), atol=1e-14)
+        assert np.allclose(inv, np.diag([0.5, 0.25]), atol=1e-14)
 
     def test_multiply_back_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             m = rand_spd(rng, 8)
             inv = invert_spd(m)
-            assert np.abs(m.a @ inv.a - np.eye(8)).max() < 1e-8
-            assert np.array_equal(inv.a, inv.a.T)
+            assert np.abs(m.a @ inv - np.eye(8)).max() < 1e-8
+            assert np.array_equal(inv, inv.T)
 
     def test_not_spd(self):
         bad = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
@@ -76,8 +71,23 @@ class TestInvertSpd:
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(11)
         for n in (1, 7, 64, 200):
-            inv = invert_spd(rand_spd(rng, n)).a
+            inv = invert_spd(rand_spd(rng, n))
             assert np.array_equal(inv, inv.T)
+
+    def test_plain_array_ready_for_remove_block(self):
+        # the inverse goes straight into the in-place kernel, which agrees
+        # with the compacting formula on it
+        rng = np.random.default_rng(12)
+        inv = invert_spd(rand_spd(rng, 7))
+        assert type(inv) is np.ndarray and inv.dtype == np.float64
+        assert inv.flags.c_contiguous and inv.flags.writeable
+        w = rng.normal(size=(3, 7))
+        w_want, h_want, steps_want = compact_remove_block(w, inv.copy(), [5, 2])
+        alive = np.ones(7, dtype=bool)
+        steps = remove_block(w, inv, [5, 2], alive)
+        assert np.abs(w[:, alive] - w_want).max() < 1e-10 * np.abs(w_want).max()
+        assert np.abs(inv[np.ix_(alive, alive)] - h_want).max() < 1e-10 * np.abs(h_want).max()
+        assert np.abs(steps - steps_want).max() < 1e-10 * steps_want.max()
 
     @pytest.mark.parametrize("cond", [1e0, 1e2, 1e4, 1e6, 1e8])
     def test_matches_numpy_inverse_up_to_condition(self, cond):
@@ -88,15 +98,8 @@ class TestInvertSpd:
         for n in (8, 32, 128):
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             m = SpdMatrix((q * np.logspace(0, -np.log10(cond), n)) @ q.T)
-            inv, ref = invert_spd(m).a, np.linalg.inv(m.a)
+            inv, ref = invert_spd(m), np.linalg.inv(m.a)
             assert np.abs(inv - ref).max() <= 1e-15 * cond * np.abs(ref).max()
-
-    def test_consumes_cached_factor(self):
-        m = rand_spd(np.random.default_rng(12), 9)
-        m.low = cholesky_lower(m)
-        cached = invert_spd(m).a
-        assert m.low is None
-        assert np.array_equal(cached, invert_spd(m).a)
 
 
 class TestCholeskyLower:
@@ -133,7 +136,7 @@ class TestPermuteSymmetric:
         rng = np.random.default_rng(3)
         h = rand_spd(rng, 7)
         w = rng.normal(size=(3, 7))
-        h_inv = invert_spd(h).a
+        h_inv = invert_spd(h)
         w_blk, h_blk, steps = remove_compacted(w, h_inv, [1, 3, 4])
         w_seq, h_seq, kept, seq_steps = remove_sequentially(w, h_inv, [1, 3, 4])
         assert kept == [0, 2, 5, 6]
@@ -162,18 +165,18 @@ class TestPermuteSymmetric:
             h = rand_spd(rng, n)
             idx = rng.permutation(n)[: int(rng.integers(1, n))]
             rest = np.setdiff1d(np.arange(n), idx)
-            _, h_rest, _ = remove_compacted(np.zeros((1, n)), invert_spd(h).a, idx)
+            _, h_rest, _ = remove_compacted(np.zeros((1, n)), invert_spd(h), idx)
             assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
 
     def test_rejects_non_bijection(self):
-        h_inv = invert_spd(rand_spd(np.random.default_rng(5), 3)).a
+        h_inv = invert_spd(rand_spd(np.random.default_rng(5), 3))
         with pytest.raises(ValueError, match="repeated"):
             remove_compacted(np.ones((1, 3)), h_inv, [0, 0, 2])
 
 
 class TestGroupedCholesky:
     def test_identity_blocks(self):
-        factors = grouped_cholesky(SpdMatrix(np.eye(4)), 2)
+        factors = grouped_cholesky(np.eye(4), 2)
         assert factors.shape == (2, 2, 2)
         assert np.array_equal(factors[0], np.eye(2))
         assert np.array_equal(factors[1], np.eye(2))
@@ -181,7 +184,7 @@ class TestGroupedCholesky:
     def test_block_diagonal_known_blocks(self):
         a = np.array([[4.0, 2.0], [2.0, 5.0]])
         b = np.array([[9.0, 3.0], [3.0, 5.0]])
-        m = SpdMatrix(np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]]))
+        m = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
         factors = grouped_cholesky(m, 2)
         assert np.allclose(factors[0], np.linalg.cholesky(a))
         assert np.allclose(factors[1], np.linalg.cholesky(b))
@@ -191,7 +194,7 @@ class TestGroupedCholesky:
         # diagonal block; only k=0 coincides with the full factor's slice
         rng = np.random.default_rng(6)
         m = rand_spd(rng, 12)
-        factors = grouped_cholesky(m, 4)
+        factors = grouped_cholesky(m.a, 4)
         full = np.linalg.cholesky(m.a)
         for k in range(3):
             blk = m.a[4 * k : 4 * (k + 1), 4 * k : 4 * (k + 1)]
@@ -201,10 +204,10 @@ class TestGroupedCholesky:
 
     def test_dimension_not_divisible(self):
         with pytest.raises(ValueError, match="divisible"):
-            grouped_cholesky(SpdMatrix(np.eye(5)), 2)
+            grouped_cholesky(np.eye(5), 2)
 
     def test_block_not_spd(self):
-        m = SpdMatrix(np.diag([1.0, -1.0, 1.0, 1.0]))
+        m = np.diag([1.0, -1.0, 1.0, 1.0])
         with pytest.raises(NotSpdError):
             grouped_cholesky(m, 2)
 
@@ -227,7 +230,7 @@ class TestRemoveUpdate:
         rng = np.random.default_rng(7)
         for _ in range(20):
             h = rand_spd(rng, 6)
-            h_inv = invert_spd(h).a
+            h_inv = invert_spd(h)
             for p in range(6):
                 expect = np.linalg.inv(delete_rc(h.a, p))
                 _, out, _ = remove_compacted(np.zeros((1, 6)), h_inv, [p])
@@ -259,7 +262,7 @@ class TestProperties:
         for _ in range(10):
             n = 10
             h = rand_spd(rng, n)
-            h_inv = invert_spd(h).a
+            h_inv = invert_spd(h)
             d = int(rng.integers(1, n - 1))
             _, h_inv, _, _ = remove_sequentially(np.zeros((1, n)), h_inv, range(d))
             expect = np.linalg.inv(h.a[d:, d:])
@@ -273,16 +276,16 @@ class TestProperties:
             n = 12
             h = rand_spd(rng, n)
             h_inv = invert_spd(h)
-            low = cholesky_lower(h_inv)
+            low = cholesky_lower(SpdMatrix(h_inv))
             d = int(rng.integers(1, n - 1))
-            _, seq, _, _ = remove_sequentially(np.zeros((1, n)), h_inv.a, range(d))
+            _, seq, _, _ = remove_sequentially(np.zeros((1, n)), h_inv, range(d))
             tail = low[d:, d:]
             assert np.abs(tail @ tail.T - seq).max() < 1e-8
 
     def test_determinism(self):
         rng = np.random.default_rng(11)
         m = rand_spd(rng, 9)
-        assert np.array_equal(invert_spd(m).a, invert_spd(m).a)
+        assert np.array_equal(invert_spd(m), invert_spd(m))
         assert np.array_equal(cholesky_lower(m), cholesky_lower(m))
         w = rng.normal(size=(2, 9))
         first, second = remove_compacted(w, m.a, [3, 1]), remove_compacted(w, m.a, [3, 1])
@@ -311,7 +314,7 @@ class TestRemoveBlock:
     def test_inverse_of_deleted_hessian(self, inst):
         w, h, idx = inst
         rest = np.setdiff1d(np.arange(h.n), idx)
-        _, h_rest, _ = remove_compacted(w, invert_spd(h).a, idx)
+        _, h_rest, _ = remove_compacted(w, invert_spd(h), idx)
         assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
 
     @PROPERTY
@@ -319,7 +322,7 @@ class TestRemoveBlock:
     def test_weights_and_errors_match_least_squares(self, inst):
         w, h, idx = inst
         rest = np.setdiff1d(np.arange(h.n), idx)
-        w_rest, _, steps = remove_compacted(w, invert_spd(h).a, idx)
+        w_rest, _, steps = remove_compacted(w, invert_spd(h), idx)
         expect = least_squares_oracle(w, h, rest)
         assert np.linalg.norm(w_rest - expect) < 1e-8 * max(np.linalg.norm(expect), 1e-12)
         resid = mask_residual(w, h, rest)
@@ -330,7 +333,7 @@ class TestRemoveBlock:
     @given(block_instances())
     def test_step_errors_follow_the_given_order(self, inst):
         w, h, idx = inst
-        h_inv = invert_spd(h).a
+        h_inv = invert_spd(h)
         _, _, steps = remove_compacted(w, h_inv, idx)
         _, _, _, seq = remove_sequentially(w, h_inv, idx)
         assert [orig for orig, _ in seq] == list(idx)
@@ -375,7 +378,7 @@ class TestRemoveBlockInPlace:
         # leaves the survivors where the compacting formula takes them from
         # the compacted state before the call
         w, h, blocks, heads = inst
-        w_run, h_run = w.copy(), invert_spd(h).a
+        w_run, h_run = w.copy(), invert_spd(h)
         alive = np.ones(h.n, dtype=bool)
         for blk in blocks:
             live = np.flatnonzero(alive)
@@ -398,7 +401,7 @@ class TestRemoveBlockInPlace:
 
     def test_rejected_calls_change_nothing(self):
         rng = np.random.default_rng(16)
-        h_inv = invert_spd(rand_spd(rng, 5)).a
+        h_inv = invert_spd(rand_spd(rng, 5))
         w = rng.normal(size=(2, 5))
         alive = np.ones(5, dtype=bool)
         remove_block(w, h_inv, [3], alive)
@@ -435,7 +438,7 @@ class TestRemoveBlockInPlace:
         # are k x n, never n x n (8 n^2 bytes, 2.1 MB at n = 512)
         rng = np.random.default_rng(17)
         n = 512
-        h_inv = invert_spd(rand_spd(rng, n, m_factor=2)).a
+        h_inv = invert_spd(rand_spd(rng, n, m_factor=2))
         w = rng.normal(size=(n, n))
         alive = np.ones(n, dtype=bool)
         tracemalloc.start()

@@ -370,8 +370,8 @@ class TestPruneModel:
             prune_model(tensors, manifest, [calib[0][:, :8]], sched, cfg)
 
     def test_one_factorization_per_hessian(self, monkeypatch):
-        # The positive-definiteness check in finalize is the only
-        # factorization of a full Hessian: invert_spd inverts from its factor.
+        # invert_spd factors each full Hessian once, as its positive-
+        # definiteness check, and inverts from that factor; finalize does not.
         # Head blocks (4) and channel groups (<= 8) are smaller than both dims.
         counts = Counter()
         full = (TOY.d_model, TOY.d_ff)
