@@ -245,7 +245,3 @@ def main(argv=None) -> int:
     except (ObslimError, np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

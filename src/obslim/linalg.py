@@ -71,19 +71,21 @@ def invert_spd(m: SpdMatrix) -> np.ndarray:
 
     ``cholesky_lower(m)`` is the positive-definiteness check and the only
     factorization ``m`` gets; LAPACK ``dpotri`` overwrites that factor with
-    the inverse's lower triangle, which is mirrored into the upper one. The
-    result is the transpose of the Fortran-order factor array, the same
-    matrix in C order, ready for ``remove_block``.
+    the inverse's lower triangle. The result is the transpose of that
+    Fortran-order array, the same matrix in C order, ready for
+    ``remove_block``; its filled upper triangle is mirrored into the zero
+    strict lower one in panels of 64 rows, so no n x n temporary is made.
 
     Raises:
         NotSpdError: if the matrix is not positive definite.
         ValueError: if the inverse has non-finite entries.
     """
-    inv, _ = dpotri(cholesky_lower(m), lower=1, overwrite_c=1)
-    inv += np.tril(inv, -1).T
+    inv = dpotri(cholesky_lower(m), lower=1, overwrite_c=1)[0].T
+    for start in range(0, inv.shape[0], 64):
+        inv[start : start + 64] += np.tril(inv[:, start : start + 64].T, start - 1)
     if not np.all(np.isfinite(inv)):
         raise ValueError("inverse has non-finite entries")
-    return inv.T
+    return inv
 
 
 def grouped_cholesky(h_inv: np.ndarray, group_size: int, alive=None) -> np.ndarray:

@@ -122,27 +122,11 @@ def gen_toy(spec: ToyModelSpec):
         w_gate = rng.normal(size=(dff, dm)) / np.sqrt(dm)
         w_down = rng.normal(size=(dm, dff)) / np.sqrt(dff)
         w_down *= np.exp(0.5 * rng.normal(size=dff))[None, :]
-        tensors.update(
-            {
-                names["wq"]: wq,
-                names["wk"]: wk,
-                names["wv"]: wv,
-                names["wo"]: wo,
-                names["w_up"]: w_up,
-                names["w_gate"]: w_gate,
-                names["w_down"]: w_down,
-            }
-        )
-        entries.append(
-            LayerEntry(
-                attn_out=names["wo"],
-                attn_coupled=[names["wq"], names["wk"], names["wv"]],
-                ffn_down=names["w_down"],
-                ffn_coupled=[names["w_up"], names["w_gate"]],
-                n_head=spec.n_head,
-                d_head=dh,
-            )
-        )
+        tensors.update(zip(names.values(), (wq, wk, wv, wo, w_up, w_gate, w_down)))
+        entries.append(LayerEntry(
+            attn_out=names["wo"], attn_coupled=[names["wq"], names["wk"], names["wv"]],
+            ffn_down=names["w_down"], ffn_coupled=[names["w_up"], names["w_gate"]],
+            n_head=spec.n_head, d_head=dh))
     manifest = ModelManifest(n_layers=spec.n_layers, layers=entries)
     mixing = np.eye(dm) + 0.3 * rng.normal(size=(dm, dm)) / np.sqrt(dm)
     calib = [
@@ -172,12 +156,12 @@ def _silu_inplace(x: np.ndarray) -> np.ndarray:
 _TILE = 64
 
 
-def _attention(lw: LayerWeights, x: np.ndarray):
-    """Causal attention; returns (stream after residual add, features into wo).
+def _attention(lw: LayerWeights, x: np.ndarray) -> np.ndarray:
+    """Causal attention; returns the features into ``wo``, which the caller applies.
 
-    Heads are evaluated one at a time and dead heads (all-zero output
-    columns) are skipped: their contribution is exactly zero, and skipping
-    keeps a zero-masked model numerically identical to its sliced form.
+    Heads are evaluated one at a time and dead heads (all-zero ``wo``
+    columns) are skipped, leaving zero feature rows, which keeps a
+    zero-masked model numerically identical to its sliced form.
     Each head takes its query rows in tiles of ``_TILE``. A tile scores
     against the keys up to its last row only, so the masked future beyond
     its diagonal block is never computed, and it sees all of those keys at
@@ -190,14 +174,13 @@ def _attention(lw: LayerWeights, x: np.ndarray):
     t = x.shape[1]
     future = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
     ho = np.zeros((lw.n_head * d, t))
-    out = np.zeros_like(x)
     live = lw.wo.any(axis=0).reshape(lw.n_head, d).any(axis=1)
     for head in np.flatnonzero(live):
         sl = slice(head * d, (head + 1) * d)
-        q = np.ascontiguousarray(lw.wq[sl]) @ h
+        q = lw.wq[sl] @ h
         q /= np.sqrt(d)
-        k = np.ascontiguousarray(lw.wk[sl]) @ h
-        v = np.ascontiguousarray(lw.wv[sl]) @ h
+        k = lw.wk[sl] @ h
+        v = lw.wv[sl] @ h
         ctx = ho[sl]
         for start in range(0, t, _TILE):
             end = min(start + _TILE, t)
@@ -206,32 +189,38 @@ def _attention(lw: LayerWeights, x: np.ndarray):
             p -= p.max(axis=1, keepdims=True)
             np.exp(p, out=p)
             ctx[:, start:end] = (v[:, :end] @ p.T) / p.sum(axis=1)
-        out += np.ascontiguousarray(lw.wo[:, sl]) @ ctx
-    return x + out, ho
+    return ho
 
 
-def _ffn(lw: LayerWeights, x: np.ndarray):
-    """Gated FFN; returns (stream after residual add, features into w_down).
+def _ffn(lw: LayerWeights, x: np.ndarray) -> np.ndarray:
+    """Gated FFN; returns the features into ``w_down``, which the caller applies.
 
-    Channels whose down-projection column is all zero contribute exactly
-    zero and are dropped before the matmuls, for the same masked/sliced
-    equivalence as in attention. The activation is computed in place and,
-    with every channel live, returned as the features: fresh channel-sized
-    temporaries on every call cost page faults.
+    Channels whose down-projection column is all zero leave zero feature
+    rows; ``w_gate`` and ``w_up`` are indexed only when there are some, for
+    the same masked/sliced equivalence as in attention. The activation is
+    computed in place: fresh channel-sized temporaries cost page faults.
     """
     h = _rmsnorm(x)
-    d_ff = lw.w_down.shape[1]
-    live = np.flatnonzero(lw.w_down.any(axis=0))
-    if live.size == 0:
-        return x.copy(), np.zeros((d_ff, x.shape[1]))
-    a = _silu_inplace(np.ascontiguousarray(lw.w_gate[live]) @ h)
-    a *= np.ascontiguousarray(lw.w_up[live]) @ h
-    y = np.ascontiguousarray(lw.w_down[:, live]) @ a
-    if live.size == d_ff:
-        return x + y, a
-    act = np.zeros((d_ff, x.shape[1]))
+    live = lw.w_down.any(axis=0)
+    every = live.all()
+    gate, up = (lw.w_gate, lw.w_up) if every else (lw.w_gate[live], lw.w_up[live])
+    a = _silu_inplace(gate @ h)
+    a *= up @ h
+    if every:
+        return a
+    act = np.zeros((live.size, x.shape[1]))
     act[live] = a
-    return x + y, act
+    return act
+
+
+def _projection(w: np.ndarray):
+    """The residual step ``(x, f) -> x + w @ f``, over the nonzero columns of ``w``
+    only, so that a zero-masked model stays bit-identical to its sliced form."""
+    live = w.any(axis=0)
+    if live.all():
+        return lambda x, f: x + w @ f
+    w = w[:, live]
+    return lambda x, f: x + w @ f[live]
 
 
 def forward_layer(lw: LayerWeights, x: np.ndarray, collect: bool = False):
@@ -245,11 +234,11 @@ def forward_layer(lw: LayerWeights, x: np.ndarray, collect: bool = False):
         raise ValueError(f"activations shape {x.shape} inconsistent with d_model {lw.wo.shape[0]}")
     if lw.wq.shape[0] != lw.n_head * lw.d_head or lw.wo.shape[1] != lw.n_head * lw.d_head:
         raise ValueError("attention tensors inconsistent with head layout")
-    x1, attn_feats = _attention(lw, x)
-    x2, ffn_feats = _ffn(lw, x1)
-    if collect:
-        return x2, attn_feats, ffn_feats
-    return x2
+    attn_feats = _attention(lw, x)
+    x1 = _projection(lw.wo)(x, attn_feats)
+    ffn_feats = _ffn(lw, x1)
+    x2 = _projection(lw.w_down)(x1, ffn_feats)
+    return (x2, attn_feats, ffn_feats) if collect else x2
 
 
 def forward_model(tensors: dict, manifest: ModelManifest, x: np.ndarray) -> np.ndarray:
@@ -387,27 +376,28 @@ def _hessian_over_batches(feature_batches, damping: float, w: np.ndarray):
     return acc.finalize(damping)
 
 
-def _sublayer(fn, cur, ref, kernel):
+def _sublayer(fn, w, cur, ref, kernel):
     """Advance the pruned stream ``cur`` and the original stream ``ref`` past one sublayer.
 
-    ``fn(x)`` runs the sublayer with its weights before pruning and returns
-    ``(output, features into its projection)``; ``kernel(features)``, if
-    not None, prunes the projection on the pruned stream's features and
-    returns ``(w, kept)``. Streams that are the same list share one pass; a
-    separate ``ref`` makes its pass after the kernel. Returns the advanced
-    ``(cur, ref)``.
+    ``fn(x)`` returns the features into the sublayer's original projection
+    ``w``. ``kernel(features)``, if not None, prunes ``w`` on the pruned
+    stream's features and returns ``(w', kept)``; that stream then advances
+    as ``x + w' @ f[kept]``, and otherwise as ``x + w @ f``. ``ref`` advances
+    as ``x + w @ f``, reusing the features while the streams are one list
+    and making its own pass once they have split. Returns ``(cur, ref)``.
     """
-    if kernel is None:
-        out = [fn(x)[0] for x in cur]
-        return out, out if ref is cur else [fn(x)[0] for x in ref]
-    if ref is cur:
-        ref_out, feats = map(list, zip(*map(fn, cur)))
-    else:
-        ref_out, feats = None, [fn(x)[1] for x in cur]
-    w, kept = kernel(feats)
-    out = [x + w @ f[kept] for x, f in zip(cur, feats)]
-    del feats  # not alive during the reference pass below
-    return out, ref_out if ref_out is not None else [fn(x)[0] for x in ref]
+    shared = ref is cur
+    feats = [fn(x) for x in cur]
+    project = _projection(w)
+    new_w, kept = (w, slice(None)) if kernel is None else kernel(feats)
+    if shared:  # the reference steps before the features are consumed below
+        ref = list(map(project, ref, feats))
+        if kernel is None:
+            return ref, ref
+    step = _projection(new_w)
+    feats.reverse()  # each batch's features are freed once it is projected
+    cur = [step(x, feats.pop()[kept]) for x in cur]
+    return cur, ref if shared else list(map(project, ref, map(fn, ref)))
 
 
 def prune_model(
@@ -425,10 +415,11 @@ def prune_model(
     calibration stream through the pruned prefix, the FFN features after the
     layer's own head pruning; the original model's stream is only the
     reference for ``output_sq_error``. Each of the two streams makes one
-    attention and one FFN pass per batch and layer: the pruned one advances
-    from the features it collected, as ``x + wo' @ feats[kept]`` and then
-    ``x1 + w_down' @ act[kept]``, and until a layer removes something the
-    streams are the same arrays and run once. Returns
+    features-only attention and FFN pass per batch and layer and advances
+    with one projection GEMM per sublayer: the pruned one as
+    ``x + wo' @ feats[kept]`` and then ``x1 + w_down' @ act[kept]``, the
+    reference with the original ``wo`` and ``w_down``. Until a layer
+    removes something the streams are the same arrays and run once. Returns
     ``(pruned_tensors, pruned_manifest, report)``, float64 arrays sharing no
     memory with ``tensors``, which is left as it was. Nothing is copied up
     front: a layer's tensors are copied or sliced when it is reached.
@@ -440,9 +431,11 @@ def prune_model(
         )
     if not calib:
         raise ValueError("need at least one calibration batch")
+    cur = [np.asarray(x, dtype=np.float64) for x in calib]
+    if not any(x.size for x in cur):
+        raise ValueError(f"the calibration set has no tokens: all {len(cur)} batches are empty")
 
     pruned = dict(tensors)  # entries are replaced by new arrays as their layers are reached
-    cur = [np.asarray(x, dtype=np.float64) for x in calib]
     ref = cur
     new_entries = []
     report = PruneReport(
@@ -494,10 +487,11 @@ def prune_model(
             row.kept_channels = kept
             return new_w, kept
 
-        for name, fn, kernel in (("attention", _attention, heads if n_prune_heads else None),
-                                 ("FFN", _ffn, channels if n_prune_ch else None)):
+        for name, fn, w, kernel in (
+                ("attention", _attention, orig_lw.wo, heads if n_prune_heads else None),
+                ("FFN", _ffn, orig_lw.w_down, channels if n_prune_ch else None)):
             try:
-                cur, ref = _sublayer(partial(fn, orig_lw), cur, ref, kernel)
+                cur, ref = _sublayer(partial(fn, orig_lw), w, cur, ref, kernel)
             except (NotSpdError, np.linalg.LinAlgError) as exc:
                 raise NotSpdError(f"pruning failed at layer {idx} ({name}): {exc}") from exc
         new_entries.append(replace(entry, n_head=len(row.kept_heads)))

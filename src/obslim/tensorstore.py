@@ -276,18 +276,13 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
                 f"layer {idx}: attn_out has {attn_cols} columns, "
                 f"head layout implies {entry.n_head * entry.d_head}"
             )
-        for name in entry.attn_coupled:
-            rows = shape_of(name)[0]
-            if rows != attn_cols:
-                raise ManifestError(
-                    f"layer {idx}: coupled tensor {name!r} has {rows} rows, "
-                    f"anchor {entry.attn_out!r} has {attn_cols} columns"
-                )
-        ffn_cols = shape_of(entry.ffn_down)[1]
-        for name in entry.ffn_coupled:
-            rows = shape_of(name)[0]
-            if rows != ffn_cols:
-                raise ManifestError(
-                    f"layer {idx}: coupled tensor {name!r} has {rows} rows, "
-                    f"anchor {entry.ffn_down!r} has {ffn_cols} columns"
-                )
+        for anchor, coupled in ((entry.attn_out, entry.attn_coupled),
+                                (entry.ffn_down, entry.ffn_coupled)):
+            cols = shape_of(anchor)[1]
+            for name in coupled:
+                rows = shape_of(name)[0]
+                if rows != cols:
+                    raise ManifestError(
+                        f"layer {idx}: coupled tensor {name!r} has {rows} rows, "
+                        f"anchor {anchor!r} has {cols} columns"
+                    )

@@ -17,8 +17,9 @@ from obslim.obs_core import column_errors, least_squares_oracle, mask_residual
 def dense_causal_attention(lw, x):
     """Reference causal attention over the full masked t x t scores.
 
-    Returns ``(stream after residual add, features into wo)`` like
-    ``pipeline._attention``: per head, ``softmax(q^T k / sqrt(d))`` with the
+    Returns ``(stream after residual add, features into wo)``, the features
+    of ``pipeline._attention`` and the output of the caller's ``wo``
+    projection: per head, ``softmax(q^T k / sqrt(d))`` with the
     future masked to -inf, as ``exp(z - max) / sum`` row by row. Heads with
     an all-zero ``wo`` block contribute nothing and leave their feature rows 0.
     """

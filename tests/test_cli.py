@@ -3,11 +3,14 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import obslim
 from obslim import cli
 from obslim.cli import main
 from obslim.pipeline import PruneReport
@@ -64,6 +67,17 @@ class TestGenToy:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dimensions must be >= 1" in err
         assert err.count("\n") == 1, err
+
+    def test_runs_as_python_module(self, tmp_path):
+        # python -m obslim, from the source tree alone
+        src = os.path.dirname(os.path.dirname(obslim.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "obslim", "gen-toy", "--out", str(tmp_path / "toy"),
+             "--layers", "1", "--d-model", "8", "--heads", "2", "--d-ff", "8"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "toy" / "model.obt").exists()
 
 
 class TestUsageErrors:
@@ -246,6 +260,15 @@ class TestPrune:
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: pruning failed at layer 0") and err.count("\n") == 1, err
+
+    def test_calibration_without_tokens_exit_2(self, toy_dir, tmp_path, capsys):
+        calib_path = tmp_path / "calib0.obt"
+        write_tensor_file({f"calib.{i}": np.zeros((16, 0)) for i in range(2)}, calib_path)
+        args = prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.5"])
+        args[args.index("--calib") + 1] = str(calib_path)
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the calibration set has no tokens") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("ratio, sublayer", [("0.5", "attention"), ("0.1", "FFN")])
     def test_numerical_failure_names_sublayer(self, toy_dir, tmp_path, capsys, ratio, sublayer):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotri
 
 from obslim.errors import NotSpdError
 from obslim.linalg import (
@@ -73,6 +74,23 @@ class TestInvertSpd:
         for n in (1, 7, 64, 200):
             inv = invert_spd(rand_spd(rng, n))
             assert np.array_equal(inv, inv.T)
+
+    def test_mirror_allocates_nothing_n_by_n(self):
+        # dpotri's triangle is mirrored in row panels: besides the factor
+        # that becomes the inverse, nothing n x n is allocated, and the
+        # result is bit for bit the whole-matrix np.tril mirror
+        n = 512
+        m = rand_spd(np.random.default_rng(13), n, m_factor=2)
+        want, _ = dpotri(cholesky_lower(m), lower=1, overwrite_c=1)
+        want += np.tril(want, -1).T
+        tracemalloc.start()
+        try:
+            inv = invert_spd(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+        assert inv.tobytes() == want.T.tobytes()
 
     def test_plain_array_ready_for_remove_block(self):
         # the inverse goes straight into the in-place kernel, which agrees

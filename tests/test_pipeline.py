@@ -131,7 +131,8 @@ class TestForwardLayer:
             n_calib_batches=1, tokens_per_batch=tokens, seed=tokens))
         lw = LayerWeights.from_tensors(manifest.layers[0], tensors)
         lw.wo[:, 4:8] = 0.0  # head 1 is dead
-        out, feats = pipeline._attention(lw, calib[0])
+        feats = pipeline._attention(lw, calib[0])
+        out = pipeline._projection(lw.wo)(calib[0], feats)  # the caller's residual step
         want_out, want_feats = dense_causal_attention(lw, calib[0])
         assert not feats[4:8].any()
         assert np.linalg.norm(feats - want_feats) <= 1e-12 * np.linalg.norm(want_feats)
@@ -337,6 +338,29 @@ class TestPruneModel:
             per_batch = tuple((calls[k] - before[k]) / len(calib) for k in ("_attention", "_ffn"))
             assert per_batch == expect[n - 1], (n - 1, per_batch)
             before = Counter(calls)
+
+    def test_original_weights_projected_once_per_batch(self, monkeypatch):
+        # Layer 0 removes nothing; layer 1 removes heads, which splits the
+        # streams, and then channels; layer 2 removes both. Every original
+        # wo / w_down is multiplied once per batch, by the reference stream's
+        # residual step: the pruned stream's features-only passes make no
+        # such product, and it advances with the pruned weights of the four
+        # pruned sublayers instead.
+        tensors, manifest, calib = gen_toy(TOY)
+        names = {id(tensors[n]): n for e in manifest.layers for n in (e.attn_out, e.ffn_down)}
+        calls = Counter()
+
+        def counted(w, _fn=pipeline._projection):
+            step, key = _fn(w), names.get(id(w), "pruned")
+
+            def wrapped(x, f):
+                calls[key] += 1
+                return step(x, f)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "_projection", counted)
+        prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+        assert calls == {**{n: len(calib) for n in names.values()}, "pruned": 4 * len(calib)}
 
     def test_refresh_modes_agree_end_to_end(self, monkeypatch):
         # the whole run matches one whose head pruning re-inverts every round
