@@ -80,7 +80,7 @@ print(f"  block-factor selection no worse than raw:        {gc_no_worse}/{n_tria
 
 # --- the full greedy loop -----------------------------------------------------
 w, h, layout = correlated_instance(rho=0.4)
-res = prune_heads(w, h, layout, n_prune=2)
+res = prune_heads(w, invert_spd(h), layout, n_prune=2)
 print(f"\ntwo greedy rounds kept heads {res.kept_heads}")
 print("estimated head errors per round (NaN = already removed):")
 print(np.array_str(res.head_errors_per_round, precision=1))

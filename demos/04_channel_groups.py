@@ -12,7 +12,7 @@ Run: python demos/04_channel_groups.py
 import numpy as np
 
 from obslim import GroupSchedule, group_sizes, mask_residual, prune_channels
-from obslim.linalg import SpdMatrix
+from obslim.linalg import SpdMatrix, invert_spd
 
 rng = np.random.default_rng(11)
 
@@ -45,7 +45,7 @@ for _ in range(n_trials):
     w, h = instance()
     base = None
     for name, sched in schedules.items():
-        _, kept, _ = prune_channels(w, h, 32, sched)
+        _, kept, _ = prune_channels(w, invert_spd(h), 32, sched)
         resid = mask_residual(w, h, kept)
         if name == "greedy (size 1)":
             base = resid

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpdMatrix, invert_spd, remove_block
+from .linalg import remove_block
 from .obs_core import column_errors
 
 
@@ -50,22 +50,22 @@ def group_sizes(total_to_prune: int, sched: GroupSchedule) -> list[int]:
     return sizes
 
 
-def prune_channels(w: np.ndarray, h: SpdMatrix, n_prune: int, sched: GroupSchedule):
+def prune_channels(w: np.ndarray, h_inv: np.ndarray, n_prune: int, sched: GroupSchedule):
     """Remove ``n_prune`` channels (columns) of ``w`` under the group schedule.
 
     Per group: estimate all live column errors once, pick the group's k
     cheapest (ties to the lowest original index), then remove them in
-    ascending estimated-error order with one in-place ``remove_block`` call;
-    ``w`` is compacted through the survivor mask once, at the end. Returns
+    ascending estimated-error order with one ``remove_block`` call, in place
+    on ``w`` and on ``h_inv``, the inverse Hessian from ``invert_spd``; ``w``
+    is compacted through the survivor mask once, at the end. Returns
     ``(pruned_w, kept, step_errors)`` with the kept columns in original
     order and one ``(original column, error)`` pair per removal.
     """
     w = np.array(w, dtype=np.float64, order="C")
-    if w.ndim != 2 or w.shape[1] != h.n:
-        raise ValueError(f"weight shape {w.shape} inconsistent with Hessian dim {h.n}")
+    if w.ndim != 2 or np.shape(h_inv) != (w.shape[1],) * 2:
+        raise ValueError(f"weight shape {w.shape} inconsistent with h_inv {np.shape(h_inv)}")
     if not 0 <= n_prune < w.shape[1]:
         raise ValueError(f"cannot prune {n_prune} of {w.shape[1]} channels")
-    h_inv = invert_spd(h)
     alive = np.ones(w.shape[1], dtype=bool)
     step_errors = []
     for k in group_sizes(n_prune, sched):

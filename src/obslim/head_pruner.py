@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpdMatrix, grouped_cholesky, invert_spd, remove_block
+from .linalg import grouped_cholesky, remove_block
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def head_errors(w: np.ndarray, h_inv: np.ndarray, layout: HeadLayout, alive=None
 
 def prune_heads(
     w: np.ndarray,
-    h: SpdMatrix,
+    h_inv: np.ndarray,
     layout: HeadLayout,
     n_prune: int,
 ) -> HeadPruneResult:
@@ -87,20 +87,19 @@ def prune_heads(
 
     Each round re-estimates all surviving heads on the current (already
     compensated) weights and removes the argmin (ties break to the lowest
-    head index) with one in-place ``remove_block`` call over its columns;
-    the weights are compacted through the survivor mask once, at the end.
+    head index) with one ``remove_block`` call, which downdates ``h_inv`` in
+    place; the weights are compacted through the survivor mask once, at the end.
     """
     if not 0 <= n_prune < layout.n_head:
         raise ValueError(f"cannot prune {n_prune} of {layout.n_head} heads")
     work = np.array(w, dtype=np.float64, order="C")
-    if work.ndim != 2 or work.shape[1] != layout.n_cols or h.n != layout.n_cols:
-        raise ValueError("weight / Hessian dims inconsistent with layout")
+    if work.ndim != 2 or work.shape[1] != layout.n_cols or np.shape(h_inv) != (layout.n_cols,) * 2:
+        raise ValueError("weight / inverse Hessian dims inconsistent with layout")
 
     d = layout.d_head
     alive = np.ones(layout.n_cols, dtype=bool)
     errors_per_round = np.full((n_prune, layout.n_head), np.nan)
     step_error_sum = 0.0
-    h_inv = invert_spd(h) if n_prune else None
 
     for rnd in range(n_prune):
         live_heads = np.flatnonzero(alive[::d])

@@ -6,8 +6,8 @@ factorization of diagonal blocks, and the block-OBS kernel that removes a
 set of columns from a weight matrix and its inverse Hessian in one solve.
 
 ``SpdMatrix`` validates a Hessian where it enters the public API; past
-that point, inverses are plain float64 arrays. Identical inputs produce
-bit-identical outputs. Only ``remove_block`` mutates its inputs, in place.
+that point, inverses are plain float64 arrays, which ``remove_block`` (and
+so the pruners) downdate in place. Identical inputs give identical bits.
 """
 
 import numpy as np
@@ -69,18 +69,22 @@ def cholesky_lower(m: SpdMatrix) -> np.ndarray:
 def invert_spd(m: SpdMatrix) -> np.ndarray:
     """Exactly symmetric inverse of an SPD matrix, as a writeable C-contiguous array.
 
-    ``cholesky_lower(m)`` is the positive-definiteness check and the only
-    factorization ``m`` gets; LAPACK ``dpotri`` overwrites that factor with
-    the inverse's lower triangle. The result is the transpose of that
-    Fortran-order array, the same matrix in C order, ready for
-    ``remove_block``; its filled upper triangle is mirrored into the zero
-    strict lower one in panels of 64 rows, so no n x n temporary is made.
-
     Raises:
         NotSpdError: if the matrix is not positive definite.
         ValueError: if the inverse has non-finite entries.
     """
-    inv = dpotri(cholesky_lower(m), lower=1, overwrite_c=1)[0].T
+    return _invert_lower(np.array(m.a, order="F"))
+
+
+def _invert_lower(a: np.ndarray) -> np.ndarray:
+    """``invert_spd`` of the matrix whose lower triangle the Fortran-order ``a`` holds.
+
+    ``dpotrf`` (the PD check) and ``dpotri`` run in place; 64-row panels mirror the result.
+    """
+    low, info = dpotrf(a, lower=1, overwrite_a=1)
+    if info != 0:
+        raise NotSpdError(f"not SPD: Cholesky failed at leading minor {info}")
+    inv = dpotri(low, lower=1, overwrite_c=1)[0].T
     for start in range(0, inv.shape[0], 64):
         inv[start : start + 64] += np.tril(inv[:, start : start + 64].T, start - 1)
     if not np.all(np.isfinite(inv)):

@@ -156,12 +156,12 @@ def _silu_inplace(x: np.ndarray) -> np.ndarray:
 _TILE = 64
 
 
-def _attention(lw: LayerWeights, x: np.ndarray) -> np.ndarray:
+def _attention(lw: LayerWeights, live: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Causal attention; returns the features into ``wo``, which the caller applies.
 
-    Heads are evaluated one at a time and dead heads (all-zero ``wo``
-    columns) are skipped, leaving zero feature rows, which keeps a
-    zero-masked model numerically identical to its sliced form.
+    Heads are evaluated one at a time and heads dead in ``live`` (the
+    caller's ``lw.wo.any(axis=0)``) are skipped, leaving zero feature rows,
+    which keeps a zero-masked model numerically identical to its sliced form.
     Each head takes its query rows in tiles of ``_TILE``. A tile scores
     against the keys up to its last row only, so the masked future beyond
     its diagonal block is never computed, and it sees all of those keys at
@@ -174,8 +174,7 @@ def _attention(lw: LayerWeights, x: np.ndarray) -> np.ndarray:
     t = x.shape[1]
     future = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
     ho = np.zeros((lw.n_head * d, t))
-    live = lw.wo.any(axis=0).reshape(lw.n_head, d).any(axis=1)
-    for head in np.flatnonzero(live):
+    for head in np.flatnonzero(live.reshape(lw.n_head, d).any(axis=1)):
         sl = slice(head * d, (head + 1) * d)
         q = lw.wq[sl] @ h
         q /= np.sqrt(d)
@@ -192,16 +191,15 @@ def _attention(lw: LayerWeights, x: np.ndarray) -> np.ndarray:
     return ho
 
 
-def _ffn(lw: LayerWeights, x: np.ndarray) -> np.ndarray:
+def _ffn(lw: LayerWeights, live: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gated FFN; returns the features into ``w_down``, which the caller applies.
 
-    Channels whose down-projection column is all zero leave zero feature
-    rows; ``w_gate`` and ``w_up`` are indexed only when there are some, for
-    the same masked/sliced equivalence as in attention. The activation is
-    computed in place: fresh channel-sized temporaries cost page faults.
+    Channels dead in ``live`` (the caller's ``lw.w_down.any(axis=0)``) leave
+    zero feature rows; ``w_gate`` and ``w_up`` are indexed only when there
+    are some, for the same masked/sliced equivalence as in attention. The
+    activation is in place: fresh channel-sized temporaries cost page faults.
     """
     h = _rmsnorm(x)
-    live = lw.w_down.any(axis=0)
     every = live.all()
     gate, up = (lw.w_gate, lw.w_up) if every else (lw.w_gate[live], lw.w_up[live])
     a = _silu_inplace(gate @ h)
@@ -234,9 +232,9 @@ def forward_layer(lw: LayerWeights, x: np.ndarray, collect: bool = False):
         raise ValueError(f"activations shape {x.shape} inconsistent with d_model {lw.wo.shape[0]}")
     if lw.wq.shape[0] != lw.n_head * lw.d_head or lw.wo.shape[1] != lw.n_head * lw.d_head:
         raise ValueError("attention tensors inconsistent with head layout")
-    attn_feats = _attention(lw, x)
+    attn_feats = _attention(lw, lw.wo.any(axis=0), x)
     x1 = _projection(lw.wo)(x, attn_feats)
-    ffn_feats = _ffn(lw, x1)
+    ffn_feats = _ffn(lw, lw.w_down.any(axis=0), x1)
     x2 = _projection(lw.w_down)(x1, ffn_feats)
     return (x2, attn_feats, ffn_feats) if collect else x2
 
@@ -359,8 +357,8 @@ class PruneReport:
             return cls.from_dict(json.load(fh))
 
 
-def _hessian_over_batches(feature_batches, damping: float, w: np.ndarray):
-    """Damped Hessian of the features into ``w``, with dead features made harmless.
+def _hessian_over_batches(feature_batches, damping: float, w: np.ndarray) -> np.ndarray:
+    """Inverse of the damped Hessian of the features into ``w``, with dead features made harmless.
 
     A feature that is zero on every batch (``diag(H) == 0`` on the undamped
     sum) gets ``H_ii = 1`` before the damping is computed, and its column of
@@ -373,7 +371,7 @@ def _hessian_over_batches(feature_batches, damping: float, w: np.ndarray):
     dead = np.flatnonzero(np.diag(acc.sum) == 0)
     acc.sum[dead, dead] = 1.0
     w[:, dead] = 0.0
-    return acc.finalize(damping)
+    return acc.inverse(damping)
 
 
 def _sublayer(fn, w, cur, ref, kernel):
@@ -466,9 +464,9 @@ def prune_model(
         )
 
         def heads(feats):
-            h_attn = _hessian_over_batches(feats, config.damping, pruned[entry.attn_out])
+            h_inv = _hessian_over_batches(feats, config.damping, pruned[entry.attn_out])
             layout = HeadLayout(entry.n_head, entry.d_head)
-            result = prune_heads(pruned[entry.attn_out], h_attn, layout, n_prune_heads)
+            result = prune_heads(pruned[entry.attn_out], h_inv, layout, n_prune_heads)
             pruned[entry.attn_out] = result.pruned_w
             for name in entry.attn_coupled:
                 pruned[name] = pruned[name][result.kept_columns, :]
@@ -477,9 +475,9 @@ def prune_model(
             return result.pruned_w, result.kept_columns
 
         def channels(feats):
-            h_ffn = _hessian_over_batches(feats, config.damping, pruned[entry.ffn_down])
+            h_inv = _hessian_over_batches(feats, config.damping, pruned[entry.ffn_down])
             sizes = GroupSchedule(config.group_start, config.group_min)
-            new_w, kept, steps = prune_channels(pruned[entry.ffn_down], h_ffn, n_prune_ch, sizes)
+            new_w, kept, steps = prune_channels(pruned[entry.ffn_down], h_inv, n_prune_ch, sizes)
             pruned[entry.ffn_down] = new_w
             for name in entry.ffn_coupled:
                 pruned[name] = pruned[name][kept, :]
@@ -491,7 +489,7 @@ def prune_model(
                 ("attention", _attention, orig_lw.wo, heads if n_prune_heads else None),
                 ("FFN", _ffn, orig_lw.w_down, channels if n_prune_ch else None)):
             try:
-                cur, ref = _sublayer(partial(fn, orig_lw), w, cur, ref, kernel)
+                cur, ref = _sublayer(partial(fn, orig_lw, w.any(axis=0)), w, cur, ref, kernel)
             except (NotSpdError, np.linalg.LinAlgError) as exc:
                 raise NotSpdError(f"pruning failed at layer {idx} ({name}): {exc}") from exc
         new_entries.append(replace(entry, n_head=len(row.kept_heads)))

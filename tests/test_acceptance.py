@@ -136,10 +136,10 @@ def test_c04_greedy_vs_exhaustive_heads():
     matches = 0
     ratios = []
     for w, h, lay, exact in shared_head_instances():
-        res1 = prune_heads(w, h, lay, 1)
+        res1 = prune_heads(w, invert_spd(h), lay, 1)
         removed = (set(range(lay.n_head)) - set(res1.kept_heads)).pop()
         matches += removed == int(np.argmin(exact))
-        res2 = prune_heads(w, h, lay, 2)
+        res2 = prune_heads(w, invert_spd(h), lay, 2)
         greedy = mask_residual(w, h, res2.kept_columns)
         best = min(
             mask_residual(w, h, other_cols(lay, [h1, h2]))
@@ -167,8 +167,9 @@ def test_c05_dynamic_group_size():
     for w, h, n_prune in shared_ffn_instances():
         # schedule scaled to desk size: start/min shrink with the layer,
         # mirroring the full-scale 1024 -> 8 decay
-        _, kept_dyn, _ = prune_channels(w, h, n_prune, GroupSchedule(4, 1))
-        _, kept_greedy, steps_greedy = prune_channels(w, h, n_prune, GroupSchedule(1, 1))
+        _, kept_dyn, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))
+        greedy = GroupSchedule(1, 1)
+        _, kept_greedy, steps_greedy = prune_channels(w, invert_spd(h), n_prune, greedy)
         r_dyn = mask_residual(w, h, kept_dyn)
         r_greedy = mask_residual(w, h, kept_greedy)
         ratio = r_dyn / r_greedy
@@ -179,7 +180,7 @@ def test_c05_dynamic_group_size():
         bitwise_equal &= kept_greedy == ref_kept
         bitwise_equal &= steps_greedy == ref_steps
         bitwise_equal &= bool(
-            np.array_equal(prune_channels(w, h, n_prune, GroupSchedule(1, 1))[0], ref_w)
+            np.array_equal(prune_channels(w, invert_spd(h), n_prune, greedy)[0], ref_w)
         )
     ok = n_within == 50 and bitwise_equal
     report_line(
@@ -332,17 +333,17 @@ def test_c10_scale_invariance():
     worst_w = 0.0
     for _ in range(20):
         w, h, lay, _ = head_instance(rng)
-        res1 = prune_heads(w, h, lay, 2)
-        res2 = prune_heads(w, SpdMatrix(2.0 * h.a), lay, 2)
+        res1 = prune_heads(w, invert_spd(h), lay, 2)
+        res2 = prune_heads(w, invert_spd(SpdMatrix(2.0 * h.a)), lay, 2)
         ok_heads &= res1.kept_heads == res2.kept_heads
         scale = max(1.0, float(np.abs(res1.pruned_w).max()))
         worst_w = max(worst_w, float(np.abs(res1.pruned_w - res2.pruned_w).max()) / scale)
     for _ in range(20):
         w, h, n_prune = ffn_instance(rng, max_channels=32)
-        _, kept1, _ = prune_channels(w, h, n_prune, GroupSchedule(4, 1))
-        out1 = prune_channels(w, h, n_prune, GroupSchedule(4, 1))[0]
+        _, kept1, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))
+        out1 = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))[0]
         h2 = SpdMatrix(2.0 * h.a)
-        out2, kept2, _ = prune_channels(w, h2, n_prune, GroupSchedule(4, 1))
+        out2, kept2, _ = prune_channels(w, invert_spd(h2), n_prune, GroupSchedule(4, 1))
         ok_channels &= kept1 == kept2
         scale = max(1.0, float(np.abs(out1).max()))
         worst_w = max(worst_w, float(np.abs(out1 - out2).max()) / scale)

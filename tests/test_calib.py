@@ -1,4 +1,6 @@
-"""Hessian accumulation: additivity and damping."""
+"""Hessian accumulation: additivity, damping and the in-place inverse."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +50,35 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="non-finite"):
             HessianAccumulator(2).accumulate(np.array([[np.nan], [0.0]]))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "float32"])
+    def test_lower_triangle_holds_the_sum(self, layout):
+        shape = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+                 "strided": lambda x: x[:, ::2], "float32": lambda x: x.astype(np.float32)}
+        rng = np.random.default_rng(2)
+        acc = HessianAccumulator(7)
+        want = np.zeros((7, 7))
+        for tokens in (10, 18):
+            x = shape[layout](rng.normal(size=(7, tokens)))
+            acc.accumulate(x)
+            x = np.asarray(x, dtype=np.float64)
+            want += 2.0 * (x @ x.T)
+        assert acc.sum.flags.f_contiguous and acc.n_samples == (14 if layout == "strided" else 28)
+        assert np.abs(np.tril(acc.sum) - np.tril(want)).max() <= 1e-12 * np.abs(want).max()
+        assert not np.triu(acc.sum, 1).any()
+
+    def test_accumulate_allocates_no_square_temporary(self):
+        n = 512
+        x = np.random.default_rng(3).normal(size=(n, 128))
+        acc = HessianAccumulator(n).accumulate(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            acc.accumulate(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * n, peak
+
 
 class TestFinalize:
     def test_no_damping_identity(self):
@@ -76,10 +107,12 @@ class TestFinalize:
         acc.accumulate(np.zeros((3, 2)))
         with pytest.raises(NotSpdError, match="not SPD"):
             invert_spd(acc.finalize(0.0))
+        with pytest.raises(NotSpdError, match="not SPD"):
+            acc.inverse(0.0)
 
     def test_indefinite_sum(self):
         acc = HessianAccumulator(2)
-        acc.sum = np.array([[1.0, 2.0], [2.0, 1.0]])
+        acc.sum = np.array([[1.0, 0.0], [2.0, 1.0]], order="F")  # lower triangle only
         acc.n_samples = 1
         with pytest.raises(NotSpdError, match="not SPD"):
             invert_spd(acc.finalize(0.0))
@@ -99,6 +132,8 @@ class TestFinalize:
         acc.sum[0, 0] = np.inf
         with pytest.raises(NotSpdError, match="singular Hessian"):
             acc.finalize(0.0)
+        with pytest.raises(NotSpdError, match="singular Hessian"):
+            acc.inverse(0.0)
 
     def test_empty_accumulator(self):
         with pytest.raises(ValueError, match="empty"):
@@ -109,3 +144,30 @@ class TestFinalize:
         with pytest.raises(ValueError):
             acc.finalize(-0.1)
 
+
+    def test_finalize_leaves_the_sum(self):
+        acc = HessianAccumulator(5).accumulate(np.random.default_rng(4).normal(size=(5, 8)))
+        before = acc.sum.copy()
+        first, second = acc.finalize(0.01), acc.finalize(0.01)
+        assert np.array_equal(first.a, second.a)
+        assert np.array_equal(acc.sum, before)
+
+
+class TestInverse:
+    @pytest.mark.parametrize("n, tokens", [(6, 20), (70, 50), (130, 300)])
+    def test_same_bits_as_finalize_then_invert_spd(self, n, tokens):
+        rng = np.random.default_rng(n)
+        acc = HessianAccumulator(n)
+        for _ in range(3):
+            acc.accumulate(rng.normal(size=(n, tokens)))
+        want = invert_spd(acc.finalize(0.01))
+        got = acc.inverse(0.01)
+        assert np.array_equal(got, want)
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+
+    def test_consumes_the_accumulator(self):
+        acc = HessianAccumulator(3).accumulate(np.eye(3))
+        assert np.allclose(acc.inverse(0.0), 0.5 * np.eye(3), rtol=1e-15, atol=0)
+        for call in (acc.inverse, acc.finalize, lambda: acc.accumulate(np.eye(3))):
+            with pytest.raises(ValueError, match="consumed"):
+                call()

@@ -261,6 +261,22 @@ class TestPrune:
         err = capsys.readouterr().err
         assert err.startswith("error: pruning failed at layer 0") and err.count("\n") == 1, err
 
+    def test_overflowing_hessian_exit_2(self, tmp_path, capsys):
+        # layer 1's values are finite but their squares overflow, so its
+        # attention Hessian sum holds inf: one error line, no warnings
+        toy = tmp_path / "toy"
+        assert run(["gen-toy", "--out", str(toy), "--seed", "7", "--layers", "2",
+                    "--d-model", "16", "--heads", "4", "--d-ff", "24"]) == 0
+        tensors = read_tensor_file(toy / "model.obt")
+        tensors["layers.1.attn.wv"] *= 1e160
+        write_tensor_file(tensors, toy / "model.obt")
+        capsys.readouterr()
+        assert run(prune_args(toy, tmp_path / "out", [
+            "--ratio-first", "0", "--ratio-last", "0.5", "--variant", "lin-inc"])) == 2
+        assert capsys.readouterr().err == (
+            "error: pruning failed at layer 1 (attention): "
+            "singular Hessian: matrix contains non-finite entries\n")
+
     def test_calibration_without_tokens_exit_2(self, toy_dir, tmp_path, capsys):
         calib_path = tmp_path / "calib0.obt"
         write_tensor_file({f"calib.{i}": np.zeros((16, 0)) for i in range(2)}, calib_path)

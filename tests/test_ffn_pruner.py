@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obslim.ffn_pruner import GroupSchedule, group_sizes, prune_channels
-from obslim.linalg import SpdMatrix
+from obslim.linalg import SpdMatrix, invert_spd
 from obslim.obs_core import least_squares_oracle, mask_residual
 
 from conftest import ffn_instance, greedy_channels, rand_spd
@@ -48,7 +48,8 @@ class TestPruneChannels:
         w = rng.normal(size=(4, 8))
         zero_cols = [1, 4, 6]
         w[:, zero_cols] = 0.0
-        out, kept, steps = prune_channels(w, SpdMatrix(np.eye(8)), 3, GroupSchedule(2, 1))
+        h_inv = invert_spd(SpdMatrix(np.eye(8)))
+        out, kept, steps = prune_channels(w, h_inv, 3, GroupSchedule(2, 1))
         assert sorted(set(range(8)) - set(kept)) == zero_cols
         assert sum(err for _, err in steps) == 0.0
         assert np.array_equal(out, w[:, kept])
@@ -57,7 +58,7 @@ class TestPruneChannels:
         rng = np.random.default_rng(2)
         for _ in range(10):
             w, h, n_prune = ffn_instance(rng, max_channels=24)
-            out, kept, steps = prune_channels(w, h, n_prune, GroupSchedule(1, 1))
+            out, kept, steps = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(1, 1))
             ref_w, ref_kept, ref_steps = greedy_channels(w, h, n_prune)
             assert kept == ref_kept
             assert steps == ref_steps  # same selection sequence, same floats
@@ -68,7 +69,7 @@ class TestPruneChannels:
         rng = np.random.default_rng(3)
         for sched in (GroupSchedule(16, 2), GroupSchedule(4, 1), GroupSchedule(8, 8)):
             w, h, n_prune = ffn_instance(rng, max_channels=32)
-            out, kept, steps = prune_channels(w, h, n_prune, sched)
+            out, kept, steps = prune_channels(w, invert_spd(h), n_prune, sched)
             expect = least_squares_oracle(w, h, kept)
             norm = max(np.linalg.norm(expect), 1e-12)
             assert np.linalg.norm(out - expect) / norm < 1e-8
@@ -92,8 +93,8 @@ class TestPruneChannels:
             h = rand_spd(rng, d)
             n_prune = 8
             greedy = mask_residual(w, h, greedy_channels(w, h, n_prune)[1])
-            _, kept_dyn, _ = prune_channels(w, h, n_prune, GroupSchedule(4, 1))
-            _, kept_fix, _ = prune_channels(w, h, n_prune, GroupSchedule(8, 8))
+            _, kept_dyn, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))
+            _, kept_fix, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(8, 8))
             r_dyn = mask_residual(w, h, kept_dyn) / greedy
             r_fix = mask_residual(w, h, kept_fix) / greedy
             dyn_le_fixed += r_dyn <= r_fix + 1e-12
@@ -103,6 +104,16 @@ class TestPruneChannels:
         assert np.mean(dyn_ratios) < 1.10
         assert np.mean(fixed_ratios) < 1.10
 
+    def test_downdates_h_inv_in_place(self):
+        # the caller's inverse ends as the inverse Hessian of the kept channels
+        rng = np.random.default_rng(5)
+        w, h, n_prune = ffn_instance(rng, max_channels=24)
+        h_inv = invert_spd(h)
+        _, kept, _ = prune_channels(w, h_inv, n_prune, GroupSchedule(4, 1))
+        want = invert_spd(SpdMatrix(h.a[np.ix_(kept, kept)]))
+        assert np.linalg.norm(h_inv[np.ix_(kept, kept)] - want) <= 1e-8 * np.linalg.norm(want)
+
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            prune_channels(np.ones((2, 4)), SpdMatrix(np.eye(4)), 4, GroupSchedule(2, 1))
+            prune_channels(np.ones((2, 4)), invert_spd(SpdMatrix(np.eye(4))), 4,
+                           GroupSchedule(2, 1))

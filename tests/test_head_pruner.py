@@ -149,7 +149,7 @@ class TestPruneHeads:
         rng = np.random.default_rng(8)
         lay = HeadLayout(4, 2)
         w = rng.normal(size=(3, 8))
-        res = prune_heads(w, rand_spd(rng, 8), lay, 0)
+        res = prune_heads(w, invert_spd(rand_spd(rng, 8)), lay, 0)
         assert np.array_equal(res.pruned_w, w)
         assert res.kept_heads == [0, 1, 2, 3]
         assert res.total_rounds == 0
@@ -159,7 +159,7 @@ class TestPruneHeads:
         rng = np.random.default_rng(9)
         for _ in range(10):
             w, h, lay, exact = head_instance(rng)
-            res = prune_heads(w, h, lay, 1)
+            res = prune_heads(w, invert_spd(h), lay, 1)
             removed = set(range(lay.n_head)) - set(res.kept_heads)
             assert removed == {int(np.argmin(exact))}
 
@@ -168,7 +168,7 @@ class TestPruneHeads:
         ratios = []
         for _ in range(10):
             w, h, lay, _ = head_instance(rng)
-            res = prune_heads(w, h, lay, 2)
+            res = prune_heads(w, invert_spd(h), lay, 2)
             greedy = mask_residual(w, h, res.kept_columns)
             best = min(
                 mask_residual(w, h, other_cols(lay, [h1, h2]))
@@ -181,7 +181,7 @@ class TestPruneHeads:
     def test_restoration_and_structure(self):
         rng = np.random.default_rng(11)
         w, h, lay, _ = head_instance(rng)
-        res = prune_heads(w, h, lay, 2)
+        res = prune_heads(w, invert_spd(h), lay, 2)
         assert res.kept_heads == sorted(res.kept_heads)
         expect_cols = np.concatenate([head_cols(lay, hd) for hd in res.kept_heads])
         assert np.array_equal(res.kept_columns, expect_cols)
@@ -196,7 +196,7 @@ class TestPruneHeads:
         w = rng.normal(size=(3, 8))
         w[:, head_cols(lay, 2)] = 0.0
         h = rand_spd(rng, 8)
-        res = prune_heads(w, h, lay, 1)
+        res = prune_heads(w, invert_spd(h), lay, 1)
         assert res.kept_heads == [0, 1, 3]
         assert np.array_equal(res.pruned_w, w[:, res.kept_columns])
         assert res.step_error_sum == 0.0
@@ -204,7 +204,7 @@ class TestPruneHeads:
     def test_errors_per_round_layout(self):
         rng = np.random.default_rng(13)
         w, h, lay, exact = head_instance(rng)
-        res = prune_heads(w, h, lay, 2)
+        res = prune_heads(w, invert_spd(h), lay, 2)
         assert res.head_errors_per_round.shape == (2, 4)
         assert not np.any(np.isnan(res.head_errors_per_round[0]))
         removed_first = (set(range(4)) - set(res.kept_heads)) - {
@@ -219,8 +219,8 @@ class TestPruneHeads:
         col_perm = np.concatenate([head_cols(lay, hd) for hd in relabel])
         w2 = w[:, col_perm]
         h2 = SpdMatrix(h.a[np.ix_(col_perm, col_perm)])
-        res1 = prune_heads(w, h, lay, 2)
-        res2 = prune_heads(w2, h2, lay, 2)
+        res1 = prune_heads(w, invert_spd(h), lay, 2)
+        res2 = prune_heads(w2, invert_spd(h2), lay, 2)
         expect_kept = sorted(int(np.where(relabel == hd)[0][0]) for hd in res1.kept_heads)
         assert res2.kept_heads == expect_kept
         back = {int(np.where(relabel == hd)[0][0]): hd for hd in res1.kept_heads}
@@ -236,8 +236,8 @@ class TestPruneHeads:
     def test_scale_invariance(self):
         rng = np.random.default_rng(15)
         w, h, lay, _ = head_instance(rng)
-        res1 = prune_heads(w, h, lay, 2)
-        res2 = prune_heads(w, SpdMatrix(2.0 * h.a), lay, 2)
+        res1 = prune_heads(w, invert_spd(h), lay, 2)
+        res2 = prune_heads(w, invert_spd(SpdMatrix(2.0 * h.a)), lay, 2)
         assert res1.kept_heads == res2.kept_heads
         assert np.abs(res1.pruned_w - res2.pruned_w).max() < 1e-12 * max(1, np.abs(w).max())
 
@@ -246,16 +246,25 @@ class TestPruneHeads:
         rng = np.random.default_rng(16)
         for _ in range(10):
             w, h, lay, _ = head_instance(rng)
-            res = prune_heads(w, h, lay, 2)
+            res = prune_heads(w, invert_spd(h), lay, 2)
             ref = reinvert_prune_heads(w, h, lay, 2)
             assert res.kept_heads == ref.kept_heads
             assert np.abs(res.pruned_w - ref.pruned_w).max() < 1e-6
+
+    def test_downdates_h_inv_in_place(self):
+        # the caller's inverse ends as the inverse Hessian of the kept heads
+        w, h, lay, _ = head_instance(np.random.default_rng(17))
+        h_inv = invert_spd(h)
+        res = prune_heads(w, h_inv, lay, 2)
+        cols = np.ix_(res.kept_columns, res.kept_columns)
+        want = invert_spd(SpdMatrix(h.a[cols]))
+        assert np.linalg.norm(h_inv[cols] - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_invalid_args(self):
         lay = HeadLayout(2, 2)
         w = np.ones((2, 4))
         h = SpdMatrix(np.eye(4))
         with pytest.raises(ValueError):
-            prune_heads(w, h, lay, 2)  # would remove every head
+            prune_heads(w, invert_spd(h), lay, 2)  # would remove every head
         with pytest.raises(NotSpdError):
-            prune_heads(w, SpdMatrix(np.diag([1.0, 1.0, 1.0, -1.0])), lay, 1)
+            prune_heads(w, invert_spd(SpdMatrix(np.diag([1.0, 1.0, 1.0, -1.0]))), lay, 1)

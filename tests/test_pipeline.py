@@ -10,7 +10,7 @@ import pytest
 from obslim import linalg, pipeline
 from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
-from obslim.linalg import SpdMatrix
+from obslim.linalg import SpdMatrix, invert_spd
 from obslim.obs_core import least_squares_oracle
 from obslim.pipeline import (
     LayerWeights,
@@ -131,7 +131,7 @@ class TestForwardLayer:
             n_calib_batches=1, tokens_per_batch=tokens, seed=tokens))
         lw = LayerWeights.from_tensors(manifest.layers[0], tensors)
         lw.wo[:, 4:8] = 0.0  # head 1 is dead
-        feats = pipeline._attention(lw, calib[0])
+        feats = pipeline._attention(lw, lw.wo.any(axis=0), calib[0])
         out = pipeline._projection(lw.wo)(calib[0], feats)  # the caller's residual step
         want_out, want_feats = dense_causal_attention(lw, calib[0])
         assert not feats[4:8].any()
@@ -364,11 +364,28 @@ class TestPruneModel:
 
     def test_refresh_modes_agree_end_to_end(self, monkeypatch):
         # the whole run matches one whose head pruning re-inverts every round
+        # from the Hessian whose inverse the pipeline hands to prune_heads
         tensors, manifest, calib = gen_toy(TOY)
         sched = build_schedule(3, "uniform", global_target=0.5)
         p_t, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG)
-        monkeypatch.setattr(pipeline, "prune_heads", reinvert_prune_heads)
+        hessians = {}
+
+        def hessian_over_batches(feats, damping, w, _fn=pipeline._hessian_over_batches):
+            acc = HessianAccumulator(w.shape[1])
+            for f in feats:
+                acc.accumulate(f)
+            h, h_inv = acc.finalize(damping), _fn(feats, damping, w)
+            assert np.array_equal(h_inv, invert_spd(h))
+            hessians[id(h_inv)] = h
+            return h_inv
+
+        def prune_heads(w, h_inv, layout, n_prune):
+            return reinvert_prune_heads(w, hessians[id(h_inv)], layout, n_prune)
+
+        monkeypatch.setattr(pipeline, "_hessian_over_batches", hessian_over_batches)
+        monkeypatch.setattr(pipeline, "prune_heads", prune_heads)
         p_r, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG)
+        assert hessians
         for k in p_t:
             assert np.abs(p_t[k] - p_r[k]).max() < 1e-6
 
@@ -393,10 +410,20 @@ class TestPruneModel:
         with pytest.raises(NotSpdError, match=rf"^pruning failed at layer 0 \({sublayer}\): "):
             prune_model(tensors, manifest, [calib[0][:, :8]], sched, cfg)
 
+    def test_overflowing_features_name_layer_and_sublayer(self):
+        # layer 1's values are finite but their squares overflow, so its
+        # attention Hessian sum holds inf
+        tensors, manifest, calib = gen_toy(replace(TOY, n_layers=2))
+        tensors["layers.1.attn.wv"] *= 1e160
+        with pytest.raises(NotSpdError, match=r"^pruning failed at layer 1 \(attention\): "
+                           r"singular Hessian: matrix contains non-finite entries$"):
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5]), CONFIG)
+
     def test_one_factorization_per_hessian(self, monkeypatch):
-        # invert_spd factors each full Hessian once, as its positive-
-        # definiteness check, and inverts from that factor; finalize does not.
-        # Head blocks (4) and channel groups (<= 8) are smaller than both dims.
+        # HessianAccumulator.inverse factors each full Hessian once, in its
+        # own buffer, as its positive-definiteness check, and inverts from
+        # that factor; no SpdMatrix is built on the way. Head blocks (4) and
+        # channel groups (<= 8) are smaller than both dims.
         counts = Counter()
         full = (TOY.d_model, TOY.d_ff)
 
@@ -409,11 +436,13 @@ class TestPruneModel:
 
         monkeypatch.setattr(linalg, "dpotrf", counting(linalg.dpotrf, "factor", full))
         monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, "factor", full))
-        monkeypatch.setattr(HessianAccumulator, "finalize",
-                            counting(HessianAccumulator.finalize, "hessian"))
+        monkeypatch.setattr(HessianAccumulator, "inverse",
+                            counting(HessianAccumulator.inverse, "hessian"))
+        monkeypatch.setattr(SpdMatrix, "__init__", counting(SpdMatrix.__init__, "spd_init"))
         tensors, manifest, calib = gen_toy(TOY)
         prune_model(tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG)
         assert counts == {"hessian": 6, "factor": 6}
+        assert counts["spd_init"] == 0
 
     def test_dead_channel_matches_oracle_on_live_subspace(self):
         # Channel 5 of layer 1 never fires (its w_up row is zero), so at
@@ -470,17 +499,24 @@ class TestPruneModel:
         acc = HessianAccumulator(6)
         for f in feats:
             acc.accumulate(f)
-        # no dead feature: the same bits as a plain damped sum, w untouched
-        h = pipeline._hessian_over_batches(feats, 0.01, w)
-        assert np.array_equal(h.a, acc.finalize(0.01).a)
+        # no dead feature: the same bits as the plain damped sum's inverse,
+        # w untouched
+        h_inv = pipeline._hessian_over_batches(feats, 0.01, w)
+        assert np.array_equal(h_inv, invert_spd(acc.finalize(0.01)))
         assert np.array_equal(w, w0)
         for f in feats:
             f[2] = 0.0
-        h = pipeline._hessian_over_batches(feats, 0.01, w)
+        h_inv = pipeline._hessian_over_batches(feats, 0.01, w)
+        acc = HessianAccumulator(6)
+        for f in feats:
+            acc.accumulate(f)
+        acc.sum[2, 2] = 1.0
+        h = acc.finalize(0.01)
         diag = np.diag(sum(2.0 * f @ f.T for f in feats)).copy()
         diag[2] = 1.0
         assert h.a[2, 2] == 1.0 + 0.01 * diag.mean()
         assert not np.delete(h.a[2], 2).any()
+        assert np.array_equal(h_inv, invert_spd(h))
         assert not w[:, 2].any()
         assert np.array_equal(np.delete(w, 2, axis=1), np.delete(w0, 2, axis=1))
 
