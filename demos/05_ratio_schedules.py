@@ -2,8 +2,10 @@
 
 Layer-wise pruning errors compound with depth, so the default curve prunes
 shallow layers gently and deep layers harder, rising logarithmically. Given
-a global parameter target, the last-layer ratio is solved by bisection on
-the parameter-weighted mean.
+a global parameter target, the last-layer ratio is solved in closed form:
+every curve is r0 * (1 - u) + rn * u, with u rising from 0 at the first
+layer to 1 at the last, so the first and last ratios are exactly r0 and rn
+and the parameter-weighted mean is affine in rn.
 
 Run: python demos/05_ratio_schedules.py
 """
@@ -44,10 +46,10 @@ print(f"with heavier deep layers the solved endpoint drops: rn={rn_w:.4f} "
 
 # --- build_schedule + mirroring -------------------------------------------------
 inc = build_schedule(n, "log_increase", r0=0.25, global_target=0.5)
-dec = inc.reversed()
+dec = build_schedule(n, "log_decrease", r0=inc.ratios[-1], rn=inc.ratios[0])
 print(f"\nbuild_schedule variant={inc.variant}, ratios mean {np.mean(inc.ratios):.4f}")
-print(f"mirrored counterpart variant={dec.variant}, same multiset of ratios, "
-      f"mean {np.mean(dec.ratios):.4f}")
+print(f"mirrored counterpart variant={dec.variant}, the same ratios in reverse "
+      f"order: {dec.ratios == inc.ratios[::-1]}, mean {np.mean(dec.ratios):.4f}")
 
 # --- ratios to integer unit counts ----------------------------------------------
 print("\ninteger removal counts at ratio 0.33:")

@@ -33,8 +33,7 @@ for pct in (25, 50, 75):
     for seed in range(5):
         tensors, manifest, calib = gen_toy(ToyModelSpec(seed=seed))
         ratios = (pct / 100.0,) + (0.0,) * (spec.n_layers - 1)
-        sched = PruneSchedule(ratios=ratios, variant="custom",
-                              r_first=ratios[0], r_last=0.0)
+        sched = PruneSchedule(ratios=ratios, variant="custom")
         _, _, rep = prune_model(tensors, manifest, calib, sched, config)
         acc += np.array([row.output_sq_error for row in rep.layers])
     curves[pct] = acc / 5
@@ -55,8 +54,11 @@ for seed in range(5):
         "log_increase": log_inc,
         "linear_increase": lin_inc,
         "uniform": build_schedule(spec.n_layers, "uniform", global_target=0.5),
-        "log_decrease": log_inc.reversed(),
-        "linear_decrease": lin_inc.reversed(),
+        # each falling curve mirrors its rising one: the same ratios in reverse order
+        "log_decrease": build_schedule(spec.n_layers, "log_decrease",
+                                       r0=log_inc.ratios[-1], rn=log_inc.ratios[0]),
+        "linear_decrease": build_schedule(spec.n_layers, "linear_decrease",
+                                          r0=lin_inc.ratios[-1], rn=lin_inc.ratios[0]),
     }
     for name, sched in scheds.items():
         _, _, rep = prune_model(tensors, manifest, calib, sched, config)

@@ -10,7 +10,7 @@ class Tolerances:
     """Tolerance budget for the numerical kernels.
 
     symmetry          relative asymmetry accepted when constructing an SPD matrix
-    schedule_residual bisection stop criterion for ratio-schedule solving
+    schedule_residual slack on the reachable range of a ratio schedule's global target
     """
 
     symmetry: float = 1e-9

@@ -4,6 +4,8 @@ The default curve raises the ratio logarithmically with depth, so shallow
 layers (whose reconstruction errors compound through every later layer)
 are pruned gently and deep layers carry more of the budget. Linear and
 mirrored (decreasing) variants plus a flat schedule exist for comparison.
+Every curve interpolates between its exact endpoints ``r0`` and ``rn``, so
+a global target is met by solving the affine mean for ``rn`` in closed form.
 """
 
 import math
@@ -25,11 +27,11 @@ VARIANTS = (
 def ratio_at(i: int, n: int, r0: float, rn: float, variant: str = "log_increase") -> float:
     """Pruning ratio of layer ``i`` in an ``n``-layer model.
 
-    All variants pin ``ratio_at(0) == r0`` and ``ratio_at(n-1) == rn``.
-    The log curve interpolates with ``log(i+1)/log(n)``; decrease variants
-    are the layer-order mirror of their increase counterparts with the
-    endpoint values swapped. The log base cancels in the ratio, so the
-    natural log is used throughout.
+    Every curve is ``r0 * (1 - u) + rn * u``, ``u = log(i+1)/log(n)`` (log;
+    the base cancels) or ``i/(n-1)`` (linear). A decrease variant is its
+    increase curve read from the other end, ``ratio_at(n-1-i, n, rn, r0,
+    "X_increase")``, so ``ratio_at(0) == r0`` and ``ratio_at(n-1) == rn``
+    bit for bit and every ratio lies between them.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -44,13 +46,12 @@ def ratio_at(i: int, n: int, r0: float, rn: float, variant: str = "log_increase"
         return r0
     if n < 2:
         raise ValueError(f"{variant} needs at least 2 layers, got {n}")
-    if variant == "log_increase":
-        return r0 + (rn - r0) * math.log(i + 1) / math.log(n)
-    if variant == "linear_increase":
-        return r0 + (rn - r0) * i / (n - 1)
-    if variant == "log_decrease":
-        return rn + (r0 - rn) * math.log(n - i) / math.log(n)
-    return rn + (r0 - rn) * (n - 1 - i) / (n - 1)  # linear_decrease
+    if r0 == rn:  # flat: the interpolation below can round off r0 in between
+        return r0
+    if variant.endswith("_decrease"):
+        i, r0, rn = n - 1 - i, rn, r0
+    u = math.log(i + 1) / math.log(n) if variant.startswith("log") else i / (n - 1)
+    return r0 * (1 - u) + rn * u
 
 
 def schedule_ratios(n: int, r0: float, rn: float, variant: str = "log_increase") -> np.ndarray:
@@ -75,9 +76,11 @@ def solve_last_ratio(
 ) -> float:
     """Find ``rn`` so the parameter-weighted mean ratio hits the global target.
 
-    The weighted mean is monotone non-decreasing in ``rn`` for every
-    variant, so a plain bisection over [0, 1) converges; it stops when the
-    residual drops below ``TOL.schedule_residual``.
+    The weighted mean is affine in ``rn``: from its values ``m0`` at
+    ``rn = 0`` and ``m1`` at the largest ratio below 1, ``rn`` is solved in
+    closed form and clipped to that range, so a target up to
+    ``TOL.schedule_residual`` outside ``[m0, m1]`` gets the nearer end. If
+    the mean does not depend on ``rn`` (all weight on layer 0), ``rn = r0``.
 
     Raises:
         ValueError: if no ``rn`` in [0, 1) reaches the target.
@@ -90,26 +93,16 @@ def solve_last_ratio(
         if abs(global_target - r0) <= TOL.schedule_residual:
             return r0
         raise ValueError("uniform schedule cannot move the mean away from r0")
-
-    def weighted_mean(rn: float) -> float:
-        return float(np.average(schedule_ratios(n, r0, rn, variant), weights=weights))
-
-    lo, hi = 0.0, math.nextafter(1.0, 0.0)
-    if not weighted_mean(lo) - TOL.schedule_residual <= global_target <= weighted_mean(hi) + TOL.schedule_residual:
+    hi = math.nextafter(1.0, 0.0)
+    m0, m1 = (float(np.average(schedule_ratios(n, r0, rn, variant), weights=weights))
+              for rn in (0.0, hi))
+    if not m0 - TOL.schedule_residual <= global_target <= m1 + TOL.schedule_residual:
         raise ValueError(
-            f"target {global_target} unreachable: mean range "
-            f"[{weighted_mean(lo):.6f}, {weighted_mean(hi):.6f}] for r0={r0}"
+            f"target {global_target} unreachable: mean range [{m0:.6f}, {m1:.6f}] for r0={r0}"
         )
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        val = weighted_mean(mid)
-        if abs(val - global_target) < TOL.schedule_residual:
-            return mid
-        if val < global_target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    if m1 == m0:
+        return r0
+    return min(max(hi * (global_target - m0) / (m1 - m0), 0.0), hi)
 
 
 @dataclass(frozen=True)
@@ -121,8 +114,6 @@ class PruneSchedule:
 
     ratios: tuple
     variant: str
-    r_first: float
-    r_last: float
 
     def __post_init__(self):
         if self.variant not in VARIANTS and self.variant != "custom":
@@ -136,23 +127,6 @@ class PruneSchedule:
     def n_layers(self) -> int:
         return len(self.ratios)
 
-    def reversed(self) -> "PruneSchedule":
-        """Layer-order mirror (increase <-> decrease counterpart)."""
-        flipped = {
-            "log_increase": "log_decrease",
-            "log_decrease": "log_increase",
-            "linear_increase": "linear_decrease",
-            "linear_decrease": "linear_increase",
-            "uniform": "uniform",
-            "custom": "custom",
-        }[self.variant]
-        return PruneSchedule(
-            ratios=tuple(reversed(self.ratios)),
-            variant=flipped,
-            r_first=self.r_last,
-            r_last=self.r_first,
-        )
-
 
 def build_schedule(
     n: int,
@@ -164,9 +138,12 @@ def build_schedule(
 ) -> PruneSchedule:
     """Construct a schedule from endpoints or from a global parameter target.
 
-    ``r0`` defaults to 0 and ``rn`` to ``r0``. With ``global_target`` set,
-    ``rn`` is solved by bisection against the (optionally parameter-weighted)
-    mean; the uniform variant pins every layer to the target, else to ``r0``.
+    ``r0`` defaults to 0 and ``rn`` to ``r0``; the first and last ratios are
+    exactly ``r0`` and ``rn``. With ``global_target`` set, ``rn`` is solved
+    in closed form against the (optionally parameter-weighted) mean; the
+    uniform variant pins every layer to the target, else to ``r0``. The
+    layer-order mirror of a schedule ``s`` is
+    ``build_schedule(n, "X_decrease", r0=s.ratios[-1], rn=s.ratios[0])``.
 
     Raises:
         ValueError: on a setting the schedule would ignore: ``rn`` beside
@@ -183,13 +160,11 @@ def build_schedule(
         if rn is not None and rn != r0:
             raise ValueError(f"uniform schedule needs rn equal to r0, got {rn} and {r0}")
         value = global_target if global_target is not None else r0
-        return PruneSchedule(
-            ratios=tuple([value] * n), variant=variant, r_first=value, r_last=value
-        )
+        return PruneSchedule(ratios=tuple([value] * n), variant=variant)
     if global_target is not None:
         weights = layer_param_weights if layer_param_weights is not None else np.ones(n)
         rn = solve_last_ratio(global_target, r0, weights, variant)
     elif rn is None:
         rn = r0
     ratios = tuple(ratio_at(i, n, r0, rn, variant) for i in range(n))
-    return PruneSchedule(ratios=ratios, variant=variant, r_first=r0, r_last=rn)
+    return PruneSchedule(ratios=ratios, variant=variant)

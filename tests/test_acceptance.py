@@ -226,8 +226,7 @@ def test_c07_error_accumulation():
         for seed in range(20):
             tensors, manifest, calib = gen_toy(ToyModelSpec(seed=seed))
             ratios = (pct / 100.0,) + (0.0,) * 7
-            sched = PruneSchedule(ratios=ratios, variant="custom",
-                                  r_first=ratios[0], r_last=0.0)
+            sched = PruneSchedule(ratios=ratios, variant="custom")
             _, _, rep = prune_model(tensors, manifest, calib, sched, config)
             per_seed.append([row.output_sq_error for row in rep.layers])
         curves[pct] = np.mean(np.array(per_seed), axis=0)
@@ -264,8 +263,10 @@ def test_c08_schedule_ordering():
             "uniform": build_schedule(8, "uniform", global_target=0.5),
             "log_increase": log_inc,
             "linear_increase": lin_inc,
-            "log_decrease": log_inc.reversed(),
-            "linear_decrease": lin_inc.reversed(),
+            "log_decrease": build_schedule(8, "log_decrease", r0=log_inc.ratios[-1],
+                                           rn=log_inc.ratios[0]),
+            "linear_decrease": build_schedule(8, "linear_decrease", r0=lin_inc.ratios[-1],
+                                              rn=lin_inc.ratios[0]),
         }
         for name, sched in scheds.items():
             _, _, rep = prune_model(tensors, manifest, calib, sched, config)

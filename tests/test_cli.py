@@ -374,6 +374,17 @@ class TestPrune:
             "--global-target", "0.1", "--ratio-first", "0.5",
         ])) == 2
 
+    def test_two_layer_log_decrease_target_runs(self, tmp_path):
+        # layer 0 of a decreasing curve is exactly --ratio-first (0), never a rounding below it
+        toy, out = tmp_path / "toy", tmp_path / "out"
+        assert run(["gen-toy", "--out", str(toy), "--seed", "1", "--layers", "2",
+                    "--d-model", "16", "--heads", "4", "--d-ff", "32"]) == 0
+        assert run(prune_args(toy, out, ["--variant", "log-dec", "--global-target", "0.4"])) == 0
+        assert PruneReport.load(out / "report.json").ratios[0] == 0.0
+        assert run(["verify", "--report", str(out / "report.json"),
+                    "--manifest", str(out / "manifest.json"),
+                    "--model", str(out / "model.obt")]) == 0
+
 
 def with_row(data, **fields):
     """``data`` with layer 1's fields replaced; ``None`` drops a field."""

@@ -1,6 +1,8 @@
-"""Every demo still runs against the current sources and cleans up after itself."""
+"""Every demo and the README's quick starts still run against the current sources."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,15 +11,44 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
+
+
+def source_env(tmp):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp)}
+
+
+def readme_block(heading, lang=""):
+    """Body of the ``lang`` code block that opens the README section ``heading``."""
+    match = re.search(f"## {re.escape(heading)}\n[^`]*```{lang}\n(.*?)```", README, re.DOTALL)
+    assert match, f"README section {heading!r} opens with no {lang or 'plain'} block"
+    return match.group(1)
 
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_0(demo, tmp_path):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     tmp = tmp_path / "tmp"
     tmp.mkdir()
-    env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp)}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
-                          text=True, timeout=120, env=env)
+                          text=True, timeout=120, env=source_env(tmp))
     assert proc.returncode == 0, proc.stderr
     assert list(tmp.iterdir()) == [], "demo left files in its TMPDIR"
+
+
+def test_readme_library_quick_start(tmp_path):
+    code = readme_block("Quick start (library)", "python")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=source_env(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_quick_start(tmp_path):
+    commands = readme_block("Quick start (CLI)").replace("\\\n", " ").splitlines()
+    assert [shlex.split(c)[1] for c in commands] == ["gen-toy", "prune", "verify", "report"]
+    for command in commands:
+        argv = [sys.executable, "-m", "obslim", *shlex.split(command)[1:]]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                              env=source_env(tmp_path), cwd=tmp_path)
+        assert proc.returncode == 0, (command, proc.stderr)
+    assert (tmp_path / "table.csv").read_text().startswith("layer,ratio,")

@@ -35,8 +35,7 @@ CONFIG = PruneConfig(group_start=8, group_min=2)
 
 
 def custom_schedule(ratios):
-    return PruneSchedule(ratios=tuple(ratios), variant="custom",
-                         r_first=ratios[0], r_last=ratios[-1])
+    return PruneSchedule(ratios=tuple(ratios), variant="custom")
 
 
 class TestGenToy:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from obslim.schedule import (
+    VARIANTS,
     PruneSchedule,
     build_schedule,
     counts_from_ratio,
@@ -13,6 +14,9 @@ from obslim.schedule import (
     schedule_ratios,
     solve_last_ratio,
 )
+
+CURVES = tuple(v for v in VARIANTS if v != "uniform")
+RN_GRID = tuple(k / 100 for k in range(100))
 
 
 class TestRatioAt:
@@ -41,13 +45,28 @@ class TestRatioAt:
             assert np.all(np.diff(ratios) <= 0)
 
     def test_decrease_mirrors_increase(self):
-        n, r0, rn = 12, 0.55, 0.15
-        for dec, inc in (("log_decrease", "log_increase"),
-                         ("linear_decrease", "linear_increase")):
-            for i in range(n):
-                assert ratio_at(i, n, r0, rn, dec) == pytest.approx(
-                    ratio_at(n - 1 - i, n, rn, r0, inc), abs=1e-15
-                )
+        for n, r0, rn in ((12, 0.55, 0.15), (2, 0.4, 0.0), (7, 0.1, 0.9)):
+            for dec, inc in (("log_decrease", "log_increase"),
+                             ("linear_decrease", "linear_increase")):
+                for i in range(n):
+                    assert ratio_at(i, n, r0, rn, dec) == ratio_at(n - 1 - i, n, rn, r0, inc)
+
+    @pytest.mark.parametrize("variant", CURVES)
+    def test_endpoints_exact_on_grid(self, variant):
+        for n in range(2, 65):
+            for r0 in (0.0, 0.1, 0.25):
+                for rn in RN_GRID:
+                    assert ratio_at(0, n, r0, rn, variant) == r0, (n, r0, rn)
+                    assert ratio_at(n - 1, n, r0, rn, variant) == rn, (n, r0, rn)
+
+    @pytest.mark.parametrize("variant", CURVES)
+    def test_ratios_lie_between_endpoints(self, variant):
+        for n in (2, 3, 5, 8, 13, 24, 32, 48, 64):
+            for r0 in (0.0, 0.1, 0.25):
+                for rn in RN_GRID:
+                    ratios = schedule_ratios(n, r0, rn, variant)
+                    assert min(r0, rn) <= ratios.min(), (n, r0, rn)
+                    assert ratios.max() <= max(r0, rn), (n, r0, rn)
 
     def test_uniform_requires_equal_endpoints(self):
         with pytest.raises(ValueError, match="uniform"):
@@ -120,6 +139,29 @@ class TestSolveLastRatio:
         with pytest.raises(ValueError):
             solve_last_ratio(0.6, 0.3, np.ones(8), "uniform")
 
+    @pytest.mark.parametrize("variant", CURVES)
+    def test_closed_form_hits_target(self, variant):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            weights = rng.uniform(0.0, 5.0, size=n)
+            r0 = float(rng.uniform(0.0, 0.5))
+            lo, hi = (np.average(schedule_ratios(n, r0, rn, variant), weights=weights)
+                      for rn in (0.0, 0.99))
+            target = float(rng.uniform(lo, hi))
+            rn = solve_last_ratio(target, r0, weights, variant)
+            mean = np.average(schedule_ratios(n, r0, rn, variant), weights=weights)
+            assert abs(mean - target) < 1e-12
+
+    def test_mean_independent_of_last_ratio(self):
+        # all weight on layer 0, whose ratio is r0 for every rn: a flat schedule
+        weights = np.array([3.0, 0.0, 0.0, 0.0])
+        for variant in CURVES:
+            assert solve_last_ratio(0.2, 0.2, weights, variant) == 0.2
+            assert solve_last_ratio(0.2 + 5e-7, 0.2, weights, variant) == 0.2
+            with pytest.raises(ValueError, match="unreachable"):
+                solve_last_ratio(0.3, 0.2, weights, variant)
+
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             solve_last_ratio(0.4, 0.1, np.zeros(4), "log_increase")
@@ -131,7 +173,7 @@ class TestPruneSchedule:
         assert sched.n_layers == 8
         assert abs(np.mean(sched.ratios) - 0.5) < 1e-6
         assert sched.ratios[0] == 0.25
-        assert sched.r_last == sched.ratios[-1]
+        assert sched.ratios[-1] == solve_last_ratio(0.5, 0.25, np.ones(8), "log_increase")
 
     def test_build_uniform(self):
         sched = build_schedule(5, "uniform", global_target=0.4)
@@ -160,23 +202,20 @@ class TestPruneSchedule:
             build_schedule(6, variant, **kwargs)
 
     def test_reversed_mirror(self):
-        inc = build_schedule(8, "log_increase", r0=0.25, global_target=0.5)
-        dec = inc.reversed()
-        assert dec.variant == "log_decrease"
-        assert dec.ratios == tuple(reversed(inc.ratios))
-        assert dec.r_first == inc.r_last
-        # mirrored ratios still follow the decrease formula exactly
-        for i, r in enumerate(dec.ratios):
-            assert r == pytest.approx(
-                ratio_at(i, 8, dec.r_first, dec.r_last, "log_decrease"), abs=1e-12
-            )
+        # the mirror of a schedule is its decrease counterpart with swapped endpoints
+        for inc_variant in ("log_increase", "linear_increase"):
+            inc = build_schedule(8, inc_variant, r0=0.25, global_target=0.5)
+            dec_variant = inc_variant.replace("increase", "decrease")
+            dec = build_schedule(8, dec_variant, r0=inc.ratios[-1], rn=inc.ratios[0])
+            assert dec.variant == dec_variant
+            assert dec.ratios == tuple(reversed(inc.ratios))
 
     def test_custom_tag(self):
-        sched = PruneSchedule(ratios=(0.5, 0.0), variant="custom", r_first=0.5, r_last=0.0)
+        sched = PruneSchedule(ratios=(0.5, 0.0), variant="custom")
         assert sched.n_layers == 2
         with pytest.raises(ValueError):
-            PruneSchedule(ratios=(0.5,), variant="mystery", r_first=0.5, r_last=0.5)
+            PruneSchedule(ratios=(0.5,), variant="mystery")
 
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
-            PruneSchedule(ratios=(1.0,), variant="uniform", r_first=1.0, r_last=1.0)
+            PruneSchedule(ratios=(1.0,), variant="uniform")
