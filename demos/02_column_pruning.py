@@ -14,8 +14,9 @@ import numpy as np
 
 from obslim import (
     HessianAccumulator,
+    block_errors,
     brute_force_best_columns,
-    column_errors,
+    greedy_prune,
     invert_spd,
     least_squares_oracle,
     mask_residual,
@@ -33,25 +34,20 @@ w = rng.normal(size=(5, d)) * np.exp(0.6 * rng.normal(size=d))[None, :]
 h = HessianAccumulator(d).accumulate(x).finalize(damping_frac=0.01)
 h_inv = invert_spd(h)
 
-errs = column_errors(w, h_inv)
+errs = block_errors(w, h_inv, 1)  # blocks of one column
 print("per-column removal errors:")
 for p, err in enumerate(errs):
     print(f"  column {p}: {err:10.3f}")
 print(f"cheapest column: {np.argmin(errs)}")
 
-# --- prune three columns greedily, one remove_block call per column ---------
-# remove_block updates w and h_inv in place over their full width and clears
-# the removed columns in a survivor mask; read both through that mask.
-w_cur, h_inv_cur = w.copy(), h_inv.copy()
-alive = np.ones(d, dtype=bool)
-step_sum = 0.0
-for _ in range(3):
-    cur = column_errors(w_cur, h_inv_cur, alive)
-    pick = int(np.flatnonzero(alive)[np.argmin(cur)])
-    print(f"removing original column {pick} (estimated error {cur.min():.3f})")
-    step_sum += float(remove_block(w_cur, h_inv_cur, [pick], alive)[0])
-kept = np.flatnonzero(alive).tolist()
-w_cur = w_cur[:, alive]
+# --- prune three columns greedily, one remove_block call per round ---------
+# greedy_prune rescores the live columns every round and removes the cheapest
+# with exact compensation; it downdates h_inv in place, so it gets a copy.
+w_cur, kept, rounds = greedy_prune(w, h_inv.copy(), 1, [1, 1, 1])
+for cols, steps in rounds:
+    print(f"removed original column {cols[0]} (paid error {steps[0]:.3f})")
+step_sum = sum(float(steps.sum()) for _, steps in rounds)
+kept = kept.tolist()
 
 greedy_resid = mask_residual(w, h, kept)
 print(f"\nkept columns: {kept}")

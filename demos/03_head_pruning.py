@@ -14,7 +14,7 @@ import numpy as np
 from obslim import (
     HeadLayout,
     SpdMatrix,
-    head_errors,
+    block_errors,
     invert_spd,
     mask_residual,
     prune_heads,
@@ -48,7 +48,7 @@ def exact_residuals(w, h, layout):
 # --- one instance in detail --------------------------------------------------
 w, h, layout = correlated_instance(rho=0.5)
 h_inv = invert_spd(h)
-est = head_errors(w, h_inv, layout)
+est = block_errors(w, h_inv, layout.d_head)
 raw = ((w * w).sum(axis=0) / h_inv.diagonal()).reshape(4, 3).sum(axis=1)
 exact = exact_residuals(w, h, layout)
 
@@ -66,7 +66,7 @@ for _ in range(n_trials):
     w, h, layout = correlated_instance(rho=float(rng.uniform(0.3, 0.7)))
     h_inv = invert_spd(h)
     exact = exact_residuals(w, h, layout)
-    sel_gc = int(np.argmin(head_errors(w, h_inv, layout)))
+    sel_gc = int(np.argmin(block_errors(w, h_inv, layout.d_head)))
     sel_raw = int(np.argmin(
         ((w * w).sum(axis=0) / h_inv.diagonal()).reshape(4, 3).sum(axis=1)))
     best = int(np.argmin(exact))
@@ -80,10 +80,10 @@ print(f"  block-factor selection no worse than raw:        {gc_no_worse}/{n_tria
 
 # --- the full greedy loop -----------------------------------------------------
 w, h, layout = correlated_instance(rho=0.4)
+print("\nround-0 estimated head errors:")
+print(np.array_str(block_errors(w, invert_spd(h), layout.d_head), precision=1))
 res = prune_heads(w, invert_spd(h), layout, n_prune=2)
-print(f"\ntwo greedy rounds kept heads {res.kept_heads}")
-print("estimated head errors per round (NaN = already removed):")
-print(np.array_str(res.head_errors_per_round, precision=1))
+print(f"two greedy rounds kept heads {res.kept_heads}")
 greedy = mask_residual(w, h, res.kept_columns)
 best2 = min(
     mask_residual(w, h, np.setdiff1d(

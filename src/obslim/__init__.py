@@ -9,11 +9,12 @@ from .calib import HessianAccumulator
 from .config import DEFAULT_DAMPING, TOL, Tolerances
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
 from .ffn_pruner import GroupSchedule, group_sizes, prune_channels
-from .head_pruner import HeadLayout, HeadPruneResult, head_errors, prune_heads
-from .linalg import SpdMatrix, cholesky_lower, grouped_cholesky, invert_spd, remove_block
+from .head_pruner import HeadLayout, HeadPruneResult, prune_heads
+from .linalg import SpdMatrix, grouped_cholesky, invert_spd, remove_block
 from .obs_core import (
+    block_errors,
     brute_force_best_columns,
-    column_errors,
+    greedy_prune,
     least_squares_oracle,
     mask_residual,
 )
@@ -66,17 +67,16 @@ __all__ = [
     "TensorFormatError",
     "Tolerances",
     "ToyModelSpec",
+    "block_errors",
     "brute_force_best_columns",
     "build_schedule",
-    "cholesky_lower",
-    "column_errors",
     "counts_from_ratio",
     "forward_layer",
     "forward_model",
     "gen_toy",
+    "greedy_prune",
     "grouped_cholesky",
     "group_sizes",
-    "head_errors",
     "invert_spd",
     "least_squares_oracle",
     "mask_residual",

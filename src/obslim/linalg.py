@@ -1,7 +1,7 @@
 """Dense symmetric-positive-definite linear algebra.
 
 Everything the pruning kernels need from an SPD matrix lives here:
-Cholesky factorization, inversion from the factor, per-block (grouped)
+inversion from one Cholesky factorization, per-block (grouped)
 factorization of diagonal blocks, and the block-OBS kernel that removes a
 set of columns from a weight matrix and its inverse Hessian in one solve.
 
@@ -25,8 +25,8 @@ class SpdMatrix:
     The constructor checks that its input is square and finite and that the
     asymmetry is within ``TOL.symmetry`` relative to the largest entry, then
     symmetrizes it as (M + M^T)/2. Positive definiteness is checked by the
-    one factorization the matrix gets (`cholesky_lower`, `invert_spd`), which
-    raises ``NotSpdError`` on failure.
+    one factorization the matrix gets, in ``invert_spd``, which raises
+    ``NotSpdError`` on failure.
     """
 
     __slots__ = ("a",)
@@ -52,18 +52,6 @@ class SpdMatrix:
 
     def __repr__(self):
         return f"SpdMatrix(n={self.n})"
-
-
-def cholesky_lower(m: SpdMatrix) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == m, a new array from LAPACK ``dpotrf``.
-
-    Raises:
-        NotSpdError: if the matrix is not positive definite.
-    """
-    low, info = dpotrf(m.a, lower=1, clean=1)
-    if info != 0:
-        raise NotSpdError(f"not SPD: Cholesky failed at leading minor {info}")
-    return low
 
 
 def invert_spd(m: SpdMatrix) -> np.ndarray:

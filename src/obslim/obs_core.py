@@ -1,7 +1,9 @@
-"""Column scoring and the exact oracles for column pruning.
+"""Batched greedy pruning of column blocks, and the exact oracles it is tested against.
 
-``column_errors`` scores every column for removal; ``linalg.remove_block``
-then removes the chosen columns with exact compensation. The module also
+Heads are blocks of ``d_head`` columns and FFN channels are blocks of one
+column; both are pruned by ``greedy_prune``, which scores every live block
+with ``block_errors`` and removes the cheapest ones with the exact block-OBS
+step ``linalg.remove_block`` (the group OBS step of OBC). The module also
 carries the two independent oracles used throughout the test suite: the
 closed-form least-squares solution for a fixed column mask and exhaustive
 subset search.
@@ -13,30 +15,70 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NotSpdError
-from .linalg import SpdMatrix
+from .linalg import SpdMatrix, grouped_cholesky, remove_block
 
 # Exhaustive search refuses to enumerate more subsets than this.
 ENUMERATION_GUARD = 100_000
 
 
-def column_errors(w: np.ndarray, h_inv: np.ndarray, alive=None) -> np.ndarray:
-    """Pruning error of each column: squared norm over the inverse-Hessian diagonal.
+def block_errors(w: np.ndarray, h_inv: np.ndarray, width: int, alive=None) -> np.ndarray:
+    """Estimated removal error of every live block of ``width`` columns, in block order.
 
-    ``err[p] = sum(w[:, p]**2) / h_inv[p, p]`` is the exact increase of the
-    reconstruction objective if column ``p`` alone were removed now.
-    ``h_inv`` is a symmetric float64 array; with the survivor mask ``alive``
-    of ``remove_block``, only the live columns are scored.
+    Each diagonal block of ``h_inv`` is factored on its own
+    (``grouped_cholesky``), and ``err[b] = sum over the block's columns j and
+    all rows of w[:, j]**2 / L_b[j, j]**2``: the squared factor diagonal
+    stands in for the inverse-Hessian diagonal that sequential removal would
+    update. At ``width == 1`` this is the exact single-column OBS error
+    ``sum(w[:, p]**2) / h_inv[p, p]``. With the survivor mask ``alive`` of
+    ``remove_block``, only whole live blocks are scored.
+
+    Raises:
+        ValueError: if the shapes disagree or ``width`` does not divide them.
+        NotSpdError: if a live block of ``h_inv`` is not positive definite.
     """
     w = np.asarray(w, dtype=np.float64)
-    diag = np.diag(h_inv)
-    if w.ndim != 2 or w.shape[1] != diag.size:
-        raise ValueError(
-            f"weight shape {w.shape} inconsistent with inverse Hessian dim {diag.size}"
-        )
-    live = slice(None) if alive is None else alive
-    if np.any(diag[live] <= 0.0):
-        raise NotSpdError("non-positive diagonal entry in inverse Hessian")
-    return (w * w).sum(axis=0)[live] / diag[live]
+    if w.ndim != 2 or np.shape(h_inv) != (w.shape[1],) * 2:
+        raise ValueError(f"weight shape {w.shape} inconsistent with h_inv {np.shape(h_inv)}")
+    factors = grouped_cholesky(h_inv, width, alive)
+    denom = factors.diagonal(axis1=1, axis2=2) ** 2  # (live blocks, width)
+    per_col = (w * w).sum(axis=0).reshape(-1, width)
+    if alive is not None:
+        per_col = per_col[alive.reshape(-1, width).all(axis=1)]
+    return (per_col / denom).sum(axis=1)
+
+
+def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes):
+    """Remove ``sum(sizes)`` blocks of ``width`` columns, ``sizes[r]`` of them in round ``r``.
+
+    Each round scores the live blocks on the current (already compensated)
+    weights, takes the ``k`` cheapest (a stable sort: ties go to the lowest
+    block index) and removes their columns, in ascending estimated-error
+    order, with one ``remove_block`` call. ``w`` is copied; ``h_inv``, the
+    inverse Hessian from ``invert_spd``, is downdated in place. The weights
+    are compacted through the survivor mask once, at the end. Returns
+    ``(pruned_w, kept_columns, rounds)``: the kept columns in original order
+    and one ``(columns, step_errors)`` pair per round.
+
+    Raises:
+        ValueError: if the shapes disagree, ``width`` does not divide them, a
+            size is below 1, or the sizes leave no block.
+    """
+    w = np.array(w, dtype=np.float64, order="C")
+    if w.ndim != 2 or np.shape(h_inv) != (w.shape[1],) * 2:
+        raise ValueError(f"weight shape {w.shape} inconsistent with h_inv {np.shape(h_inv)}")
+    if width < 1 or w.shape[1] % width:
+        raise ValueError(f"dimension {w.shape[1]} not divisible by block width {width}")
+    sizes, n_blocks = list(sizes), w.shape[1] // width
+    if any(k < 1 for k in sizes) or sum(sizes) >= n_blocks:
+        raise ValueError(f"cannot prune {sum(sizes)} of {n_blocks} blocks in rounds of sizes >= 1")
+    alive = np.ones(w.shape[1], dtype=bool)
+    rounds = []
+    for k in sizes:
+        live = np.flatnonzero(alive[::width])
+        picked = live[np.argsort(block_errors(w, h_inv, width, alive), kind="stable")[:k]]
+        cols = (picked[:, None] * width + np.arange(width)).ravel()
+        rounds.append((cols, remove_block(w, h_inv, cols, alive)))
+    return w[:, alive], np.flatnonzero(alive), rounds
 
 
 def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:

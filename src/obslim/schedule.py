@@ -140,25 +140,26 @@ def build_schedule(
 
     ``r0`` defaults to 0 and ``rn`` to ``r0``; the first and last ratios are
     exactly ``r0`` and ``rn``. With ``global_target`` set, ``rn`` is solved
-    in closed form against the (optionally parameter-weighted) mean; the
-    uniform variant pins every layer to the target, else to ``r0``. The
-    layer-order mirror of a schedule ``s`` is
-    ``build_schedule(n, "X_decrease", r0=s.ratios[-1], rn=s.ratios[0])``.
+    in closed form against the (optionally parameter-weighted) mean. The
+    uniform variant, and every variant on a 1-layer model, has one ratio:
+    the target if set, else ``r0``. The layer-order mirror of a schedule
+    ``s`` is ``build_schedule(n, "X_decrease", r0=s.ratios[-1], rn=s.ratios[0])``.
 
     Raises:
         ValueError: on a setting the schedule would ignore: ``rn`` beside
-            ``global_target``, or under ``uniform`` an ``r0`` beside
+            ``global_target``, or with one ratio an ``r0`` beside
             ``global_target`` or an ``rn`` unequal to ``r0``; and on a
             variant, ratio or target the curve cannot take.
     """
     if rn is not None and global_target is not None:
         raise ValueError("rn is solved from global_target; set one of them, not both")
-    if variant == "uniform" and r0 is not None and global_target is not None:
-        raise ValueError("uniform schedule has one ratio; set r0 or global_target, not both")
+    one_ratio = variant == "uniform" or n == 1  # every layer's, or the only layer's
+    if one_ratio and r0 is not None and global_target is not None:
+        raise ValueError("one-ratio schedule: set r0 or global_target, not both")
     r0 = r0 if r0 is not None else 0.0
-    if variant == "uniform":
+    if one_ratio:
         if rn is not None and rn != r0:
-            raise ValueError(f"uniform schedule needs rn equal to r0, got {rn} and {r0}")
+            raise ValueError(f"one-ratio schedule needs rn equal to r0, got {rn} and {r0}")
         value = global_target if global_target is not None else r0
         return PruneSchedule(ratios=tuple([value] * n), variant=variant)
     if global_target is not None:

@@ -9,9 +9,9 @@ always present).
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from obslim.head_pruner import HeadLayout, HeadPruneResult, head_errors
+from obslim.head_pruner import HeadLayout, HeadPruneResult
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
-from obslim.obs_core import column_errors, least_squares_oracle, mask_residual
+from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
 
 
 def dense_causal_attention(lw, x):
@@ -152,14 +152,17 @@ def remove_sequentially(w, h_inv, order):
 def greedy_channels(w, h: SpdMatrix, n_prune: int):
     """Plain greedy column pruning: rescore, then remove the argmin, one column a call.
 
-    Returns ``(pruned_w, kept, step_errors)`` like ``prune_channels``.
+    Scores with the inline single-column OBS error ``sum(w**2) / diag(h_inv)``,
+    independent of ``block_errors``. Returns ``(pruned_w, kept, step_errors)``
+    like ``prune_channels``.
     """
     w = np.array(w, dtype=np.float64, order="C")
     h_inv = invert_spd(h)
     alive = np.ones(w.shape[1], dtype=bool)
     steps = []
     for _ in range(n_prune):
-        orig = int(np.flatnonzero(alive)[np.argmin(column_errors(w, h_inv, alive))])
+        errs = (w * w).sum(axis=0)[alive] / h_inv.diagonal()[alive]
+        orig = int(np.flatnonzero(alive)[np.argmin(errs)])
         steps.append((orig, float(remove_block(w, h_inv, [orig], alive)[0])))
     return w[:, alive], np.flatnonzero(alive).tolist(), steps
 
@@ -173,20 +176,16 @@ def reinvert_prune_heads(w, h: SpdMatrix, layout: HeadLayout, n_prune: int) -> H
     """
     d = layout.d_head
     alive = list(range(layout.n_head))
-    errors = np.full((n_prune, layout.n_head), np.nan)
-    for rnd in range(n_prune):
+    for _ in range(n_prune):
         cols = np.concatenate([head_cols(layout, hd) for hd in alive])
         w_cur = least_squares_oracle(w, h, cols)
         h_kept = SpdMatrix(h.a[np.ix_(cols, cols)])
-        errs = head_errors(w_cur, invert_spd(h_kept), HeadLayout(len(alive), d))
-        errors[rnd, alive] = errs
-        alive.pop(int(np.argmin(errs)))
+        alive.pop(int(np.argmin(block_errors(w_cur, invert_spd(h_kept), d))))
     cols = np.concatenate([head_cols(layout, hd) for hd in alive])
     return HeadPruneResult(
         pruned_w=least_squares_oracle(w, h, cols),
         kept_heads=alive,
         kept_columns=cols,
-        head_errors_per_round=errors,
         total_rounds=n_prune,
         step_error_sum=mask_residual(w, h, cols),
     )

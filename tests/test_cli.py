@@ -385,6 +385,32 @@ class TestPrune:
                     "--manifest", str(out / "manifest.json"),
                     "--model", str(out / "model.obt")]) == 0
 
+    @pytest.mark.parametrize("flags, ratio", [
+        (["--global-target", "0.4"], 0.4),
+        (["--ratio-first", "0.2"], 0.2),
+        ([], 0.0),
+    ], ids=["target", "ratio-first", "no-schedule-flag"])
+    def test_one_layer_model_prunes(self, tmp_path, flags, ratio):
+        toy, out = tmp_path / "toy", tmp_path / "out"
+        assert run(["gen-toy", "--out", str(toy), "--layers", "1", "--d-model", "8",
+                    "--heads", "2", "--d-ff", "8"]) == 0
+        assert run(prune_args(toy, out, flags)) == 0
+        report = PruneReport.load(out / "report.json")
+        assert report.variant == "log_increase" and report.ratios == [ratio]
+        assert run(["verify", "--report", str(out / "report.json"),
+                    "--manifest", str(out / "manifest.json"),
+                    "--model", str(out / "model.obt")]) == 0
+
+    def test_one_layer_model_unequal_endpoints_exit_2(self, tmp_path, capsys):
+        toy = tmp_path / "toy"
+        assert run(["gen-toy", "--out", str(toy), "--layers", "1", "--d-model", "8",
+                    "--heads", "2", "--d-ff", "8"]) == 0
+        capsys.readouterr()
+        assert run(prune_args(toy, tmp_path / "out",
+                              ["--ratio-first", "0.2", "--ratio-last", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 def with_row(data, **fields):
     """``data`` with layer 1's fields replaced; ``None`` drops a field."""

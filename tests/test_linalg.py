@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from obslim.errors import NotSpdError
 from obslim.linalg import (
     SpdMatrix,
-    cholesky_lower,
     grouped_cholesky,
     invert_spd,
     remove_block,
@@ -81,7 +80,7 @@ class TestInvertSpd:
         # result is bit for bit the whole-matrix np.tril mirror
         n = 512
         m = rand_spd(np.random.default_rng(13), n, m_factor=2)
-        want, _ = dpotri(cholesky_lower(m), lower=1, overwrite_c=1)
+        want, _ = dpotri(dpotrf(m.a, lower=1, clean=1)[0], lower=1, overwrite_c=1)
         want += np.tril(want, -1).T
         tracemalloc.start()
         try:
@@ -120,30 +119,36 @@ class TestInvertSpd:
             assert np.abs(inv - ref).max() <= 1e-15 * cond * np.abs(ref).max()
 
 
+def cholesky_lower(a) -> np.ndarray:
+    """The whole-matrix lower Cholesky factor: ``grouped_cholesky`` with one block."""
+    a = np.asarray(a, dtype=np.float64)
+    return grouped_cholesky(a, a.shape[0])[0]
+
+
 class TestCholeskyLower:
     def test_identity(self):
-        assert np.array_equal(cholesky_lower(SpdMatrix(np.eye(4))), np.eye(4))
+        assert np.array_equal(cholesky_lower(np.eye(4)), np.eye(4))
 
     def test_known_2x2(self):
-        low = cholesky_lower(SpdMatrix(np.array([[4.0, 2.0], [2.0, 5.0]])))
+        low = cholesky_lower(np.array([[4.0, 2.0], [2.0, 5.0]]))
         assert np.allclose(low, [[2.0, 0.0], [1.0, 2.0]])
         assert np.allclose(low @ low.T, [[4.0, 2.0], [2.0, 5.0]])
 
     def test_scalar(self):
-        assert np.allclose(cholesky_lower(SpdMatrix([[9.0]])), [[3.0]])
+        assert np.allclose(cholesky_lower([[9.0]]), [[3.0]])
 
     def test_reconstruction_and_positive_diag(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             m = rand_spd(rng, 12)
-            low = cholesky_lower(m)
+            low = cholesky_lower(m.a)
             assert np.allclose(low, np.tril(low))
             assert np.all(np.diag(low) > 0)
             assert np.abs(low @ low.T - m.a).max() < 1e-8 * max(1, np.abs(m.a).max())
 
     def test_not_spd(self):
         with pytest.raises(NotSpdError):
-            cholesky_lower(SpdMatrix(-np.eye(2)))
+            cholesky_lower(-np.eye(2))
 
 
 class TestPermuteSymmetric:
@@ -270,9 +275,9 @@ class TestProperties:
         for _ in range(25):
             n = int(rng.integers(2, 20))
             m = rand_spd(rng, n)
-            low = cholesky_lower(m)
+            low = np.linalg.cholesky(m.a)
             k = int(rng.integers(1, n + 1))
-            sub = cholesky_lower(SpdMatrix(m.a[:k, :k]))
+            sub = np.linalg.cholesky(m.a[:k, :k])
             assert np.abs(low[:k, :k] - sub).max() < 1e-8
 
     def test_sequential_removals_match_direct_inverse(self):
@@ -294,7 +299,7 @@ class TestProperties:
             n = 12
             h = rand_spd(rng, n)
             h_inv = invert_spd(h)
-            low = cholesky_lower(SpdMatrix(h_inv))
+            low = np.linalg.cholesky(h_inv)
             d = int(rng.integers(1, n - 1))
             _, seq, _, _ = remove_sequentially(np.zeros((1, n)), h_inv, range(d))
             tail = low[d:, d:]
@@ -304,7 +309,7 @@ class TestProperties:
         rng = np.random.default_rng(11)
         m = rand_spd(rng, 9)
         assert np.array_equal(invert_spd(m), invert_spd(m))
-        assert np.array_equal(cholesky_lower(m), cholesky_lower(m))
+        assert np.array_equal(grouped_cholesky(m.a, 3), grouped_cholesky(m.a, 3))
         w = rng.normal(size=(2, 9))
         first, second = remove_compacted(w, m.a, [3, 1]), remove_compacted(w, m.a, [3, 1])
         assert all(np.array_equal(a, b) for a, b in zip(first, second))

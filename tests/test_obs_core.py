@@ -10,8 +10,9 @@ import pytest
 from obslim.errors import NotSpdError
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import (
+    block_errors,
     brute_force_best_columns,
-    column_errors,
+    greedy_prune,
     least_squares_oracle,
     mask_residual,
 )
@@ -29,20 +30,22 @@ def residual_of(w, h: SpdMatrix, kept, w_hat) -> float:
 
 
 class TestColumnErrors:
+    """``block_errors`` at width 1: the single-column OBS error."""
+
     def test_identity_hessian(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(column_errors(w, np.eye(2)), [10.0, 20.0])
+        assert np.allclose(block_errors(w, np.eye(2), 1), [10.0, 20.0])
 
     def test_zero_column(self):
         w = np.array([[0.0, 1.0], [0.0, 2.0]])
-        errs = column_errors(w, rand_spd(np.random.default_rng(0), 2).a)
+        errs = block_errors(w, rand_spd(np.random.default_rng(0), 2).a, 1)
         assert errs[0] == 0.0
 
     def test_formula_oracle(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(4, 4))
         h_inv = invert_spd(rand_spd(rng, 4))
-        errs = column_errors(w, h_inv)
+        errs = block_errors(w, h_inv, 1)
         for p in range(4):
             expect = sum(w[i, p] ** 2 for i in range(4)) / h_inv[p, p]
             assert abs(errs[p] - expect) < 1e-12
@@ -50,11 +53,11 @@ class TestColumnErrors:
 
     def test_non_positive_diagonal(self):
         with pytest.raises(NotSpdError, match="diagonal"):
-            column_errors(np.ones((2, 2)), np.diag([1.0, 0.0]))
+            block_errors(np.ones((2, 2)), np.diag([1.0, 0.0]), 1)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            column_errors(np.ones((2, 3)), np.eye(2))
+            block_errors(np.ones((2, 3)), np.eye(2), 1)
 
     def test_survivor_mask_reads_only_live_entries(self):
         # the errors of the live columns equal those of the compacted arrays;
@@ -64,12 +67,56 @@ class TestColumnErrors:
         h_inv = invert_spd(rand_spd(rng, 6))
         alive = np.ones(6, dtype=bool)
         remove_block(w, h_inv, [4, 1], alive)
-        compact = column_errors(w[:, alive], h_inv[np.ix_(alive, alive)])
+        compact = block_errors(w[:, alive], h_inv[np.ix_(alive, alive)], 1)
         h_inv[1, 1], h_inv[4, 4] = -1.0, 0.0
-        assert np.array_equal(column_errors(w, h_inv, alive), compact)
+        assert np.array_equal(block_errors(w, h_inv, 1, alive), compact)
         h_inv[2, 2] = 0.0
         with pytest.raises(NotSpdError, match="diagonal"):
-            column_errors(w, h_inv, alive)
+            block_errors(w, h_inv, 1, alive)
+
+
+class TestGreedyPrune:
+    def test_inline_single_column_error(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 7, 64):
+            w = rng.normal(size=(5, n))
+            h_inv = invert_spd(rand_spd(rng, n))
+            inline = (w * w).sum(axis=0) / np.diag(h_inv)
+            assert np.all(np.abs(block_errors(w, h_inv, 1) - inline) <= 1e-15 * inline)
+
+    def test_two_blocks_in_one_round(self):
+        # two 4-column heads in round 0, then one more: the final weights are
+        # the least-squares optimum of the kept block, and the step errors
+        # paid telescope to its mask residual
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            w = rng.normal(size=(6, 16))
+            h = rand_spd(rng, 16)
+            h_inv = invert_spd(h)
+            start = block_errors(w, h_inv, 4)
+            out, kept, rounds = greedy_prune(w, h_inv, 4, [2, 1])
+            first = np.argsort(start, kind="stable")[:2]
+            assert rounds[0][0].tolist() == [4 * b + j for b in first for j in range(4)]
+            assert [cols.size for cols, _ in rounds] == [8, 4]
+            assert kept.size == 4 and kept[0] % 4 == 0 and np.array_equal(np.diff(kept), [1] * 3)
+            expect = least_squares_oracle(w, h, kept)
+            assert np.abs(out - expect).max() < 1e-8
+            paid = sum(float(steps.sum()) for _, steps in rounds)
+            resid = mask_residual(w, h, kept)
+            assert abs(paid - resid) <= 1e-9 * resid
+
+    def test_invalid_args(self):
+        w, h_inv = np.ones((2, 8)), np.eye(8)
+        with pytest.raises(ValueError, match="cannot prune"):
+            greedy_prune(w, h_inv, 4, [1, 1])  # leaves no block
+        with pytest.raises(ValueError, match="cannot prune"):
+            greedy_prune(w, h_inv, 1, [0])
+        with pytest.raises(ValueError, match="divisible"):
+            greedy_prune(w, h_inv, 3, [1])
+        with pytest.raises(ValueError, match="divisible"):
+            block_errors(w, h_inv, 3)
+        with pytest.raises(ValueError):
+            greedy_prune(w, np.eye(7), 1, [1])
 
 
 class TestPruneColumn:
@@ -113,7 +160,7 @@ class TestPruneColumn:
         d = 5
         w = rng.normal(size=(1, d))
         h_inv = invert_spd(rand_spd(rng, d))
-        errs = column_errors(w, h_inv)
+        errs = block_errors(w, h_inv, 1)
         for p in range(d):
             assert abs(errs[p] - w[0, p] ** 2 / h_inv[p, p]) < 1e-15 * errs.max()
         p = int(np.argmin(errs))
@@ -250,8 +297,8 @@ class TestSequentialExactness:
         w = rng.normal(size=(4, 6))
         h = rand_spd(rng, 6)
         h2 = SpdMatrix(2.0 * h.a)
-        errs1 = column_errors(w, invert_spd(h))
-        errs2 = column_errors(w, invert_spd(h2))
+        errs1 = block_errors(w, invert_spd(h), 1)
+        errs2 = block_errors(w, invert_spd(h2), 1)
         assert np.argmin(errs1) == np.argmin(errs2)
         assert np.abs(errs2 - 2.0 * errs1).max() < 1e-8 * errs1.max()
         w1, _, _ = remove_compacted(w, invert_spd(h), [2])

@@ -75,4 +75,5 @@ def test_traced_prune_counts_match_the_report(spans, tmp_path):
     channels = sum(row.channels_removed for row in report.layers)
     assert heads > 0 and channels > 0
     assert counts.get("head_pruner.heads_removed") == heads
+    assert counts.get("head_pruner.rounds") == heads
     assert counts.get("ffn_pruner.channels_removed") == channels

@@ -201,6 +201,18 @@ class TestPruneSchedule:
         with pytest.raises(ValueError):
             build_schedule(6, variant, **kwargs)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_layer_has_one_ratio(self, variant):
+        # a 1-layer model is both first and last layer: every variant
+        # resolves its single ratio the way the uniform variant does
+        assert build_schedule(1, variant, global_target=0.4).ratios == (0.4,)
+        assert build_schedule(1, variant, r0=0.2).ratios == (0.2,)
+        assert build_schedule(1, variant).ratios == (0.0,)
+        assert build_schedule(1, variant, r0=0.2, rn=0.2).variant == variant
+        for kwargs in ({"r0": 0.2, "rn": 0.3}, {"r0": 0.2, "global_target": 0.4}):
+            with pytest.raises(ValueError, match="one-ratio"):
+                build_schedule(1, variant, **kwargs)
+
     def test_reversed_mirror(self):
         # the mirror of a schedule is its decrease counterpart with swapped endpoints
         for inc_variant in ("log_increase", "linear_increase"):
