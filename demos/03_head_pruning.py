@@ -12,7 +12,6 @@ Run: python demos/03_head_pruning.py
 import numpy as np
 
 from obslim import (
-    HeadLayout,
     SpdMatrix,
     block_errors,
     invert_spd,
@@ -21,36 +20,40 @@ from obslim import (
 )
 
 rng = np.random.default_rng(7)
+N_HEAD, D_HEAD = 4, 3
+
+
+def cols(*heads):
+    """The columns of the given heads: head ``h`` owns ``[h * D_HEAD, (h + 1) * D_HEAD)``."""
+    return np.concatenate([np.arange(h * D_HEAD, (h + 1) * D_HEAD) for h in heads])
 
 
 def correlated_instance(rho):
     """4 heads x 3 columns; rho controls within-head feature correlation."""
-    layout = HeadLayout(4, 3)
-    n, m = layout.n_cols, 24 * layout.n_cols
+    n = N_HEAD * D_HEAD
+    m = 24 * n
     x = np.sqrt(1 - rho) * rng.normal(size=(n, m))
-    for head in range(4):
-        x[list(layout.col_range(head))] += np.sqrt(rho) * rng.normal(size=m)
+    for head in range(N_HEAD):
+        x[cols(head)] += np.sqrt(rho) * rng.normal(size=m)
     h = SpdMatrix(2.0 * x @ x.T)
     w = rng.normal(size=(10, n))
-    for head in range(4):
-        w[:, layout.col_range(head)] *= np.exp(0.8 * rng.normal())
-    return w, h, layout
+    for head in range(N_HEAD):
+        w[:, cols(head)] *= np.exp(0.8 * rng.normal())
+    return w, h
 
 
-def exact_residuals(w, h, layout):
-    out = []
-    for head in range(layout.n_head):
-        kept = np.setdiff1d(np.arange(layout.n_cols), list(layout.col_range(head)))
-        out.append(mask_residual(w, h, kept))
-    return np.array(out)
+def exact_residuals(w, h):
+    every = np.arange(N_HEAD * D_HEAD)
+    return np.array(
+        [mask_residual(w, h, np.setdiff1d(every, cols(head))) for head in range(N_HEAD)])
 
 
 # --- one instance in detail --------------------------------------------------
-w, h, layout = correlated_instance(rho=0.5)
+w, h = correlated_instance(rho=0.5)
 h_inv = invert_spd(h)
-est = block_errors(w, h_inv, layout.d_head)
+est = block_errors(w, h_inv, D_HEAD)
 raw = ((w * w).sum(axis=0) / h_inv.diagonal()).reshape(4, 3).sum(axis=1)
-exact = exact_residuals(w, h, layout)
+exact = exact_residuals(w, h)
 
 print("head   block-factor est   raw-diag est       exact")
 for head in range(4):
@@ -63,10 +66,10 @@ n_trials = 300
 gc_hits = raw_hits = 0
 gc_no_worse = 0
 for _ in range(n_trials):
-    w, h, layout = correlated_instance(rho=float(rng.uniform(0.3, 0.7)))
+    w, h = correlated_instance(rho=float(rng.uniform(0.3, 0.7)))
     h_inv = invert_spd(h)
-    exact = exact_residuals(w, h, layout)
-    sel_gc = int(np.argmin(block_errors(w, h_inv, layout.d_head)))
+    exact = exact_residuals(w, h)
+    sel_gc = int(np.argmin(block_errors(w, h_inv, D_HEAD)))
     sel_raw = int(np.argmin(
         ((w * w).sum(axis=0) / h_inv.diagonal()).reshape(4, 3).sum(axis=1)))
     best = int(np.argmin(exact))
@@ -79,16 +82,15 @@ print(f"  raw-diagonal estimate finds the exact best head: {raw_hits}/{n_trials}
 print(f"  block-factor selection no worse than raw:        {gc_no_worse}/{n_trials}")
 
 # --- the full greedy loop -----------------------------------------------------
-w, h, layout = correlated_instance(rho=0.4)
+w, h = correlated_instance(rho=0.4)
 print("\nround-0 estimated head errors:")
-print(np.array_str(block_errors(w, invert_spd(h), layout.d_head), precision=1))
-res = prune_heads(w, invert_spd(h), layout, n_prune=2)
-print(f"two greedy rounds kept heads {res.kept_heads}")
+print(np.array_str(block_errors(w, invert_spd(h), D_HEAD), precision=1))
+res = prune_heads(w, invert_spd(h), D_HEAD, n_prune=2)
+print(f"two greedy rounds kept heads {(res.kept_columns[::D_HEAD] // D_HEAD).tolist()}, "
+      f"paying {res.step_error_sum:.2f} over {res.total_rounds} rounds")
 greedy = mask_residual(w, h, res.kept_columns)
 best2 = min(
-    mask_residual(w, h, np.setdiff1d(
-        np.arange(layout.n_cols),
-        list(layout.col_range(h1)) + list(layout.col_range(h2))))
+    mask_residual(w, h, np.setdiff1d(np.arange(N_HEAD * D_HEAD), cols(h1, h2)))
     for h1 in range(4) for h2 in range(h1 + 1, 4)
 )
 print(f"greedy residual {greedy:.2f} vs exhaustive 2-head optimum {best2:.2f} "

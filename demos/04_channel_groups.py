@@ -40,13 +40,14 @@ schedules = {
 
 n_trials = 40
 ratios = {name: [] for name in schedules}
-estimations = {name: len(group_sizes(32, sched)) for name, sched in schedules.items()}
+estimations = {}
 for _ in range(n_trials):
     w, h = instance()
     base = None
     for name, sched in schedules.items():
-        _, kept, _ = prune_channels(w, invert_spd(h), 32, sched)
-        resid = mask_residual(w, h, kept)
+        res = prune_channels(w, invert_spd(h), 32, sched)
+        estimations[name] = res.total_rounds  # one error estimation per round
+        resid = mask_residual(w, h, res.kept_columns)
         if name == "greedy (size 1)":
             base = resid
         ratios[name].append(resid / base)

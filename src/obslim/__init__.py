@@ -9,9 +9,10 @@ from .calib import HessianAccumulator
 from .config import DEFAULT_DAMPING, TOL, Tolerances
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
 from .ffn_pruner import GroupSchedule, group_sizes, prune_channels
-from .head_pruner import HeadLayout, HeadPruneResult, prune_heads
+from .head_pruner import prune_heads
 from .linalg import SpdMatrix, grouped_cholesky, invert_spd, remove_block
 from .obs_core import (
+    PruneResult,
     block_errors,
     brute_force_best_columns,
     greedy_prune,
@@ -50,8 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_DAMPING",
     "GroupSchedule",
-    "HeadLayout",
-    "HeadPruneResult",
     "HessianAccumulator",
     "LayerEntry",
     "LayerWeights",
@@ -61,6 +60,7 @@ __all__ = [
     "ObslimError",
     "PruneConfig",
     "PruneReport",
+    "PruneResult",
     "PruneSchedule",
     "SpdMatrix",
     "TOL",

@@ -206,6 +206,8 @@ def _format_report(report: PruneReport) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.model and not args.manifest:
+        raise ObslimError("verify --model needs --manifest: the model is checked against it")
     report = PruneReport.load(args.report)
     manifest = ModelManifest.load(args.manifest) if args.manifest else None
     tensors = read_tensor_file(args.model) if args.model else None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .obs_core import greedy_prune
+from .obs_core import PruneResult, greedy_prune
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,13 @@ def group_sizes(total_to_prune: int, sched: GroupSchedule) -> list[int]:
     return sizes
 
 
-def prune_channels(w: np.ndarray, h_inv: np.ndarray, n_prune: int, sched: GroupSchedule):
+def prune_channels(w: np.ndarray, h_inv: np.ndarray, n_prune: int,
+                   sched: GroupSchedule) -> PruneResult:
     """Remove ``n_prune`` channels (columns) of ``w`` under the group schedule.
 
     ``greedy_prune`` over one-column blocks in rounds of ``group_sizes``:
     each group takes the k cheapest live columns by the estimates from the
     start of the group (ties to the lowest original index) and removes them
-    with one ``remove_block`` call, downdating ``h_inv`` in place. Returns
-    ``(pruned_w, kept, step_errors)`` with the kept columns in original
-    order and one ``(original column, error)`` pair per removal.
+    with one ``remove_block`` call, downdating ``h_inv`` in place.
     """
-    pruned_w, kept, rounds = greedy_prune(w, h_inv, 1, group_sizes(n_prune, sched))
-    step_errors = [pair for cols, steps in rounds for pair in zip(cols.tolist(), steps.tolist())]
-    return pruned_w, kept.tolist(), step_errors
+    return greedy_prune(w, h_inv, 1, group_sizes(n_prune, sched))

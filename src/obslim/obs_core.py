@@ -11,6 +11,7 @@ subset search.
 
 import math
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,25 @@ def block_errors(w: np.ndarray, h_inv: np.ndarray, width: int, alive=None) -> np
     return (per_col / denom).sum(axis=1)
 
 
-def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes):
+class PruneResult(NamedTuple):
+    """Outcome of ``greedy_prune``: the compacted weights, the kept columns in
+    original order, and one ``(columns, step_errors)`` pair per round."""
+
+    pruned_w: np.ndarray
+    kept_columns: np.ndarray
+    rounds: list
+
+    @property
+    def total_rounds(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def step_error_sum(self) -> float:
+        """The exact error paid over all removals, summed in removal order."""
+        return sum((err for _, steps in self.rounds for err in steps.tolist()), 0.0)
+
+
+def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes) -> PruneResult:
     """Remove ``sum(sizes)`` blocks of ``width`` columns, ``sizes[r]`` of them in round ``r``.
 
     Each round scores the live blocks on the current (already compensated)
@@ -55,9 +74,8 @@ def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes):
     block index) and removes their columns, in ascending estimated-error
     order, with one ``remove_block`` call. ``w`` is copied; ``h_inv``, the
     inverse Hessian from ``invert_spd``, is downdated in place. The weights
-    are compacted through the survivor mask once, at the end. Returns
-    ``(pruned_w, kept_columns, rounds)``: the kept columns in original order
-    and one ``(columns, step_errors)`` pair per round.
+    are compacted through the survivor mask once, at the end, into the
+    returned ``PruneResult``.
 
     Raises:
         ValueError: if the shapes disagree, ``width`` does not divide them, a
@@ -78,7 +96,7 @@ def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes):
         picked = live[np.argsort(block_errors(w, h_inv, width, alive), kind="stable")[:k]]
         cols = (picked[:, None] * width + np.arange(width)).ravel()
         rounds.append((cols, remove_block(w, h_inv, cols, alive)))
-    return w[:, alive], np.flatnonzero(alive), rounds
+    return PruneResult(w[:, alive], np.flatnonzero(alive), rounds)
 
 
 def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:

@@ -21,7 +21,7 @@ from .calib import HessianAccumulator
 from .config import DEFAULT_DAMPING, is_finite_real
 from .errors import NotSpdError, ObslimError
 from .ffn_pruner import GroupSchedule, prune_channels
-from .head_pruner import HeadLayout, prune_heads
+from .head_pruner import prune_heads
 from .schedule import VARIANTS, PruneSchedule, counts_from_ratio, ratio_at
 from .tensorstore import LayerEntry, ModelManifest, validate_manifest
 
@@ -374,28 +374,30 @@ def _hessian_over_batches(feature_batches, damping: float, w: np.ndarray) -> np.
     return acc.inverse(damping)
 
 
-def _sublayer(fn, w, cur, ref, kernel):
+def _sublayer(fn, w, cur, ref, prune):
     """Advance the pruned stream ``cur`` and the original stream ``ref`` past one sublayer.
 
     ``fn(x)`` returns the features into the sublayer's original projection
-    ``w``. ``kernel(features)``, if not None, prunes ``w`` on the pruned
-    stream's features and returns ``(w', kept)``; that stream then advances
-    as ``x + w' @ f[kept]``, and otherwise as ``x + w @ f``. ``ref`` advances
-    as ``x + w @ f``, reusing the features while the streams are one list
-    and making its own pass once they have split. Returns ``(cur, ref)``.
+    ``w``. ``prune(features)``, if not None, prunes ``w`` on the pruned
+    stream's features and returns its ``PruneResult``; that stream then
+    advances as ``x + w' @ f[kept]``, and otherwise as ``x + w @ f``. ``ref``
+    advances as ``x + w @ f``, reusing the features while the streams are one
+    list and making its own pass once they have split. Returns
+    ``(cur, ref, kept)``, with ``kept`` the surviving columns of ``w`` as an
+    index: the kept columns, or every column (``slice(None)``).
     """
     shared = ref is cur
     feats = [fn(x) for x in cur]
     project = _projection(w)
-    new_w, kept = (w, slice(None)) if kernel is None else kernel(feats)
+    new_w, kept = (w, slice(None)) if prune is None else prune(feats)[:2]
     if shared:  # the reference steps before the features are consumed below
         ref = list(map(project, ref, feats))
-        if kernel is None:
-            return ref, ref
+        if prune is None:
+            return ref, ref, kept
     step = _projection(new_w)
     feats.reverse()  # each batch's features are freed once it is projected
     cur = [step(x, feats.pop()[kept]) for x in cur]
-    return cur, ref if shared else list(map(project, ref, map(fn, ref)))
+    return cur, ref if shared else list(map(project, ref, map(fn, ref))), kept
 
 
 def prune_model(
@@ -434,6 +436,7 @@ def prune_model(
         raise ValueError(f"the calibration set has no tokens: all {len(cur)} batches are empty")
 
     pruned = dict(tensors)  # entries are replaced by new arrays as their layers are reached
+    groups = GroupSchedule(config.group_start, config.group_min)
     ref = cur
     new_entries = []
     report = PruneReport(
@@ -449,51 +452,43 @@ def prune_model(
             raise ValueError(f"calibration activations do not match d_model of layer {idx}")
         for name in (entry.attn_out, entry.ffn_down):  # their dead columns are zeroed in place
             pruned[name] = np.array(pruned[name], dtype=np.float64)
-        d_ff = pruned[entry.ffn_down].shape[1]
-        n_prune_heads = counts_from_ratio(ratio, entry.n_head)
-        n_prune_ch = counts_from_ratio(ratio, d_ff)
+        n_heads = counts_from_ratio(ratio, entry.n_head)
+        n_channels = counts_from_ratio(ratio, pruned[entry.ffn_down].shape[1])
+        kept, paid = [], []
+
+        def prune_step(anchor, coupled, pruner, feats):
+            h_inv = _hessian_over_batches(feats, config.damping, pruned[anchor])
+            result = pruner(pruned[anchor], h_inv)
+            pruned[anchor] = result.pruned_w
+            for name in coupled:
+                pruned[name] = pruned[name][result.kept_columns, :]
+            paid.append(result.step_error_sum)
+            return result
+
+        for sublayer, fn, w, n_prune, prune in (
+                ("attention", _attention, orig_lw.wo, n_heads, partial(
+                    prune_step, entry.attn_out, entry.attn_coupled,
+                    partial(prune_heads, d_head=entry.d_head, n_prune=n_heads))),
+                ("FFN", _ffn, orig_lw.w_down, n_channels, partial(
+                    prune_step, entry.ffn_down, entry.ffn_coupled,
+                    partial(prune_channels, n_prune=n_channels, sched=groups)))):
+            try:
+                cur, ref, cols = _sublayer(partial(fn, orig_lw, w.any(axis=0)), w, cur, ref,
+                                           prune if n_prune else None)
+            except (NotSpdError, np.linalg.LinAlgError) as exc:
+                raise NotSpdError(f"pruning failed at layer {idx} ({sublayer}): {exc}") from exc
+            kept.append(np.arange(w.shape[1])[cols])
         row = LayerReport(
             layer=idx,
             ratio=ratio,
-            heads_removed=n_prune_heads,
-            channels_removed=n_prune_ch,
-            sum_step_error=0.0,
-            output_sq_error=0.0,
-            kept_heads=list(range(entry.n_head)),
-            kept_channels=list(range(d_ff)),
+            heads_removed=n_heads,
+            channels_removed=n_channels,
+            sum_step_error=sum(paid, 0.0),
+            output_sq_error=float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref))),
+            kept_heads=(kept[0][::entry.d_head] // entry.d_head).tolist(),
+            kept_channels=kept[1].tolist(),
         )
-
-        def heads(feats):
-            h_inv = _hessian_over_batches(feats, config.damping, pruned[entry.attn_out])
-            layout = HeadLayout(entry.n_head, entry.d_head)
-            result = prune_heads(pruned[entry.attn_out], h_inv, layout, n_prune_heads)
-            pruned[entry.attn_out] = result.pruned_w
-            for name in entry.attn_coupled:
-                pruned[name] = pruned[name][result.kept_columns, :]
-            row.sum_step_error += float(result.step_error_sum)
-            row.kept_heads = list(result.kept_heads)
-            return result.pruned_w, result.kept_columns
-
-        def channels(feats):
-            h_inv = _hessian_over_batches(feats, config.damping, pruned[entry.ffn_down])
-            sizes = GroupSchedule(config.group_start, config.group_min)
-            new_w, kept, steps = prune_channels(pruned[entry.ffn_down], h_inv, n_prune_ch, sizes)
-            pruned[entry.ffn_down] = new_w
-            for name in entry.ffn_coupled:
-                pruned[name] = pruned[name][kept, :]
-            row.sum_step_error += sum(err for _, err in steps)
-            row.kept_channels = kept
-            return new_w, kept
-
-        for name, fn, w, kernel in (
-                ("attention", _attention, orig_lw.wo, heads if n_prune_heads else None),
-                ("FFN", _ffn, orig_lw.w_down, channels if n_prune_ch else None)):
-            try:
-                cur, ref = _sublayer(partial(fn, orig_lw, w.any(axis=0)), w, cur, ref, kernel)
-            except (NotSpdError, np.linalg.LinAlgError) as exc:
-                raise NotSpdError(f"pruning failed at layer {idx} ({name}): {exc}") from exc
         new_entries.append(replace(entry, n_head=len(row.kept_heads)))
-        row.output_sq_error = float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref)))
         report.layers.append(row)
 
     # copy what no kernel sliced, which is still the caller's; upcast float32 slices

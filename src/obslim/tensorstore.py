@@ -111,13 +111,13 @@ def _read_header(fh) -> dict:
     entries = {}
     for name, entry in header.items():
         try:
-            tag = entry["dtype"]
-            rows, cols = (int(v) for v in entry["shape"])
-            off = int(entry["byte_offset"])
-            length = int(entry["byte_len"])
+            tag, (rows, cols) = entry["dtype"], entry["shape"]
+            off, length = entry["byte_offset"], entry["byte_len"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TensorFormatError(f"{name}: malformed header entry ({exc})") from exc
-        dtype = _DTYPES.get(tag)
+        if not all(type(v) is int for v in (rows, cols, off, length)):
+            raise TensorFormatError(f"{name}: shape, byte_offset and byte_len must be integers")
+        dtype = _DTYPES.get(tag) if isinstance(tag, str) else None
         if dtype is None:
             raise TensorFormatError(f"{name}: unknown dtype {tag!r}")
         if rows < 0 or cols < 0:
@@ -198,18 +198,21 @@ class LayerEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LayerEntry":
+        """One parsed layer; ``ManifestError`` unless every tensor name is a string,
+        each coupled field a list of them and ``head_layout`` two JSON integers."""
         try:
-            n_head, d_head = (int(v) for v in data["head_layout"])
-            return cls(
-                attn_out=data["attn_out"],
-                attn_coupled=list(data["attn_coupled"]),
-                ffn_down=data["ffn_down"],
-                ffn_coupled=list(data["ffn_coupled"]),
-                n_head=n_head,
-                d_head=d_head,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            anchors = data["attn_out"], data["ffn_down"]
+            coupled = data["attn_coupled"], data["ffn_coupled"]
+            layout = data["head_layout"]
+        except (KeyError, TypeError) as exc:
             raise ManifestError(f"malformed layer entry: {exc}") from exc
+        if not (all(isinstance(c, list) for c in coupled)
+                and all(isinstance(n, str) for n in (*anchors, *coupled[0], *coupled[1]))
+                and isinstance(layout, list) and len(layout) == 2
+                and all(type(v) is int for v in layout)):
+            raise ManifestError("malformed layer entry: tensor names must be strings, the "
+                                "coupled ones in lists, and head_layout two integers")
+        return cls(anchors[0], list(coupled[0]), anchors[1], list(coupled[1]), *layout)
 
 
 @dataclass

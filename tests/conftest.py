@@ -9,9 +9,8 @@ always present).
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from obslim.head_pruner import HeadLayout, HeadPruneResult
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
-from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
+from obslim.obs_core import PruneResult, block_errors, least_squares_oracle, mask_residual
 
 
 def dense_causal_attention(lw, x):
@@ -47,21 +46,27 @@ def rand_spd(rng, n: int, m_factor: int = 4, gamma: float = 0.3) -> SpdMatrix:
     return SpdMatrix(2.0 * x @ x.T)
 
 
-def head_cols(layout: HeadLayout, head: int) -> np.ndarray:
-    return np.asarray(layout.col_range(head), dtype=np.intp)
+def head_cols(d_head: int, head: int) -> np.ndarray:
+    """The columns of head ``head``: the block ``[head * d_head, (head + 1) * d_head)``."""
+    return np.arange(head * d_head, (head + 1) * d_head)
 
 
-def other_cols(layout: HeadLayout, head) -> np.ndarray:
+def other_cols(n_head: int, d_head: int, head) -> np.ndarray:
     """All columns except the given head(s)."""
-    heads = np.atleast_1d(head)
-    drop = np.concatenate([head_cols(layout, h) for h in heads])
-    return np.setdiff1d(np.arange(layout.n_cols), drop)
+    drop = np.concatenate([head_cols(d_head, h) for h in np.atleast_1d(head)])
+    return np.setdiff1d(np.arange(n_head * d_head), drop)
 
 
-def exact_head_residuals(w, h: SpdMatrix, layout: HeadLayout) -> np.ndarray:
+def kept_heads(result: PruneResult, d_head: int) -> list:
+    """The heads whose columns ``result`` kept, in ascending order."""
+    return (result.kept_columns[::d_head] // d_head).tolist()
+
+
+def exact_head_residuals(w, h: SpdMatrix, d_head: int) -> np.ndarray:
     """Exact residual of optimally removing each single head."""
+    n_head = w.shape[1] // d_head
     return np.array(
-        [mask_residual(w, h, other_cols(layout, hd)) for hd in range(layout.n_head)]
+        [mask_residual(w, h, other_cols(n_head, d_head, hd)) for hd in range(n_head)]
     )
 
 
@@ -76,23 +81,22 @@ def head_instance(rng, n_head: int = 4, sep: float = 2.0):
     """
     while True:
         d_head = int(rng.integers(2, 5))
-        layout = HeadLayout(n_head, d_head)
-        n = layout.n_cols
+        n = n_head * d_head
         m = 32 * n
         rho = rng.uniform(0.2, 0.6)
         x = np.sqrt(1.0 - rho) * rng.normal(size=(n, m))
         for hd in range(n_head):
-            x[head_cols(layout, hd)] += np.sqrt(rho) * rng.normal(size=m)
+            x[head_cols(d_head, hd)] += np.sqrt(rho) * rng.normal(size=m)
         mix = np.eye(n) + 0.15 * rng.normal(size=(n, n)) / np.sqrt(n)
         xm = mix @ x
         h = SpdMatrix(2.0 * xm @ xm.T)
         w = rng.normal(size=(int(rng.integers(8, 17)), n))
         for hd in range(n_head):
-            w[:, head_cols(layout, hd)] *= np.exp(0.8 * rng.normal())
-        exact = exact_head_residuals(w, h, layout)
+            w[:, head_cols(d_head, hd)] *= np.exp(0.8 * rng.normal())
+        exact = exact_head_residuals(w, h, d_head)
         srt = np.sort(exact)
         if srt[1] >= sep * srt[0]:
-            return w, h, layout, exact
+            return w, h, d_head, exact
 
 
 def ffn_instance(rng, max_channels: int = 64):
@@ -149,12 +153,18 @@ def remove_sequentially(w, h_inv, order):
     return w[:, alive], h_inv[np.ix_(alive, alive)], np.flatnonzero(alive).tolist(), steps
 
 
+def step_pairs(rounds) -> list:
+    """One ``(original column, error)`` pair per removal of a ``PruneResult``'s rounds, in order."""
+    return [pair for cols, steps in rounds for pair in zip(cols.tolist(), steps.tolist())]
+
+
 def greedy_channels(w, h: SpdMatrix, n_prune: int):
     """Plain greedy column pruning: rescore, then remove the argmin, one column a call.
 
     Scores with the inline single-column OBS error ``sum(w**2) / diag(h_inv)``,
-    independent of ``block_errors``. Returns ``(pruned_w, kept, step_errors)``
-    like ``prune_channels``.
+    independent of ``block_errors``. Returns ``(pruned_w, kept, step_errors)``:
+    the kept columns as a list and one ``(original column, error)`` pair per
+    removal, as ``step_pairs`` lists those of a ``prune_channels`` result.
     """
     w = np.array(w, dtype=np.float64, order="C")
     h_inv = invert_spd(h)
@@ -167,25 +177,24 @@ def greedy_channels(w, h: SpdMatrix, n_prune: int):
     return w[:, alive], np.flatnonzero(alive).tolist(), steps
 
 
-def reinvert_prune_heads(w, h: SpdMatrix, layout: HeadLayout, n_prune: int) -> HeadPruneResult:
+def reinvert_prune_heads(w, h: SpdMatrix, d_head: int, n_prune: int) -> PruneResult:
     """Reference greedy head pruning that never carries an inverse between rounds.
 
     Every round re-inverts the kept submatrix of ``h`` and scores the
     surviving heads on the least-squares-optimal weights for the current
-    mask; the step errors telescope to the final mask residual.
+    mask. Each round's entry is the removed head's columns and one error,
+    the rise of the mask residual it causes, so the errors telescope to the
+    final mask residual.
     """
-    d = layout.d_head
-    alive = list(range(layout.n_head))
+    alive = list(range(w.shape[1] // d_head))
+    rounds, paid = [], 0.0
     for _ in range(n_prune):
-        cols = np.concatenate([head_cols(layout, hd) for hd in alive])
+        cols = np.concatenate([head_cols(d_head, hd) for hd in alive])
         w_cur = least_squares_oracle(w, h, cols)
         h_kept = SpdMatrix(h.a[np.ix_(cols, cols)])
-        alive.pop(int(np.argmin(block_errors(w_cur, invert_spd(h_kept), d))))
-    cols = np.concatenate([head_cols(layout, hd) for hd in alive])
-    return HeadPruneResult(
-        pruned_w=least_squares_oracle(w, h, cols),
-        kept_heads=alive,
-        kept_columns=cols,
-        total_rounds=n_prune,
-        step_error_sum=mask_residual(w, h, cols),
-    )
+        head = alive.pop(int(np.argmin(block_errors(w_cur, invert_spd(h_kept), d_head))))
+        resid = mask_residual(w, h, np.concatenate([head_cols(d_head, hd) for hd in alive]))
+        rounds.append((head_cols(d_head, head), np.array([resid - paid])))
+        paid = resid
+    cols = np.concatenate([head_cols(d_head, hd) for hd in alive])
+    return PruneResult(least_squares_oracle(w, h, cols), cols, rounds)

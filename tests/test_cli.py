@@ -114,6 +114,43 @@ MALFORMED_MODELS = {
 }
 
 
+def with_layer_1(data, **fields):
+    """A copy of a parsed manifest with fields of layer 1 replaced."""
+    layers = list(data["layers"])
+    layers[1] = {**layers[1], **fields}
+    return {**data, "layers": layers}
+
+
+# Each of these parsed loosely or raised an uncaught TypeError once; the
+# float and bool cases describe a model that pruned without complaint.
+MISTYPED_MANIFESTS = {
+    "anchor-list": lambda d: with_layer_1(d, attn_out=[]),
+    "anchor-object": lambda d: with_layer_1(d, ffn_down={}),
+    "coupled-name-list": lambda d: with_layer_1(d, attn_coupled=[[], "b", "c"]),
+    "coupled-string": lambda d: with_layer_1(d, attn_coupled="abc"),
+    "layout-float": lambda d: with_layer_1(d, head_layout=[4.0, 4]),
+    "layout-bool": lambda d: with_layer_1(d, head_layout=[True, 16]),
+}
+
+
+def with_first_entry(blob, **fields):
+    """A tensor file's bytes with fields of its first header entry replaced."""
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + length])
+    first = next(iter(header))
+    header[first] = {**header[first], **fields}
+    raw = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + length:]
+
+
+MISTYPED_HEADERS = {
+    "dtype-list": lambda b: with_first_entry(b, dtype=[]),
+    "shape-float": lambda b: with_first_entry(b, shape=[16.0, 16]),
+    "offset-bool": lambda b: with_first_entry(b, byte_offset=False),
+    "length-float": lambda b: with_first_entry(b, byte_len=2048.0),
+}
+
+
 class TestPrune:
     def test_zero_ratio_noop(self, toy_dir, tmp_path):
         out = tmp_path / "out"
@@ -351,6 +388,22 @@ class TestPrune:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("tamper", MISTYPED_MANIFESTS.values(), ids=MISTYPED_MANIFESTS.keys())
+    def test_mistyped_manifest_exit_2(self, toy_dir, tmp_path, capsys, tamper):
+        path = toy_dir / "manifest.json"
+        path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+        assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed layer entry: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("tamper", MISTYPED_HEADERS.values(), ids=MISTYPED_HEADERS.keys())
+    def test_mistyped_tensor_header_exit_2(self, toy_dir, tmp_path, capsys, tamper):
+        path = toy_dir / "model.obt"
+        path.write_bytes(tamper(path.read_bytes()))
+        assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: layers.0.attn.wq: ") and err.count("\n") == 1, err
+
     def test_job_holds_the_model_less_than_twice(self, tmp_path):
         # reading into preallocated arrays, pruning without copying the whole
         # model up front and streaming the write keep a prune job below 2x
@@ -461,6 +514,17 @@ class TestVerifyAndReport:
                     "--manifest", str(out / "manifest.json"),
                     "--model", str(out / "model.obt")]) == 2
         assert f"layer 1: {len(value)} kept" in capsys.readouterr().out
+
+    def test_verify_model_without_manifest_exit_2(self, toy_dir, tmp_path, capsys):
+        # the model is only checked against a manifest, so alone it would pass unread
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.4"])) == 0
+        capsys.readouterr()
+        assert run(["verify", "--report", str(out / "report.json"),
+                    "--model", str(out / "model.obt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify --model needs --manifest: the model is checked against it\n"
 
     @pytest.mark.parametrize("tamper", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
     def test_malformed_report_exit_2(self, toy_dir, tmp_path, capsys, tamper):

@@ -4,31 +4,19 @@ import numpy as np
 import pytest
 
 from obslim.errors import NotSpdError
-from obslim.head_pruner import HeadLayout, prune_heads
+from obslim.head_pruner import prune_heads
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
 
 from conftest import (
     head_cols,
     head_instance,
+    kept_heads,
     other_cols,
     rand_spd,
     reinvert_prune_heads,
     remove_compacted,
 )
-
-
-class TestHeadLayout:
-    def test_ranges(self):
-        lay = HeadLayout(3, 4)
-        assert lay.n_cols == 12
-        assert list(lay.col_range(1)) == [4, 5, 6, 7]
-        with pytest.raises(ValueError):
-            lay.col_range(3)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            HeadLayout(0, 4)
 
 
 class TestHeadErrors:
@@ -69,14 +57,13 @@ class TestHeadErrors:
         # live heads score as on the compacted arrays; a dead head's block,
         # not positive definite here, is never factored
         rng = np.random.default_rng(17)
-        lay = HeadLayout(4, 3)
         w = rng.normal(size=(5, 12))
         h_inv = invert_spd(rand_spd(rng, 12))
         alive = np.ones(12, dtype=bool)
-        remove_block(w, h_inv, head_cols(lay, 1), alive)
+        remove_block(w, h_inv, head_cols(3, 1), alive)
         h_inv[3:6, 3:6] = -np.eye(3)
-        errs = block_errors(w, h_inv, lay.d_head, alive)
-        compact = block_errors(w[:, alive], h_inv[np.ix_(alive, alive)], lay.d_head)
+        errs = block_errors(w, h_inv, 3, alive)
+        compact = block_errors(w[:, alive], h_inv[np.ix_(alive, alive)], 3)
         assert np.array_equal(errs, compact)
 
 
@@ -86,27 +73,24 @@ class TestReorder:
     def test_target_zero_identity(self):
         # the leading head leaves the trailing block of the full factor
         rng = np.random.default_rng(3)
-        lay = HeadLayout(3, 2)
         w = rng.normal(size=(4, 6))
         h_inv = invert_spd(rand_spd(rng, 6))
-        _, h_rest, _ = remove_compacted(w, h_inv, head_cols(lay, 0))
+        _, h_rest, _ = remove_compacted(w, h_inv, head_cols(2, 0))
         tail = np.linalg.cholesky(h_inv)[2:, 2:]
         assert np.abs(h_rest - tail @ tail.T).max() < 1e-10 * np.abs(h_inv).max()
 
     def test_two_heads_target_one(self):
-        lay = HeadLayout(2, 3)
         w = np.arange(12.0).reshape(2, 6)
-        w_rest, h_rest, _ = remove_compacted(w, np.eye(6), head_cols(lay, 1))
+        w_rest, h_rest, _ = remove_compacted(w, np.eye(6), head_cols(3, 1))
         assert np.array_equal(w_rest, w[:, :3])
         assert np.array_equal(h_rest, np.eye(3))
 
     def test_hinv_permutation_matches_reinversion_oracle(self):
         rng = np.random.default_rng(4)
-        lay = HeadLayout(4, 3)
         h = rand_spd(rng, 12)
         w = rng.normal(size=(5, 12))
-        _, h_rest, _ = remove_compacted(w, invert_spd(h), head_cols(lay, 2))
-        kept = other_cols(lay, 2)
+        _, h_rest, _ = remove_compacted(w, invert_spd(h), head_cols(3, 2))
+        kept = other_cols(4, 3, 2)
         direct = np.linalg.inv(h.a[np.ix_(kept, kept)])
         assert np.abs(h_rest - direct).max() < 1e-8
 
@@ -114,9 +98,8 @@ class TestReorder:
 class TestPruneOneHead:
     def test_identity_hinv(self):
         rng = np.random.default_rng(5)
-        lay = HeadLayout(3, 2)
         w = rng.normal(size=(4, 6))
-        w_rest, _, steps = remove_compacted(w, np.eye(6), head_cols(lay, 1))
+        w_rest, _, steps = remove_compacted(w, np.eye(6), head_cols(2, 1))
         assert np.array_equal(w_rest, w[:, [0, 1, 4, 5]])
         assert np.allclose(steps, (w[:, [2, 3]] ** 2).sum(axis=0), rtol=1e-15, atol=0)
 
@@ -127,7 +110,7 @@ class TestPruneOneHead:
             w = rng.normal(size=(4, 5))
             h_inv = invert_spd(rand_spd(rng, 5))
             target = int(rng.integers(5))
-            w_rest, _, _ = remove_compacted(w, h_inv, head_cols(HeadLayout(5, 1), target))
+            w_rest, _, _ = remove_compacted(w, h_inv, head_cols(1, target))
             expect = w - np.outer(w[:, target] / h_inv[target, target], h_inv[target])
             kept = [c for c in range(5) if c != target]
             assert np.abs(w_rest - expect[:, kept]).max() < 1e-10 * max(1, np.abs(w).max())
@@ -135,44 +118,44 @@ class TestPruneOneHead:
     def test_least_squares_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(15):
-            lay = HeadLayout(2, int(rng.integers(2, 5)))
-            n = lay.n_cols
+            d_head = int(rng.integers(2, 5))
+            n = 2 * d_head
             w = rng.normal(size=(4, n))
             h = rand_spd(rng, n)
             target = int(rng.integers(2))
-            w_rest, _, _ = remove_compacted(w, invert_spd(h), head_cols(lay, target))
-            expect = least_squares_oracle(w, h, other_cols(lay, target))
+            w_rest, _, _ = remove_compacted(w, invert_spd(h), head_cols(d_head, target))
+            expect = least_squares_oracle(w, h, other_cols(2, d_head, target))
             assert np.abs(w_rest - expect).max() < 1e-8
 
 
 class TestPruneHeads:
     def test_noop(self):
         rng = np.random.default_rng(8)
-        lay = HeadLayout(4, 2)
         w = rng.normal(size=(3, 8))
-        res = prune_heads(w, invert_spd(rand_spd(rng, 8)), lay, 0)
+        res = prune_heads(w, invert_spd(rand_spd(rng, 8)), 2, 0)
         assert np.array_equal(res.pruned_w, w)
-        assert res.kept_heads == [0, 1, 2, 3]
+        assert kept_heads(res, 2) == [0, 1, 2, 3]
         assert res.total_rounds == 0
 
     def test_round1_matches_bruteforce_argmin(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            w, h, lay, exact = head_instance(rng)
-            res = prune_heads(w, invert_spd(h), lay, 1)
-            removed = set(range(lay.n_head)) - set(res.kept_heads)
+            w, h, d_head, exact = head_instance(rng)
+            res = prune_heads(w, invert_spd(h), d_head, 1)
+            removed = set(range(len(exact))) - set(kept_heads(res, d_head))
             assert removed == {int(np.argmin(exact))}
 
     def test_two_rounds_residual_reported(self):
         rng = np.random.default_rng(10)
         ratios = []
         for _ in range(10):
-            w, h, lay, _ = head_instance(rng)
-            res = prune_heads(w, invert_spd(h), lay, 2)
+            w, h, d_head, exact = head_instance(rng)
+            n_head = len(exact)
+            res = prune_heads(w, invert_spd(h), d_head, 2)
             greedy = mask_residual(w, h, res.kept_columns)
             best = min(
-                mask_residual(w, h, other_cols(lay, [h1, h2]))
-                for h1 in range(lay.n_head) for h2 in range(h1 + 1, lay.n_head)
+                mask_residual(w, h, other_cols(n_head, d_head, [h1, h2]))
+                for h1 in range(n_head) for h2 in range(h1 + 1, n_head)
             )
             assert greedy >= best - 1e-9 * max(1, best)
             ratios.append(greedy / best)
@@ -180,84 +163,88 @@ class TestPruneHeads:
 
     def test_restoration_and_structure(self):
         rng = np.random.default_rng(11)
-        w, h, lay, _ = head_instance(rng)
-        res = prune_heads(w, invert_spd(h), lay, 2)
-        assert res.kept_heads == sorted(res.kept_heads)
-        expect_cols = np.concatenate([head_cols(lay, hd) for hd in res.kept_heads])
+        w, h, d_head, _ = head_instance(rng)
+        res = prune_heads(w, invert_spd(h), d_head, 2)
+        kept = kept_heads(res, d_head)
+        assert kept == sorted(kept)
+        expect_cols = np.concatenate([head_cols(d_head, hd) for hd in kept])
         assert np.array_equal(res.kept_columns, expect_cols)
-        assert res.pruned_w.shape == (w.shape[0], 2 * lay.d_head)
+        assert res.pruned_w.shape == (w.shape[0], 2 * d_head)
         # final weights equal the optimal compensation for the kept mask
         expect = least_squares_oracle(w, h, res.kept_columns)
         assert np.abs(res.pruned_w - expect).max() < 1e-8
 
     def test_zero_head_dominance(self):
         rng = np.random.default_rng(12)
-        lay = HeadLayout(4, 2)
         w = rng.normal(size=(3, 8))
-        w[:, head_cols(lay, 2)] = 0.0
+        w[:, head_cols(2, 2)] = 0.0
         h = rand_spd(rng, 8)
-        res = prune_heads(w, invert_spd(h), lay, 1)
-        assert res.kept_heads == [0, 1, 3]
+        res = prune_heads(w, invert_spd(h), 2, 1)
+        assert kept_heads(res, 2) == [0, 1, 3]
         assert np.array_equal(res.pruned_w, w[:, res.kept_columns])
         assert res.step_error_sum == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
-        w, h, lay, _ = head_instance(rng)
-        relabel = rng.permutation(lay.n_head)  # new position of each old head
-        col_perm = np.concatenate([head_cols(lay, hd) for hd in relabel])
+        w, h, d_head, exact = head_instance(rng)
+        relabel = rng.permutation(len(exact))  # new position of each old head
+        col_perm = np.concatenate([head_cols(d_head, hd) for hd in relabel])
         w2 = w[:, col_perm]
         h2 = SpdMatrix(h.a[np.ix_(col_perm, col_perm)])
-        res1 = prune_heads(w, invert_spd(h), lay, 2)
-        res2 = prune_heads(w2, invert_spd(h2), lay, 2)
-        expect_kept = sorted(int(np.where(relabel == hd)[0][0]) for hd in res1.kept_heads)
-        assert res2.kept_heads == expect_kept
-        back = {int(np.where(relabel == hd)[0][0]): hd for hd in res1.kept_heads}
+        res1 = prune_heads(w, invert_spd(h), d_head, 2)
+        res2 = prune_heads(w2, invert_spd(h2), d_head, 2)
+        kept1, kept2 = kept_heads(res1, d_head), kept_heads(res2, d_head)
+        expect_kept = sorted(int(np.where(relabel == hd)[0][0]) for hd in kept1)
+        assert kept2 == expect_kept
+        back = {int(np.where(relabel == hd)[0][0]): hd for hd in kept1}
         cols2 = np.concatenate(
-            [head_cols(lay, back[hd]) for hd in res2.kept_heads]
+            [head_cols(d_head, back[hd]) for hd in kept2]
         )
         expect_w = res1.pruned_w[:, [
-            int(np.where(np.concatenate([head_cols(lay, k) for k in res1.kept_heads]) == c)[0][0])
+            int(np.where(np.concatenate([head_cols(d_head, k) for k in kept1]) == c)[0][0])
             for c in cols2
         ]]
         assert np.abs(res2.pruned_w - expect_w).max() < 1e-9 * max(1, np.abs(w).max())
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(15)
-        w, h, lay, _ = head_instance(rng)
-        res1 = prune_heads(w, invert_spd(h), lay, 2)
-        res2 = prune_heads(w, invert_spd(SpdMatrix(2.0 * h.a)), lay, 2)
-        assert res1.kept_heads == res2.kept_heads
+        w, h, d_head, _ = head_instance(rng)
+        res1 = prune_heads(w, invert_spd(h), d_head, 2)
+        res2 = prune_heads(w, invert_spd(SpdMatrix(2.0 * h.a)), d_head, 2)
+        assert np.array_equal(res1.kept_columns, res2.kept_columns)
         assert np.abs(res1.pruned_w - res2.pruned_w).max() < 1e-12 * max(1, np.abs(w).max())
 
     def test_refresh_modes_agree(self):
         # the inverse carried across rounds matches re-inverting every round
         rng = np.random.default_rng(16)
         for _ in range(10):
-            w, h, lay, _ = head_instance(rng)
-            res = prune_heads(w, invert_spd(h), lay, 2)
-            ref = reinvert_prune_heads(w, h, lay, 2)
-            assert res.kept_heads == ref.kept_heads
+            w, h, d_head, _ = head_instance(rng)
+            res = prune_heads(w, invert_spd(h), d_head, 2)
+            ref = reinvert_prune_heads(w, h, d_head, 2)
+            assert kept_heads(res, d_head) == kept_heads(ref, d_head)
             assert np.abs(res.pruned_w - ref.pruned_w).max() < 1e-6
 
     def test_downdates_h_inv_in_place(self):
         # the caller's inverse ends as the inverse Hessian of the kept heads
-        w, h, lay, _ = head_instance(np.random.default_rng(17))
+        w, h, d_head, _ = head_instance(np.random.default_rng(17))
         h_inv = invert_spd(h)
-        res = prune_heads(w, h_inv, lay, 2)
+        res = prune_heads(w, h_inv, d_head, 2)
         cols = np.ix_(res.kept_columns, res.kept_columns)
         want = invert_spd(SpdMatrix(h.a[cols]))
         assert np.linalg.norm(h_inv[cols] - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_invalid_args(self):
-        lay = HeadLayout(2, 2)
         w = np.ones((2, 4))
         h = SpdMatrix(np.eye(4))
         with pytest.raises(ValueError):
-            prune_heads(w, invert_spd(h), lay, 2)  # would remove every head
+            prune_heads(w, invert_spd(h), 2, 2)  # would remove every head
         with pytest.raises(ValueError):
-            prune_heads(w, invert_spd(h), lay, -1)
+            prune_heads(w, invert_spd(h), 2, -1)
         with pytest.raises(ValueError):
-            prune_heads(w, np.eye(6), lay, 1)  # h_inv does not match the layout
+            prune_heads(w, np.eye(6), 2, 1)  # h_inv does not match the weights' columns
+        with pytest.raises(ValueError):
+            prune_heads(w, invert_spd(h), 3, 1)  # d_head does not divide the columns
+        with pytest.raises(ValueError):
+            prune_heads(w, invert_spd(h), 0, 1)
         with pytest.raises(NotSpdError):
-            prune_heads(w, invert_spd(SpdMatrix(np.diag([1.0, 1.0, 1.0, -1.0]))), lay, 1)
+            prune_heads(w, invert_spd(SpdMatrix(np.diag([1.0, 1.0, 1.0, -1.0]))), 2, 1)

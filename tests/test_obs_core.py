@@ -4,12 +4,17 @@ The least-squares oracle itself is validated against explicit feature-space
 least squares, then everything else is checked against the oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from obslim.errors import NotSpdError
+from obslim.ffn_pruner import GroupSchedule, group_sizes, prune_channels
+from obslim.head_pruner import prune_heads
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import (
+    PruneResult,
     block_errors,
     brute_force_best_columns,
     greedy_prune,
@@ -17,7 +22,7 @@ from obslim.obs_core import (
     mask_residual,
 )
 
-from conftest import rand_spd, remove_compacted, remove_sequentially
+from conftest import ffn_instance, head_instance, rand_spd, remove_compacted, remove_sequentially
 
 
 def residual_of(w, h: SpdMatrix, kept, w_hat) -> float:
@@ -117,6 +122,55 @@ class TestGreedyPrune:
             block_errors(w, h_inv, 3)
         with pytest.raises(ValueError):
             greedy_prune(w, np.eye(7), 1, [1])
+
+
+class TestAdapters:
+    """The pruners add nothing to ``greedy_prune``: same inputs, same ``PruneResult`` bits."""
+
+    @staticmethod
+    def assert_same_result(res, ref):
+        assert isinstance(res, PruneResult)
+        assert np.array_equal(res.pruned_w, ref.pruned_w)
+        assert np.array_equal(res.kept_columns, ref.kept_columns)
+        assert len(res.rounds) == len(ref.rounds)
+        for (cols, steps), (ref_cols, ref_steps) in zip(res.rounds, ref.rounds):
+            assert np.array_equal(cols, ref_cols) and np.array_equal(steps, ref_steps)
+
+    @staticmethod
+    def assert_step_error_sum_in_removal_order(res):
+        paid = np.concatenate([steps for _, steps in res.rounds]).tolist()
+        assert res.step_error_sum == sum(paid, 0.0)
+        assert abs(res.step_error_sum - math.fsum(paid)) <= 1e-12 * math.fsum(paid)
+
+    def test_prune_heads_is_greedy_prune_one_head_per_round(self):
+        rng = np.random.default_rng(30)
+        for n_prune in (0, 1, 2, 3):
+            w, h, d_head, _ = head_instance(rng)
+            h_inv = invert_spd(h)
+            res = prune_heads(w, h_inv.copy(), d_head, n_prune)
+            self.assert_same_result(res, greedy_prune(w, h_inv.copy(), d_head, [1] * n_prune))
+            assert res.total_rounds == n_prune
+            if n_prune:
+                self.assert_step_error_sum_in_removal_order(res)
+
+    def test_prune_channels_is_greedy_prune_over_the_group_sizes(self):
+        rng = np.random.default_rng(31)
+        for sched in (GroupSchedule(1, 1), GroupSchedule(4, 1), GroupSchedule(16, 2)):
+            w, h, n_prune = ffn_instance(rng, max_channels=32)
+            h_inv = invert_spd(h)
+            sizes = group_sizes(n_prune, sched)
+            res = prune_channels(w, h_inv.copy(), n_prune, sched)
+            self.assert_same_result(res, greedy_prune(w, h_inv.copy(), 1, sizes))
+            assert res.total_rounds == len(sizes)
+            assert [cols.size for cols, _ in res.rounds] == sizes
+            self.assert_step_error_sum_in_removal_order(res)
+
+    def test_unpacks_as_a_triple(self):
+        w = np.arange(8.0).reshape(2, 4)
+        res = greedy_prune(w, np.eye(4), 2, [])
+        pruned_w, kept, rounds = res
+        assert np.array_equal(pruned_w, w) and kept.tolist() == [0, 1, 2, 3] and rounds == []
+        assert res.total_rounds == 0 and res.step_error_sum == 0.0
 
 
 class TestPruneColumn:

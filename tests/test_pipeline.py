@@ -11,7 +11,7 @@ from obslim import linalg, pipeline
 from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
 from obslim.linalg import SpdMatrix, invert_spd
-from obslim.obs_core import least_squares_oracle
+from obslim.obs_core import least_squares_oracle, mask_residual
 from obslim.pipeline import (
     LayerWeights,
     PruneConfig,
@@ -305,6 +305,10 @@ class TestPruneModel:
             h_ffn = hessian([forward_layer(ffn_input_layer, x, collect=True)[2] for x in cur])
             want = least_squares_oracle(orig.w_down, h_ffn, row.kept_channels)
             assert rel_dev(new.w_down, want) <= 1e-8
+            # the summed step errors are the exact residuals of the two masks
+            paid = (mask_residual(orig.wo, h_attn, kept_cols)
+                    + mask_residual(orig.w_down, h_ffn, row.kept_channels))
+            assert abs(row.sum_step_error - paid) <= 1e-9 * paid
 
             n = idx + 1
             head = ModelManifest(n_layers=n, layers=manifest.layers[:n])
@@ -378,8 +382,8 @@ class TestPruneModel:
             hessians[id(h_inv)] = h
             return h_inv
 
-        def prune_heads(w, h_inv, layout, n_prune):
-            return reinvert_prune_heads(w, hessians[id(h_inv)], layout, n_prune)
+        def prune_heads(w, h_inv, d_head, n_prune):
+            return reinvert_prune_heads(w, hessians[id(h_inv)], d_head, n_prune)
 
         monkeypatch.setattr(pipeline, "_hessian_over_batches", hessian_over_batches)
         monkeypatch.setattr(pipeline, "prune_heads", prune_heads)
