@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -54,13 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-toy", help="generate a deterministic toy model + calibration set")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--layers", type=int, default=8)
-    gen.add_argument("--d-model", type=int, default=32)
-    gen.add_argument("--heads", type=int, default=4)
-    gen.add_argument("--d-ff", type=int, default=64)
-    gen.add_argument("--batches", type=int, default=4)
-    gen.add_argument("--tokens", type=int, default=64)
+    for flag, name in (("--seed", "seed"), ("--layers", "n_layers"), ("--d-model", "d_model"),
+                       ("--heads", "n_head"), ("--d-ff", "d_ff"),
+                       ("--batches", "n_calib_batches"), ("--tokens", "tokens_per_batch")):
+        gen.add_argument(flag, type=int, dest=name, metavar="N",
+                         help=f"default {getattr(ToyModelSpec, name)}")
 
     prune = sub.add_parser("prune", help="prune a model at scheduled per-layer ratios")
     prune.add_argument("--model", required=True)
@@ -88,15 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_toy(args) -> int:
-    spec = ToyModelSpec(
-        n_layers=args.layers,
-        d_model=args.d_model,
-        n_head=args.heads,
-        d_ff=args.d_ff,
-        seed=args.seed,
-        n_calib_batches=args.batches,
-        tokens_per_batch=args.tokens,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(ToyModelSpec)}
+    spec = ToyModelSpec(**{name: val for name, val in given.items() if val is not None})
     tensors, manifest, calib = gen_toy(spec)
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.obt")
@@ -117,7 +109,7 @@ def _merged_settings(args) -> dict:
         "ratio_last": None,
         "global_target": None,
         "variant": None,
-        **PruneConfig().to_dict(),
+        **asdict(PruneConfig()),
     }
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -166,7 +158,7 @@ def _cmd_prune(args) -> int:
         global_target=settings["global_target"],
         layer_param_weights=_layer_param_weights(manifest, header),
     )
-    config = PruneConfig(**{key: settings[key] for key in PruneConfig().to_dict()})
+    config = PruneConfig(**{f.name: settings[f.name] for f in fields(PruneConfig)})
     tensors = read_tensor_file(args.model)
     calib = list(read_tensor_file(args.calib).values())
     t_start = time.perf_counter()

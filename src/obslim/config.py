@@ -1,7 +1,7 @@
 """Central numerical constants shared by all modules."""
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 
@@ -24,5 +24,6 @@ DEFAULT_DAMPING = 0.01
 
 
 def is_finite_real(val) -> bool:
-    """True for a finite int or float; config values arrive untyped and a bool is no number."""
-    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    """True for an int or float in float range; config values arrive untyped, bools excluded."""
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)

@@ -22,7 +22,7 @@ from .config import DEFAULT_DAMPING, is_finite_real
 from .errors import NotSpdError, ObslimError
 from .ffn_pruner import GroupSchedule, prune_channels
 from .head_pruner import prune_heads
-from .schedule import VARIANTS, PruneSchedule, counts_from_ratio, ratio_at
+from .schedule import VARIANTS, PruneSchedule, build_schedule, counts_from_ratio
 from .tensorstore import LayerEntry, ModelManifest, validate_manifest
 
 
@@ -127,7 +127,7 @@ def gen_toy(spec: ToyModelSpec):
             attn_out=names["wo"], attn_coupled=[names["wq"], names["wk"], names["wv"]],
             ffn_down=names["w_down"], ffn_coupled=[names["w_up"], names["w_gate"]],
             n_head=spec.n_head, d_head=dh))
-    manifest = ModelManifest(n_layers=spec.n_layers, layers=entries)
+    manifest = ModelManifest(layers=entries)
     mixing = np.eye(dm) + 0.3 * rng.normal(size=(dm, dm)) / np.sqrt(dm)
     calib = [
         mixing @ rng.normal(size=(dm, spec.tokens_per_batch))
@@ -266,9 +266,6 @@ class PruneConfig:
             raise ValueError(f"group_start and group_min must be integers, got {sizes!r}")
         GroupSchedule(self.group_start, self.group_min)  # raises unless 1 <= min <= start
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class LayerReport:
@@ -278,8 +275,8 @@ class LayerReport:
     channels_removed: int
     sum_step_error: float
     output_sq_error: float
-    kept_heads: list = field(default_factory=list)
-    kept_channels: list = field(default_factory=list)
+    kept_heads: list[int] = field(default_factory=list)
+    kept_channels: list[int] = field(default_factory=list)
 
     @classmethod
     def from_dict(cls, row) -> "LayerReport":
@@ -289,7 +286,8 @@ class LayerReport:
             raise ObslimError(f"a report layer row needs exactly the fields {names}")
         for f in fields(cls):
             val = row[f.name]
-            if not (isinstance(val, list) if f.type is list else is_finite_real(val)
+            if not (isinstance(val, list) and all(type(v) is int for v in val)
+                    if f.type == list[int] else is_finite_real(val)
                     and (f.type is float or isinstance(val, numbers.Integral))):
                 raise ObslimError(f"report layer {f.name} has the wrong type or value: {val!r}")
         return cls(**row)
@@ -299,18 +297,11 @@ class LayerReport:
 class PruneReport:
     """Per-layer diagnostics plus the schedule and config that produced them."""
 
-    layers: list = field(default_factory=list)
+    # in the order report.json writes them
     variant: str = "uniform"
     ratios: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "ratios": list(self.ratios),
-            "config": dict(self.config),
-            "layers": [asdict(row) for row in self.layers],
-        }
+    layers: list = field(default_factory=list)
 
     @classmethod
     def from_dict(cls, data) -> "PruneReport":
@@ -330,20 +321,15 @@ class PruneReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self) -> str:
+        """The scalar fields of each layer row, in ``LayerReport``'s order."""
+        names = [f.name for f in fields(LayerReport) if f.type != list[int]]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["layer", "ratio", "heads_removed", "channels_removed",
-             "sum_step_error", "output_sq_error"]
-        )
-        for row in self.layers:
-            writer.writerow(
-                [row.layer, repr(row.ratio), row.heads_removed, row.channels_removed,
-                 repr(row.sum_step_error), repr(row.output_sq_error)]
-            )
+        writer.writerow(names)
+        writer.writerows([getattr(row, name) for name in names] for row in self.layers)
         return buf.getvalue()
 
     def save(self, path) -> None:
@@ -442,7 +428,7 @@ def prune_model(
     report = PruneReport(
         variant=sched.variant,
         ratios=[float(r) for r in sched.ratios],
-        config=config.to_dict(),
+        config=asdict(config),
     )
 
     for idx, entry in enumerate(manifest.layers):
@@ -494,7 +480,7 @@ def prune_model(
     # copy what no kernel sliced, which is still the caller's; upcast float32 slices
     pruned = {name: np.array(arr, dtype=np.float64) if arr is tensors[name]
               else np.asarray(arr, dtype=np.float64) for name, arr in pruned.items()}
-    pruned_manifest = ModelManifest(n_layers=manifest.n_layers, layers=new_entries)
+    pruned_manifest = ModelManifest(layers=new_entries)
     validate_manifest(pruned_manifest, pruned)
     return pruned, pruned_manifest, report
 
@@ -515,9 +501,10 @@ def verify_report(
     """
     problems = []
     n = len(report.layers)
-    if len(report.ratios) != n:
+    ratios = report.ratios if len(report.ratios) == n else None
+    if ratios is None:
         problems.append(f"{len(report.ratios)} ratios for {n} layer rows")
-    for row in report.layers:
+    for i, row in enumerate(report.layers):
         if not (np.isfinite(row.sum_step_error) and row.sum_step_error >= 0):
             problems.append(f"layer {row.layer}: bad sum_step_error {row.sum_step_error}")
         if not (np.isfinite(row.output_sq_error) and row.output_sq_error >= 0):
@@ -526,18 +513,30 @@ def verify_report(
             problems.append(f"layer {row.layer}: ratio {row.ratio} outside [0, 1)")
         if row.heads_removed < 0 or row.channels_removed < 0:
             problems.append(f"layer {row.layer}: negative removal count")
+        if ratios is not None and row.ratio != ratios[i]:
+            problems.append(f"layer {row.layer}: ratio {row.ratio} is not ratios[{i}] {ratios[i]}")
+        for unit, removed, kept in (("heads", row.heads_removed, row.kept_heads),
+                                    ("channels", row.channels_removed, row.kept_channels)):
+            total = removed + len(kept)
+            if any(a >= b for a, b in zip([-1, *kept], [*kept, total])):
+                problems.append(f"layer {row.layer}: kept {unit} are not increasing indices "
+                                f"in [0, {total})")
+            if 0.0 <= row.ratio < 1.0 and total >= 1:  # an out-of-range ratio is reported above
+                want = counts_from_ratio(row.ratio, total)
+                if removed != want:
+                    problems.append(f"layer {row.layer}: {removed} of {total} {unit} removed, "
+                                    f"ratio {row.ratio} removes {want}")
     if [row.layer for row in report.layers] != list(range(n)):
         problems.append("layer indices are not 0..n-1 in order")
-    if report.variant in VARIANTS and n >= 2:
-        r0, rn = report.ratios[0], report.ratios[-1]
+    if report.variant not in VARIANTS and report.variant != "custom":
+        problems.append(f"unknown variant {report.variant!r}")
+    elif report.variant in VARIANTS and ratios:
         try:
-            expect = [ratio_at(i, n, r0, rn, report.variant) for i in range(n)]
-            if any(abs(a - b) > 1e-9 for a, b in zip(report.ratios, expect)):
+            expect = build_schedule(n, report.variant, r0=ratios[0], rn=ratios[-1]).ratios
+            if any(abs(a - b) > 1e-9 for a, b in zip(ratios, expect)):
                 problems.append(f"ratios do not follow variant {report.variant!r}")
         except ValueError as exc:
             problems.append(f"schedule invalid for variant {report.variant!r}: {exc}")
-    elif report.variant not in VARIANTS and report.variant != "custom":
-        problems.append(f"unknown variant {report.variant!r}")
 
     if manifest is not None:
         if manifest.n_layers != n:

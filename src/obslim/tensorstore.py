@@ -199,7 +199,7 @@ class LayerEntry:
     @classmethod
     def from_dict(cls, data: dict) -> "LayerEntry":
         """One parsed layer; ``ManifestError`` unless every tensor name is a string,
-        each coupled field a list of them and ``head_layout`` two JSON integers."""
+        each coupled field a list of them and ``head_layout`` two positive JSON integers."""
         try:
             anchors = data["attn_out"], data["ffn_down"]
             coupled = data["attn_coupled"], data["ffn_coupled"]
@@ -209,9 +209,9 @@ class LayerEntry:
         if not (all(isinstance(c, list) for c in coupled)
                 and all(isinstance(n, str) for n in (*anchors, *coupled[0], *coupled[1]))
                 and isinstance(layout, list) and len(layout) == 2
-                and all(type(v) is int for v in layout)):
+                and all(type(v) is int and v > 0 for v in layout)):
             raise ManifestError("malformed layer entry: tensor names must be strings, the "
-                                "coupled ones in lists, and head_layout two integers")
+                                "coupled ones in lists, and head_layout two positive integers")
         return cls(anchors[0], list(coupled[0]), anchors[1], list(coupled[1]), *layout)
 
 
@@ -224,8 +224,11 @@ class ModelManifest:
     ``ffn_coupled``.
     """
 
-    n_layers: int
     layers: list = field(default_factory=list)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layers)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -235,14 +238,16 @@ class ModelManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelManifest":
+        """``ManifestError`` unless ``n_layers`` is the JSON integer count of the entries."""
         try:
             data = json.loads(text)
-            manifest = cls(
-                n_layers=int(data["n_layers"]),
-                layers=[LayerEntry.from_dict(e) for e in data["layers"]],
-            )
+            count = data["n_layers"]
+            manifest = cls([LayerEntry.from_dict(e) for e in data["layers"]])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ManifestError(f"malformed manifest: {exc}") from exc
+        if type(count) is not int or count != manifest.n_layers:
+            raise ManifestError(f"n_layers {count!r} is not the integer count of the "
+                                f"{manifest.n_layers} layer entries")
         return manifest
 
     def save(self, path) -> None:
@@ -260,20 +265,19 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
     """Check layer structure against the actual tensor shapes.
 
     Raises:
-        ManifestError: missing tensors, head layout not matching the anchor
-            width, or a coupled tensor whose rows mismatch the anchor columns.
+        ManifestError: a tensor missing or named twice, head layout not
+            matching the anchor width, or a coupled tensor whose rows
+            mismatch the anchor columns.
     """
-    if manifest.n_layers != len(manifest.layers):
-        raise ManifestError(
-            f"n_layers {manifest.n_layers} != layer entries {len(manifest.layers)}"
-        )
+    seen = set()
     for idx, entry in enumerate(manifest.layers):
-        def shape_of(name):
+        for name in (entry.attn_out, *entry.attn_coupled, entry.ffn_down, *entry.ffn_coupled):
             if name not in tensors:
                 raise ManifestError(f"layer {idx}: tensor {name!r} missing")
-            return tensors[name].shape
-
-        attn_cols = shape_of(entry.attn_out)[1]
+            if name in seen:  # pruning would slice it once per mention
+                raise ManifestError(f"layer {idx}: tensor {name!r} is named twice in the manifest")
+            seen.add(name)
+        attn_cols = tensors[entry.attn_out].shape[1]
         if attn_cols != entry.n_head * entry.d_head:
             raise ManifestError(
                 f"layer {idx}: attn_out has {attn_cols} columns, "
@@ -281,9 +285,9 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
             )
         for anchor, coupled in ((entry.attn_out, entry.attn_coupled),
                                 (entry.ffn_down, entry.ffn_coupled)):
-            cols = shape_of(anchor)[1]
+            cols = tensors[anchor].shape[1]
             for name in coupled:
-                rows = shape_of(name)[0]
+                rows = tensors[name].shape[0]
                 if rows != cols:
                     raise ManifestError(
                         f"layer {idx}: coupled tensor {name!r} has {rows} rows, "

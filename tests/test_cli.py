@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import obslim
 from obslim import cli
 from obslim.cli import main
-from obslim.pipeline import PruneReport
+from obslim.pipeline import PruneReport, ToyModelSpec, gen_toy
 from obslim.tensorstore import ModelManifest, read_tensor_file, write_tensor_file
 
 
@@ -60,6 +61,27 @@ class TestGenToy:
                     "--batches", "2", "--tokens", "24"]) == 0
         for name in ("model.obt", "manifest.json", "calib.obt"):
             assert (toy_dir / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_flagless_writes_default_spec(self, tmp_path):
+        assert run(["gen-toy", "--out", str(tmp_path / "cli")]) == 0
+        tensors, manifest, calib = gen_toy(ToyModelSpec())
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        write_tensor_file(tensors, lib / "model.obt")
+        write_tensor_file({f"calib.{i}": x for i, x in enumerate(calib)}, lib / "calib.obt")
+        manifest.save(lib / "manifest.json")
+        for name in ("model.obt", "manifest.json", "calib.obt"):
+            assert (tmp_path / "cli" / name).read_bytes() == (lib / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--seed", "seed", 5), ("--layers", "n_layers", 2), ("--d-model", "d_model", 16),
+        ("--heads", "n_head", 2), ("--d-ff", "d_ff", 8), ("--batches", "n_calib_batches", 1),
+        ("--tokens", "tokens_per_batch", 3)])
+    def test_each_flag_sets_its_field(self, tmp_path, monkeypatch, flag, field, value):
+        specs = []
+        monkeypatch.setattr(cli, "gen_toy", lambda spec: specs.append(spec) or gen_toy(spec))
+        assert run(["gen-toy", "--out", str(tmp_path / "toy"), flag, str(value)]) == 0
+        assert specs == [replace(ToyModelSpec(), **{field: value})]
 
     @pytest.mark.parametrize("flag", ["--heads", "--d-model", "--layers", "--d-ff"])
     def test_zero_dimension_exit_2(self, tmp_path, capsys, flag):
@@ -130,6 +152,17 @@ MISTYPED_MANIFESTS = {
     "coupled-string": lambda d: with_layer_1(d, attn_coupled="abc"),
     "layout-float": lambda d: with_layer_1(d, head_layout=[4.0, 4]),
     "layout-bool": lambda d: with_layer_1(d, head_layout=[True, 16]),
+    "layout-negative": lambda d: with_layer_1(d, head_layout=[-4, -4]),
+}
+
+# Each of these pruned once: the first two as a 3-layer model, the last
+# until slicing the tensor a second time raised an uncaught IndexError.
+INCONSISTENT_MANIFESTS = {
+    "n-layers-float": (lambda d: {**d, "n_layers": 2.9}, "n_layers 2.9 is not"),
+    "n-layers-string": (lambda d: {**d, "n_layers": "3"}, "n_layers '3' is not"),
+    "tensor-named-twice": (
+        lambda d: with_layer_1(d, attn_coupled=d["layers"][1]["attn_coupled"][:1] * 3),
+        "layer 1: tensor 'layers.1.attn.wq' is named twice"),
 }
 
 
@@ -396,6 +429,15 @@ class TestPrune:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed layer entry: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("tamper, message", INCONSISTENT_MANIFESTS.values(),
+                             ids=INCONSISTENT_MANIFESTS.keys())
+    def test_inconsistent_manifest_exit_2(self, toy_dir, tmp_path, capsys, tamper, message):
+        path = toy_dir / "manifest.json"
+        path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+        assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("tamper", MISTYPED_HEADERS.values(), ids=MISTYPED_HEADERS.keys())
     def test_mistyped_tensor_header_exit_2(self, toy_dir, tmp_path, capsys, tamper):
         path = toy_dir / "model.obt"
@@ -482,6 +524,22 @@ MALFORMED_REPORTS = {
     "row-extra-field": lambda d: with_row(d, wall_clock_s=0.1),
     "step-error-string": lambda d: with_row(d, sum_step_error="0.5"),
     "kept-heads-int": lambda d: with_row(d, kept_heads=2),
+    "kept-heads-strings": lambda d: with_row(d, kept_heads=["x", "x"]),
+    "kept-channels-null": lambda d: with_row(d, kept_channels=[None]),
+    "kept-heads-bool": lambda d: with_row(d, kept_heads=[True, 2]),
+}
+
+# Each of these passed verify once, or (ratios-empty) ended in an IndexError.
+UNCHECKED_REPORTS = {
+    "ratios-empty": (lambda d: {**d, "ratios": []}, "0 ratios for 3 layer rows"),
+    "ratio-off-schedule": (lambda d: with_row(d, ratio=0.9), "layer 1: ratio 0.9 is not ratios[1]"),
+    "nothing-removed": (lambda d: with_row(d, heads_removed=0, channels_removed=0),
+                        "layer 1: 0 of 2 heads removed"),
+    "kept-channels-repeated": (
+        lambda d: with_row(d, kept_channels=d["layers"][1]["kept_channels"][:1] * 13),
+        "layer 1: kept channels are not increasing"),
+    "kept-heads-out-of-range": (lambda d: with_row(d, kept_heads=[999, 1000]),
+                                "layer 1: kept heads are not increasing indices in [0, 4)"),
 }
 
 
@@ -514,6 +572,27 @@ class TestVerifyAndReport:
                     "--manifest", str(out / "manifest.json"),
                     "--model", str(out / "model.obt")]) == 2
         assert f"layer 1: {len(value)} kept" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tamper, message", UNCHECKED_REPORTS.values(),
+                             ids=UNCHECKED_REPORTS.keys())
+    def test_verify_ties_rows_to_schedule_and_counts(self, toy_dir, tmp_path, capsys, tamper,
+                                                     message):
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, [
+            "--global-target", "0.4", "--group-start", "8", "--group-min", "2"])) == 0
+        report_path = out / "report.json"
+        data = json.loads(report_path.read_text())
+        assert data["layers"][1]["heads_removed"] == 2
+        assert len(data["layers"][1]["kept_channels"]) == 13
+        report_path.write_text(json.dumps(tamper(data)))
+        capsys.readouterr()
+        assert run(["verify", "--report", str(report_path),
+                    "--manifest", str(out / "manifest.json"),
+                    "--model", str(out / "model.obt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(line.startswith("FAIL: ") for line in captured.out.splitlines())
+        assert message in captured.out, captured.out
 
     def test_verify_model_without_manifest_exit_2(self, toy_dir, tmp_path, capsys):
         # the model is only checked against a manifest, so alone it would pass unread
@@ -563,4 +642,4 @@ class TestVerifyAndReport:
                     "--csv", str(csv_out)]) == 0
         printed = capsys.readouterr().out
         assert "output_sq_error" in printed
-        assert csv_out.read_text() == (out / "report.csv").read_text()
+        assert csv_out.read_bytes() == (out / "report.csv").read_bytes()

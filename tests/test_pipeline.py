@@ -9,10 +9,11 @@ import pytest
 
 from obslim import linalg, pipeline
 from obslim.calib import HessianAccumulator
-from obslim.errors import NotSpdError
+from obslim.errors import NotSpdError, ObslimError
 from obslim.linalg import SpdMatrix, invert_spd
 from obslim.obs_core import least_squares_oracle, mask_residual
 from obslim.pipeline import (
+    LayerReport,
     LayerWeights,
     PruneConfig,
     PruneReport,
@@ -311,8 +312,8 @@ class TestPruneModel:
             assert abs(row.sum_step_error - paid) <= 1e-9 * paid
 
             n = idx + 1
-            head = ModelManifest(n_layers=n, layers=manifest.layers[:n])
-            phead = ModelManifest(n_layers=n, layers=pmanifest.layers[:n])
+            head = ModelManifest(layers=manifest.layers[:n])
+            phead = ModelManifest(layers=pmanifest.layers[:n])
             err = sum(((forward_model(pruned, phead, x) - forward_model(tensors, head, x)) ** 2).sum()
                       for x in calib)
             assert abs(row.output_sq_error - err) <= 1e-9 * err
@@ -336,7 +337,7 @@ class TestPruneModel:
         before = Counter()
         for n in range(1, 4):
             calls.clear()
-            prune_model(tensors, ModelManifest(n_layers=n, layers=manifest.layers[:n]),
+            prune_model(tensors, ModelManifest(layers=manifest.layers[:n]),
                         calib, custom_schedule(ratios[:n]), CONFIG)
             per_batch = tuple((calls[k] - before[k]) / len(calib) for k in ("_attention", "_ffn"))
             assert per_batch == expect[n - 1], (n - 1, per_batch)
@@ -542,6 +543,21 @@ class TestReports:
         back = PruneReport.load(path)
         assert back.to_json() == report.to_json()
         assert "wall_clock_s" not in json.loads(report.to_json())  # timing is not persisted
+
+    def test_json_key_order(self):
+        data = json.loads(self.run_once()[2].to_json())
+        assert list(data) == ["variant", "ratios", "config", "layers"]
+        assert list(data["layers"][0]) == [
+            "layer", "ratio", "heads_removed", "channels_removed", "sum_step_error",
+            "output_sq_error", "kept_heads", "kept_channels"]
+
+    @pytest.mark.parametrize("field", ["kept_heads", "kept_channels"])
+    @pytest.mark.parametrize("units", [["x"], [None], [True], [1.0]])
+    def test_kept_units_must_be_json_integers(self, field, units):
+        row = json.loads(self.run_once()[2].to_json())["layers"][1]
+        LayerReport.from_dict(row)
+        with pytest.raises(ObslimError, match=field):
+            LayerReport.from_dict({**row, field: row[field][:-1] + units})
 
     def test_csv_columns(self):
         _, _, report = self.run_once()

@@ -289,7 +289,7 @@ def toy_manifest_and_tensors():
         n_head=2,
         d_head=4,
     )
-    return ModelManifest(n_layers=1, layers=[entry]), tensors
+    return ModelManifest(layers=[entry]), tensors
 
 
 class TestManifest:
@@ -337,10 +337,21 @@ class TestManifest:
             validate_manifest(manifest, tensors)
 
     def test_rejects_layer_count_mismatch(self):
-        manifest, tensors = toy_manifest_and_tensors()
-        manifest.n_layers = 2
+        manifest, _ = toy_manifest_and_tensors()
+        data = json.loads(manifest.to_json())
+        data["n_layers"] = 2
         with pytest.raises(ManifestError, match="n_layers"):
-            validate_manifest(manifest, tensors)
+            ModelManifest.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("count", [6.5, True, "6", 5, 7])
+    def test_rejects_n_layers_not_the_entry_count(self, count):
+        manifest, _ = toy_manifest_and_tensors()
+        data = json.loads(manifest.to_json())
+        data["n_layers"], data["layers"] = 6, data["layers"] * 6
+        assert ModelManifest.from_json(json.dumps(data)).n_layers == 6
+        data["n_layers"] = count
+        with pytest.raises(ManifestError, match="n_layers"):
+            ModelManifest.from_json(json.dumps(data))
 
     def test_malformed_json(self):
         with pytest.raises(ManifestError):
