@@ -12,7 +12,7 @@ Run: python demos/05_ratio_schedules.py
 
 import numpy as np
 
-from obslim import build_schedule, counts_from_ratio, schedule_ratios, solve_last_ratio
+from obslim import build_schedule, counts_from_ratio
 
 n = 8
 
@@ -26,21 +26,22 @@ for variant, r0, rn in (
     ("log_decrease", 0.6, 0.2),
     ("linear_decrease", 0.6, 0.2),
 ):
-    ratios = schedule_ratios(n, r0, rn, variant)
+    ratios = build_schedule(n, variant, r0=r0, rn=rn).ratios
     print(f"{variant:>16}: " + " ".join(f"{r:6.3f}" for r in ratios))
 
 # --- solving the last ratio for a 50% global target ----------------------------
 r0 = 0.25
-rn = solve_last_ratio(0.5, r0, np.ones(n), "log_increase")
-ratios = schedule_ratios(n, r0, rn, "log_increase")
+ratios = np.array(build_schedule(n, "log_increase", r0=r0, global_target=0.5).ratios)
+rn = ratios[-1]
 print(f"\nlog curve hitting a 50% mean with r0={r0}: rn={rn:.4f}")
 print("  ratios:", " ".join(f"{r:.3f}" for r in ratios))
 print(f"  mean:   {ratios.mean():.6f}")
 
 # parameter-weighted layers (say the last two layers are twice as wide)
 weights = np.array([1.0] * 6 + [2.0, 2.0])
-rn_w = solve_last_ratio(0.5, r0, weights, "log_increase")
-ratios_w = schedule_ratios(n, r0, rn_w, "log_increase")
+ratios_w = build_schedule(n, "log_increase", r0=r0, global_target=0.5,
+                          layer_param_weights=weights).ratios
+rn_w = ratios_w[-1]
 print(f"with heavier deep layers the solved endpoint drops: rn={rn_w:.4f} "
       f"(weighted mean {np.average(ratios_w, weights=weights):.6f})")
 

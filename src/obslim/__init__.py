@@ -30,14 +30,7 @@ from .pipeline import (
     prune_model,
     verify_report,
 )
-from .schedule import (
-    PruneSchedule,
-    build_schedule,
-    counts_from_ratio,
-    ratio_at,
-    schedule_ratios,
-    solve_last_ratio,
-)
+from .schedule import PruneSchedule, build_schedule, counts_from_ratio
 from .tensorstore import (
     LayerEntry,
     ModelManifest,
@@ -83,11 +76,8 @@ __all__ = [
     "prune_channels",
     "prune_heads",
     "prune_model",
-    "ratio_at",
     "read_tensor_file",
     "remove_block",
-    "schedule_ratios",
-    "solve_last_ratio",
     "validate_manifest",
     "verify_report",
     "write_tensor_file",

@@ -499,8 +499,8 @@ def verify_report(
     With the pruned manifest/tensors supplied, also cross-checks the model
     structure against the report's removal counts.
     """
-    problems = []
     n = len(report.layers)
+    problems = [] if n else ["report has no layer rows"]
     ratios = report.ratios if len(report.ratios) == n else None
     if ratios is None:
         problems.append(f"{len(report.ratios)} ratios for {n} layer rows")

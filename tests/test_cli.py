@@ -594,6 +594,16 @@ class TestVerifyAndReport:
         assert all(line.startswith("FAIL: ") for line in captured.out.splitlines())
         assert message in captured.out, captured.out
 
+    def test_verify_rejects_a_report_with_no_layer_rows(self, tmp_path, capsys):
+        # prune never writes one; without --manifest nothing else would catch it
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(
+            {"variant": "log_increase", "ratios": [], "config": {}, "layers": []}))
+        assert run(["verify", "--report", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "FAIL: report has no layer rows\n"
+
     def test_verify_model_without_manifest_exit_2(self, toy_dir, tmp_path, capsys):
         # the model is only checked against a manifest, so alone it would pass unread
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """One-field mutations of every file the CLI reads, drawn by derandomized hypothesis.
 
-Each example changes one field of a manifest, a model's tensor header, a
-config file or a report, and runs the command that reads it. The documented
+Each example changes one field of a manifest, a model's or the calibration
+file's tensor header, a config file or a report, and runs the command that
+reads it. The documented
 outcome is exit 0, or exit 2 with one ``error:`` line on stderr; for a
 report that parses but fails its checks, ``verify`` prints ``FAIL:`` lines
 instead. A traceback fails the test, and so does a warning (pytest turns
@@ -112,12 +113,20 @@ manifest_paths = st.one_of(
     st.tuples(st.just("layers"), layer_idx,
               st.sampled_from(["attn_coupled", "ffn_coupled", "head_layout"]), st.integers(0, 2)),
 )
-tensor_names = st.sampled_from([n for i in range(N_LAYERS) for n in layer_names(i).values()])
-header_paths = st.one_of(
-    st.tuples(tensor_names),
-    st.tuples(tensor_names, st.sampled_from(["dtype", "shape", "byte_offset", "byte_len"])),
-    st.tuples(tensor_names, st.just("shape"), st.integers(0, 1)),
-)
+
+
+def header_paths(names):
+    """Paths to one tensor's whole header entry, one of its fields, or a shape element."""
+    names = st.sampled_from(names)
+    return st.one_of(
+        st.tuples(names),
+        st.tuples(names, st.sampled_from(["dtype", "shape", "byte_offset", "byte_len"])),
+        st.tuples(names, st.just("shape"), st.integers(0, 1)),
+    )
+
+
+model_header_paths = header_paths([n for i in range(N_LAYERS) for n in layer_names(i).values()])
+calib_header_paths = header_paths(["calib.0", "calib.1"])
 config_paths = st.tuples(st.sampled_from(
     ["ratio_first", "ratio_last", "global_target", "variant", "damping", "group_start",
      "group_min", "calib_mode"]))
@@ -192,13 +201,23 @@ def test_prune_mutated_manifest(files, path, edit):
 
 
 @MUTATIONS
-@given(path=header_paths, edit=edits)
+@given(path=model_header_paths, edit=edits)
 @example(path=("layers.1.attn.wq", "shape", 0), edit="as-float")
 @example(path=("layers.2.ffn.w_up", "shape"), edit="reversed")
 def test_prune_mutated_tensor_header(files, path, edit):
     def edit_file(work):
         model = work / "model.obt"
         model.write_bytes(with_header(model.read_bytes(), lambda h: edited(h, path, edit)))
+
+    assert_documented(*prune_outcome(files, edit_file))
+
+
+@MUTATIONS
+@given(path=calib_header_paths, edit=edits)
+def test_prune_mutated_calib_header(files, path, edit):
+    def edit_file(work):
+        calib = work / "calib.obt"
+        calib.write_bytes(with_header(calib.read_bytes(), lambda h: edited(h, path, edit)))
 
     assert_documented(*prune_outcome(files, edit_file))
 

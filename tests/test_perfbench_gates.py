@@ -5,9 +5,15 @@ byte-identical reports, least-squares oracle) through public obslim
 functions, and ``perfbench/spans.py`` traces a job by patching obslim
 functions and methods by name and binding hook arguments by name. Running
 both on one small job here keeps them from drifting away from ``src/``
-unnoticed.
+unnoticed. The harness loop, its traced mode and its JSON output run only
+in ``perfbench/run.py``, so one short run of it per mode closes the file.
 """
 
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +23,8 @@ from obslim import cli
 from obslim.pipeline import PruneReport
 from obslim.tensorstore import read_tensor_file, write_tensor_file
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture()
@@ -77,3 +84,20 @@ def test_traced_prune_counts_match_the_report(spans, tmp_path):
     assert counts.get("head_pruner.heads_removed") == heads
     assert counts.get("head_pruner.rounds") == heads
     assert counts.get("ffn_pruner.channels_removed") == channels
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_runs_end_to_end(tmp_path, trace):
+    # run from a copy, so the harness's perfbench/_work/ stays out of the checkout
+    skip = shutil.ignore_patterns("__pycache__", "_work")
+    shutil.copytree(PERFBENCH, tmp_path / "perfbench", ignore=skip)
+    shutil.copytree(ROOT / "src" / "obslim", tmp_path / "src" / "obslim", ignore=skip)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ffn_wide", "--seed", "1",
+         "--seconds", "0.1", "--trace", str(trace)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -1,47 +1,53 @@
-"""Ratio curves, rounding to unit counts, and the global-target solver."""
+"""Ratio curves, rounding to unit counts, and the global-target solver.
 
-import math
+The curves and the solve are read through ``build_schedule``: layer ``i``'s
+ratio of a curve is ``curve(n, r0, rn, variant)[i]``, and the ``rn`` solved
+for a target is ``solved_rn(...)``.
+"""
 
 import numpy as np
 import pytest
 
-from obslim.schedule import (
-    VARIANTS,
-    PruneSchedule,
-    build_schedule,
-    counts_from_ratio,
-    ratio_at,
-    schedule_ratios,
-    solve_last_ratio,
-)
+from obslim.schedule import VARIANTS, PruneSchedule, build_schedule, counts_from_ratio
 
 CURVES = tuple(v for v in VARIANTS if v != "uniform")
 RN_GRID = tuple(k / 100 for k in range(100))
 
 
+def curve(n, r0, rn, variant):
+    return build_schedule(n, variant, r0=r0, rn=rn).ratios
+
+
+def solved_rn(global_target, r0, weights, variant):
+    return build_schedule(len(weights), variant, r0=r0, global_target=global_target,
+                          layer_param_weights=weights).ratios[-1]
+
+
 class TestRatioAt:
+    """Per-layer ratios of each curve between given endpoints."""
+
     def test_log_increase_endpoints(self):
-        assert ratio_at(0, 8, 0.2, 0.5, "log_increase") == 0.2
-        assert ratio_at(7, 8, 0.2, 0.5, "log_increase") == pytest.approx(0.5, abs=1e-15)
+        assert curve(8, 0.2, 0.5, "log_increase")[0] == 0.2
+        assert curve(8, 0.2, 0.5, "log_increase")[7] == pytest.approx(0.5, abs=1e-15)
 
     def test_log_increase_known_value(self):
         # log(2)/log(32) = 1/5 exactly, so layer 1 of 32 sits at 0.26
-        got = ratio_at(1, 32, 0.2, 0.5, "log_increase")
+        got = curve(32, 0.2, 0.5, "log_increase")[1]
         assert abs(got - 0.26) < 1e-12
 
     def test_endpoint_exactness_all_variants(self):
         for variant in ("log_increase", "linear_increase", "log_decrease", "linear_decrease"):
             for r0, rn in ((0.1, 0.6), (0.6, 0.1)):
-                assert ratio_at(0, 9, r0, rn, variant) == pytest.approx(r0, abs=1e-15)
-                assert ratio_at(8, 9, r0, rn, variant) == pytest.approx(rn, abs=1e-15)
-        assert ratio_at(3, 9, 0.3, 0.3, "uniform") == 0.3
+                assert curve(9, r0, rn, variant)[0] == pytest.approx(r0, abs=1e-15)
+                assert curve(9, r0, rn, variant)[8] == pytest.approx(rn, abs=1e-15)
+        assert curve(9, 0.3, 0.3, "uniform")[3] == 0.3
 
     def test_monotonicity(self):
         for variant in ("log_increase", "linear_increase"):
-            ratios = schedule_ratios(16, 0.1, 0.7, variant)
+            ratios = curve(16, 0.1, 0.7, variant)
             assert np.all(np.diff(ratios) >= 0)
         for variant in ("log_decrease", "linear_decrease"):
-            ratios = schedule_ratios(16, 0.7, 0.1, variant)
+            ratios = curve(16, 0.7, 0.1, variant)
             assert np.all(np.diff(ratios) <= 0)
 
     def test_decrease_mirrors_increase(self):
@@ -49,38 +55,34 @@ class TestRatioAt:
             for dec, inc in (("log_decrease", "log_increase"),
                              ("linear_decrease", "linear_increase")):
                 for i in range(n):
-                    assert ratio_at(i, n, r0, rn, dec) == ratio_at(n - 1 - i, n, rn, r0, inc)
+                    assert curve(n, r0, rn, dec)[i] == curve(n, rn, r0, inc)[n - 1 - i]
 
     @pytest.mark.parametrize("variant", CURVES)
     def test_endpoints_exact_on_grid(self, variant):
         for n in range(2, 65):
             for r0 in (0.0, 0.1, 0.25):
                 for rn in RN_GRID:
-                    assert ratio_at(0, n, r0, rn, variant) == r0, (n, r0, rn)
-                    assert ratio_at(n - 1, n, r0, rn, variant) == rn, (n, r0, rn)
+                    assert curve(n, r0, rn, variant)[0] == r0, (n, r0, rn)
+                    assert curve(n, r0, rn, variant)[n - 1] == rn, (n, r0, rn)
 
     @pytest.mark.parametrize("variant", CURVES)
     def test_ratios_lie_between_endpoints(self, variant):
         for n in (2, 3, 5, 8, 13, 24, 32, 48, 64):
             for r0 in (0.0, 0.1, 0.25):
                 for rn in RN_GRID:
-                    ratios = schedule_ratios(n, r0, rn, variant)
+                    ratios = np.array(curve(n, r0, rn, variant))
                     assert min(r0, rn) <= ratios.min(), (n, r0, rn)
                     assert ratios.max() <= max(r0, rn), (n, r0, rn)
 
     def test_uniform_requires_equal_endpoints(self):
-        with pytest.raises(ValueError, match="uniform"):
-            ratio_at(0, 4, 0.1, 0.2, "uniform")
+        with pytest.raises(ValueError, match="rn equal to r0"):
+            curve(4, 0.1, 0.2, "uniform")
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            ratio_at(0, 1, 0.1, 0.2, "log_increase")
         with pytest.raises(ValueError):
-            ratio_at(4, 4, 0.1, 0.2, "log_increase")
-        with pytest.raises(ValueError):
-            ratio_at(0, 4, 1.0, 0.2, "log_increase")
+            curve(4, 1.0, 0.2, "log_increase")
         with pytest.raises(ValueError, match="unknown variant"):
-            ratio_at(0, 4, 0.1, 0.2, "cubic")
+            curve(4, 0.1, 0.2, "cubic")
 
 
 class TestCounts:
@@ -106,38 +108,36 @@ class TestCounts:
 
 class TestSolveLastRatio:
     def test_flat_target(self):
-        rn = solve_last_ratio(0.3, 0.3, np.ones(8), "log_increase")
+        rn = solved_rn(0.3, 0.3, np.ones(8), "log_increase")
         assert abs(rn - 0.3) < 1e-5
 
     def test_linear_closed_form(self):
         # uniform weights make the linear mean (r0 + rn) / 2
-        rn = solve_last_ratio(0.4, 0.1, np.ones(10), "linear_increase")
+        rn = solved_rn(0.4, 0.1, np.ones(10), "linear_increase")
         assert abs(rn - 0.7) < 1e-5
 
     def test_log_recompute_mean_oracle(self):
         weights = np.ones(32)
-        rn = solve_last_ratio(0.5, 0.2, weights, "log_increase")
-        ratios = schedule_ratios(32, 0.2, rn, "log_increase")
+        rn = solved_rn(0.5, 0.2, weights, "log_increase")
+        ratios = curve(32, 0.2, rn, "log_increase")
         assert abs(np.average(ratios, weights=weights) - 0.5) < 1e-6
 
     def test_weighted_recompute_mean(self):
         rng = np.random.default_rng(0)
         weights = rng.uniform(0.5, 3.0, size=12)
-        rn = solve_last_ratio(0.45, 0.15, weights, "log_increase")
-        ratios = schedule_ratios(12, 0.15, rn, "log_increase")
+        rn = solved_rn(0.45, 0.15, weights, "log_increase")
+        ratios = curve(12, 0.15, rn, "log_increase")
         assert abs(np.average(ratios, weights=weights) - 0.45) < 1e-6
 
     def test_decrease_variant_solvable(self):
-        rn = solve_last_ratio(0.5, 0.7, np.ones(8), "log_decrease")
-        ratios = schedule_ratios(8, 0.7, rn, "log_decrease")
+        rn = solved_rn(0.5, 0.7, np.ones(8), "log_decrease")
+        ratios = curve(8, 0.7, rn, "log_decrease")
         assert abs(np.mean(ratios) - 0.5) < 1e-6
         assert rn < 0.7
 
     def test_unreachable(self):
         with pytest.raises(ValueError, match="unreachable"):
-            solve_last_ratio(0.05, 0.5, np.ones(8), "log_increase")
-        with pytest.raises(ValueError):
-            solve_last_ratio(0.6, 0.3, np.ones(8), "uniform")
+            solved_rn(0.05, 0.5, np.ones(8), "log_increase")
 
     @pytest.mark.parametrize("variant", CURVES)
     def test_closed_form_hits_target(self, variant):
@@ -146,25 +146,32 @@ class TestSolveLastRatio:
             n = int(rng.integers(2, 40))
             weights = rng.uniform(0.0, 5.0, size=n)
             r0 = float(rng.uniform(0.0, 0.5))
-            lo, hi = (np.average(schedule_ratios(n, r0, rn, variant), weights=weights)
+            lo, hi = (np.average(curve(n, r0, rn, variant), weights=weights)
                       for rn in (0.0, 0.99))
             target = float(rng.uniform(lo, hi))
-            rn = solve_last_ratio(target, r0, weights, variant)
-            mean = np.average(schedule_ratios(n, r0, rn, variant), weights=weights)
+            rn = solved_rn(target, r0, weights, variant)
+            mean = np.average(curve(n, r0, rn, variant), weights=weights)
             assert abs(mean - target) < 1e-12
 
     def test_mean_independent_of_last_ratio(self):
         # all weight on layer 0, whose ratio is r0 for every rn: a flat schedule
         weights = np.array([3.0, 0.0, 0.0, 0.0])
         for variant in CURVES:
-            assert solve_last_ratio(0.2, 0.2, weights, variant) == 0.2
-            assert solve_last_ratio(0.2 + 5e-7, 0.2, weights, variant) == 0.2
+            assert solved_rn(0.2, 0.2, weights, variant) == 0.2
+            assert solved_rn(0.2 + 5e-7, 0.2, weights, variant) == 0.2
             with pytest.raises(ValueError, match="unreachable"):
-                solve_last_ratio(0.3, 0.2, weights, variant)
+                solved_rn(0.3, 0.2, weights, variant)
 
     def test_bad_weights(self):
         with pytest.raises(ValueError):
-            solve_last_ratio(0.4, 0.1, np.zeros(4), "log_increase")
+            solved_rn(0.4, 0.1, np.zeros(4), "log_increase")
+
+    @pytest.mark.parametrize("n_weights", [4, 7, 9, 16])
+    def test_one_weight_per_layer(self, n_weights):
+        # the solve must not take the layer count from the weights
+        with pytest.raises(ValueError, match="one layer_param_weights entry per layer"):
+            build_schedule(8, "log_increase", global_target=0.4,
+                           layer_param_weights=np.ones(n_weights))
 
 
 class TestPruneSchedule:
@@ -173,7 +180,7 @@ class TestPruneSchedule:
         assert sched.n_layers == 8
         assert abs(np.mean(sched.ratios) - 0.5) < 1e-6
         assert sched.ratios[0] == 0.25
-        assert sched.ratios[-1] == solve_last_ratio(0.5, 0.25, np.ones(8), "log_increase")
+        assert sched.ratios[-1] == solved_rn(0.5, 0.25, np.ones(8), "log_increase")
 
     def test_build_uniform(self):
         sched = build_schedule(5, "uniform", global_target=0.4)
