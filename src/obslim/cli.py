@@ -236,6 +236,6 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ObslimError, np.linalg.LinAlgError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ObslimError, np.linalg.LinAlgError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

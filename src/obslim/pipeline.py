@@ -8,9 +8,11 @@ through the already-pruned prefix, so each layer's Hessian sees the
 features it will actually receive after compression.
 """
 
+import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -360,30 +362,89 @@ def _hessian_over_batches(feature_batches, damping: float, w: np.ndarray) -> np.
     return acc.inverse(damping)
 
 
-def _sublayer(fn, w, cur, ref, prune):
-    """Advance the pruned stream ``cur`` and the original stream ``ref`` past one sublayer.
+def _run_reference(conn, tensors, layers, start, xs, feats):
+    """The original model's stream from sublayer ``start`` on, in the worker process.
+
+    Sublayer ``2 * i`` is layer ``i``'s attention and ``2 * i + 1`` its FFN.
+    ``feats`` are sublayer ``start``'s features of the batches ``xs``, which
+    the pruning process computed before it forked, so that sublayer needs
+    only its projection. Each later sublayer makes its own pass. Every step
+    uses the original ``wo`` or ``w_down``. After each layer its output
+    batches go to ``conn``; an exception goes there instead and ends the
+    stream. Floating-point warnings are off: the worker runs ahead of the
+    pruning process, which may fail at a layer the worker has passed, and a
+    non-finite reference shows in ``output_sq_error``.
+    """
+    try:
+        np.seterr(all="ignore")
+        for s in range(start, 2 * len(layers)):
+            lw = LayerWeights.from_tensors(layers[s // 2], tensors)
+            fn, w = (_ffn, lw.w_down) if s % 2 else (_attention, lw.wo)
+            if s > start:
+                feats = map(partial(fn, lw, w.any(axis=0)), xs)
+            xs = list(map(_projection(w), xs, feats))
+            if s % 2:
+                conn.send(xs)
+    except BaseException as exc:  # forwarded, not swallowed: the pruning process raises it
+        if isinstance(exc, MemoryError):  # numpy's subclass loses its message in a pickle
+            exc = MemoryError(str(exc))
+        with contextlib.suppress(Exception):  # the pruning process has stopped listening
+            conn.send(exc)
+    finally:
+        conn.close()
+
+
+class _ReferenceWorker:
+    """A forked process that runs the original model's stream beside the pruned one.
+
+    It starts where the streams split, from the activations and features
+    the pruning process holds there, and sends back each later layer's
+    output batches, in order, over a one-way pipe. ``close`` ends it.
+    """
+
+    def __init__(self, tensors, layers, start, xs, feats):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe(duplex=False)
+        self._proc = ctx.Process(target=_run_reference,
+                                 args=(child_conn, tensors, layers, start, xs, feats))
+        self._proc.start()
+        child_conn.close()  # the worker now holds the only write end: its exit ends a recv
+
+    def layer_output(self, idx: int) -> list:
+        """Layer ``idx``'s reference output batches; re-raises the worker's exception."""
+        try:
+            msg = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise ObslimError(f"the reference stream's worker exited with code "
+                              f"{self._proc.exitcode} before sending layer {idx}") from None
+        if isinstance(msg, BaseException):
+            raise msg
+        return msg
+
+    def close(self) -> None:
+        self._conn.close()
+        self._proc.terminate()
+        self._proc.join()
+
+
+def _sublayer(fn, w, cur, prune):
+    """Advance the pruned stream ``cur`` past one sublayer.
 
     ``fn(x)`` returns the features into the sublayer's original projection
-    ``w``. ``prune(features)``, if not None, prunes ``w`` on the pruned
-    stream's features and returns its ``PruneResult``; that stream then
-    advances as ``x + w' @ f[kept]``, and otherwise as ``x + w @ f``. ``ref``
-    advances as ``x + w @ f``, reusing the features while the streams are one
-    list and making its own pass once they have split. Returns
-    ``(cur, ref, kept)``, with ``kept`` the surviving columns of ``w`` as an
-    index: the kept columns, or every column (``slice(None)``).
+    ``w``. ``prune(cur, features)``, if not None, prunes ``w`` on them and
+    returns its ``PruneResult``; the stream then advances as
+    ``x + w' @ f[kept]``, and otherwise as ``x + w @ f``. The first such
+    call of a run forks the reference worker, which inherits ``cur`` and
+    the features before they are consumed here. Returns ``(cur, kept)``,
+    with ``kept`` the surviving columns of ``w`` as an index: the kept
+    columns, or every column (``slice(None)``).
     """
-    shared = ref is cur
     feats = [fn(x) for x in cur]
-    project = _projection(w)
-    new_w, kept = (w, slice(None)) if prune is None else prune(feats)[:2]
-    if shared:  # the reference steps before the features are consumed below
-        ref = list(map(project, ref, feats))
-        if prune is None:
-            return ref, ref, kept
+    new_w, kept = (w, slice(None)) if prune is None else prune(cur, feats)[:2]
     step = _projection(new_w)
     feats.reverse()  # each batch's features are freed once it is projected
-    cur = [step(x, feats.pop()[kept]) for x in cur]
-    return cur, ref if shared else list(map(project, ref, map(fn, ref))), kept
+    return [step(x, feats.pop()[kept]) for x in cur], kept
 
 
 def prune_model(
@@ -399,16 +460,29 @@ def prune_model(
     heads to remove (the coupled q/k/v rows are sliced), then that of the
     features into ``w_down`` picks the channels. Both come from the
     calibration stream through the pruned prefix, the FFN features after the
-    layer's own head pruning; the original model's stream is only the
-    reference for ``output_sq_error``. Each of the two streams makes one
-    features-only attention and FFN pass per batch and layer and advances
-    with one projection GEMM per sublayer: the pruned one as
-    ``x + wo' @ feats[kept]`` and then ``x1 + w_down' @ act[kept]``, the
-    reference with the original ``wo`` and ``w_down``. Until a layer
-    removes something the streams are the same arrays and run once. Returns
-    ``(pruned_tensors, pruned_manifest, report)``, float64 arrays sharing no
-    memory with ``tensors``, which is left as it was. Nothing is copied up
-    front: a layer's tensors are copied or sliced when it is reached.
+    layer's own head pruning. That stream makes one features-only attention
+    and FFN pass per batch and layer, and advances with one projection GEMM
+    per sublayer: ``x + wo' @ feats[kept]``, then ``x1 + w_down' @ act[kept]``.
+
+    The original model's stream is only the reference for
+    ``output_sq_error``. Until a sublayer removes something, the two streams
+    are the same arrays and run once, and those layers report 0.0. The
+    first sublayer that removes anything forks one worker process, which
+    needs the POSIX ``fork`` start method and a caller that may have
+    children (not a daemonic process, such as a ``multiprocessing.Pool``
+    worker). The worker inherits that
+    sublayer's input batches and features and runs the original model's
+    remaining sublayers with the original ``wo`` and ``w_down``, while this
+    process prunes. After each layer it sends the layer's output batches
+    over a pipe. If the worker raises, its exception is re-raised here; if
+    it dies, an ``ObslimError`` names the layer. The worker is terminated
+    and joined before this returns or raises. ``tracemalloc`` sees only
+    this process's allocations, not the worker's.
+
+    Returns ``(pruned_tensors, pruned_manifest, report)``, float64 arrays
+    sharing no memory with ``tensors``, which is left as it was. Nothing is
+    copied up front: a layer's tensors are copied or sliced when it is
+    reached.
     """
     validate_manifest(manifest, tensors)
     if sched.n_layers != manifest.n_layers:
@@ -423,7 +497,7 @@ def prune_model(
 
     pruned = dict(tensors)  # entries are replaced by new arrays as their layers are reached
     groups = GroupSchedule(config.group_start, config.group_min)
-    ref = cur
+    worker = None
     new_entries = []
     report = PruneReport(
         variant=sched.variant,
@@ -431,51 +505,59 @@ def prune_model(
         config=asdict(config),
     )
 
-    for idx, entry in enumerate(manifest.layers):
-        ratio = float(sched.ratios[idx])
-        orig_lw = LayerWeights.from_tensors(entry, tensors)
-        if any(x.ndim != 2 or x.shape[0] != orig_lw.wo.shape[0] for x in cur):
-            raise ValueError(f"calibration activations do not match d_model of layer {idx}")
-        for name in (entry.attn_out, entry.ffn_down):  # their dead columns are zeroed in place
-            pruned[name] = np.array(pruned[name], dtype=np.float64)
-        n_heads = counts_from_ratio(ratio, entry.n_head)
-        n_channels = counts_from_ratio(ratio, pruned[entry.ffn_down].shape[1])
-        kept, paid = [], []
+    try:
+        for idx, entry in enumerate(manifest.layers):
+            ratio = float(sched.ratios[idx])
+            orig_lw = LayerWeights.from_tensors(entry, tensors)
+            if any(x.ndim != 2 or x.shape[0] != orig_lw.wo.shape[0] for x in cur):
+                raise ValueError(f"calibration activations do not match d_model of layer {idx}")
+            for name in (entry.attn_out, entry.ffn_down):  # dead columns are zeroed in place
+                pruned[name] = np.array(pruned[name], dtype=np.float64)
+            n_heads = counts_from_ratio(ratio, entry.n_head)
+            n_channels = counts_from_ratio(ratio, pruned[entry.ffn_down].shape[1])
+            kept, paid = [], []
 
-        def prune_step(anchor, coupled, pruner, feats):
-            h_inv = _hessian_over_batches(feats, config.damping, pruned[anchor])
-            result = pruner(pruned[anchor], h_inv)
-            pruned[anchor] = result.pruned_w
-            for name in coupled:
-                pruned[name] = pruned[name][result.kept_columns, :]
-            paid.append(result.step_error_sum)
-            return result
+            def prune_step(sub, anchor, coupled, pruner, xs, feats):
+                nonlocal worker
+                if worker is None:  # the streams split at sublayer ``sub``
+                    worker = _ReferenceWorker(tensors, manifest.layers, sub, xs, feats)
+                h_inv = _hessian_over_batches(feats, config.damping, pruned[anchor])
+                result = pruner(pruned[anchor], h_inv)
+                pruned[anchor] = result.pruned_w
+                for name in coupled:
+                    pruned[name] = pruned[name][result.kept_columns, :]
+                paid.append(result.step_error_sum)
+                return result
 
-        for sublayer, fn, w, n_prune, prune in (
-                ("attention", _attention, orig_lw.wo, n_heads, partial(
-                    prune_step, entry.attn_out, entry.attn_coupled,
-                    partial(prune_heads, d_head=entry.d_head, n_prune=n_heads))),
-                ("FFN", _ffn, orig_lw.w_down, n_channels, partial(
-                    prune_step, entry.ffn_down, entry.ffn_coupled,
-                    partial(prune_channels, n_prune=n_channels, sched=groups)))):
-            try:
-                cur, ref, cols = _sublayer(partial(fn, orig_lw, w.any(axis=0)), w, cur, ref,
-                                           prune if n_prune else None)
-            except (NotSpdError, np.linalg.LinAlgError) as exc:
-                raise NotSpdError(f"pruning failed at layer {idx} ({sublayer}): {exc}") from exc
-            kept.append(np.arange(w.shape[1])[cols])
-        row = LayerReport(
-            layer=idx,
-            ratio=ratio,
-            heads_removed=n_heads,
-            channels_removed=n_channels,
-            sum_step_error=sum(paid, 0.0),
-            output_sq_error=float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref))),
-            kept_heads=(kept[0][::entry.d_head] // entry.d_head).tolist(),
-            kept_channels=kept[1].tolist(),
-        )
-        new_entries.append(replace(entry, n_head=len(row.kept_heads)))
-        report.layers.append(row)
+            for sublayer, fn, w, n_prune, prune in (
+                    ("attention", _attention, orig_lw.wo, n_heads, partial(
+                        prune_step, 2 * idx, entry.attn_out, entry.attn_coupled,
+                        partial(prune_heads, d_head=entry.d_head, n_prune=n_heads))),
+                    ("FFN", _ffn, orig_lw.w_down, n_channels, partial(
+                        prune_step, 2 * idx + 1, entry.ffn_down, entry.ffn_coupled,
+                        partial(prune_channels, n_prune=n_channels, sched=groups)))):
+                try:
+                    cur, cols = _sublayer(partial(fn, orig_lw, w.any(axis=0)), w, cur,
+                                          prune if n_prune else None)
+                except (NotSpdError, np.linalg.LinAlgError) as exc:
+                    raise NotSpdError(f"pruning failed at layer {idx} ({sublayer}): {exc}") from exc
+                kept.append(np.arange(w.shape[1])[cols])
+            ref = cur if worker is None else worker.layer_output(idx)
+            row = LayerReport(
+                layer=idx,
+                ratio=ratio,
+                heads_removed=n_heads,
+                channels_removed=n_channels,
+                sum_step_error=sum(paid, 0.0),
+                output_sq_error=float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref))),
+                kept_heads=(kept[0][::entry.d_head] // entry.d_head).tolist(),
+                kept_channels=kept[1].tolist(),
+            )
+            new_entries.append(replace(entry, n_head=len(row.kept_heads)))
+            report.layers.append(row)
+    finally:
+        if worker is not None:
+            worker.close()
 
     # copy what no kernel sliced, which is still the caller's; upcast float32 slices
     pruned = {name: np.array(arr, dtype=np.float64) if arr is tensors[name]

@@ -3,12 +3,18 @@
 Instances mimic the shapes this package prunes: weight matrices with
 unevenly important heads/channels and Hessians built from correlated
 calibration features (finite sample counts, so off-diagonal structure is
-always present).
+always present). The ``deadline`` fixture and ``ffn_in_worker`` serve the
+tests of the forked reference worker.
 """
 
+import os
+import signal
+
 import numpy as np
+import pytest
 from scipy.linalg import solve_triangular
 
+from obslim import pipeline
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import PruneResult, block_errors, least_squares_oracle, mask_residual
 
@@ -198,3 +204,30 @@ def reinvert_prune_heads(w, h: SpdMatrix, d_head: int, n_prune: int) -> PruneRes
         paid = resid
     cols = np.concatenate([head_cols(d_head, hd) for hd in alive])
     return PruneResult(least_squares_oracle(w, h, cols), cols, rounds)
+
+
+@pytest.fixture()
+def deadline():
+    """Raise ``TimeoutError`` in a test still running after 60 s, instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("test still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def ffn_in_worker(monkeypatch, act):
+    """Call ``act()`` at the start of the reference worker's first FFN pass."""
+    parent = os.getpid()
+
+    def ffn(*args, _fn=pipeline._ffn):
+        if os.getpid() != parent:
+            act()
+        return _fn(*args)
+
+    monkeypatch.setattr(pipeline, "_ffn", ffn)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior and exit codes (0 ok, 1 usage, 2 numerical)."""
 
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -17,12 +18,22 @@ from obslim.cli import main
 from obslim.pipeline import PruneReport, ToyModelSpec, gen_toy
 from obslim.tensorstore import ModelManifest, read_tensor_file, write_tensor_file
 
+from conftest import ffn_in_worker
+
 
 def run(argv):
     try:
         return main(argv)
     except SystemExit as exc:  # argparse usage failures
         return exc.code
+
+
+def run_module(argv, env=(), **kwargs):
+    """``python -m obslim ARGV`` in a new process, from the source tree alone."""
+    src = os.path.dirname(os.path.dirname(obslim.__file__))
+    return subprocess.run([sys.executable, "-m", "obslim", *argv],
+                          env={**os.environ, "PYTHONPATH": src, **dict(env)},
+                          capture_output=True, text=True, timeout=120, **kwargs)
 
 
 @pytest.fixture()
@@ -90,14 +101,22 @@ class TestGenToy:
         assert err.startswith("error: ") and "dimensions must be >= 1" in err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 728. TiB for an array"),
+         "Unable to allocate 728. TiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, exc, message):
+        def gen_toy(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "gen_toy", gen_toy)
+        assert run(["gen-toy", "--out", str(tmp_path / "toy")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_runs_as_python_module(self, tmp_path):
-        # python -m obslim, from the source tree alone
-        src = os.path.dirname(os.path.dirname(obslim.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "obslim", "gen-toy", "--out", str(tmp_path / "toy"),
-             "--layers", "1", "--d-model", "8", "--heads", "2", "--d-ff", "8"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_module(["gen-toy", "--out", str(tmp_path / "toy"),
+                           "--layers", "1", "--d-model", "8", "--heads", "2", "--d-ff", "8"])
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "toy" / "model.obt").exists()
 
@@ -133,6 +152,20 @@ MALFORMED_MODELS = {
     "header-length": lambda b: b[:8] + struct.pack("<Q", 2**40) + b[16:],
     "non-finite": lambda b: b[:-8] + np.array([np.nan]).tobytes(),
     "truncated": lambda b: b[:-8],
+}
+
+
+def with_header(blob, header: bytes):
+    """A tensor file's bytes with its header replaced by one of the same length."""
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    return blob[:16] + header.ljust(length) + blob[16 + length:]
+
+
+MALFORMED_HEADERS = {
+    "not-utf8": (lambda b: with_header(b, b"\xff\xfe"), "header is not valid UTF-8 JSON: "),
+    "not-json": (lambda b: with_header(b, b"{'a': 1}"), "header is not valid UTF-8 JSON: "),
+    "not-an-object": (lambda b: with_header(b, b"[]"), "header must be a JSON object"),
+    "truncated-length": (lambda b: b[:12], "file truncated before header length"),
 }
 
 
@@ -347,6 +380,47 @@ class TestPrune:
             "error: pruning failed at layer 1 (attention): "
             "singular Hessian: matrix contains non-finite entries\n")
 
+    def test_overflow_past_the_split_prints_one_line(self, tmp_path):
+        # As above, in a separate process, whose stderr the reference worker
+        # shares. Layer 0 removes heads, so the worker can reach layer 1's
+        # overflowing values before this process fails at layer 1's Hessian.
+        toy = tmp_path / "toy"
+        assert run(["gen-toy", "--out", str(toy), "--seed", "7", "--layers", "2",
+                    "--d-model", "16", "--heads", "4", "--d-ff", "24"]) == 0
+        tensors = read_tensor_file(toy / "model.obt")
+        tensors["layers.1.attn.wv"] *= 1e160
+        write_tensor_file(tensors, toy / "model.obt")
+        proc = run_module(prune_args(toy, tmp_path / "out", ["--ratio-first", "0.5",
+                                                             "--ratio-last", "0.5",
+                                                             "--variant", "uniform"]))
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: pruning failed at layer 1 (attention): "
+                               "singular Hessian: matrix contains non-finite entries\n")
+
+    def test_reference_worker_death_exit_2(self, toy_dir, tmp_path, capsys, monkeypatch,
+                                           deadline):
+        ffn_in_worker(monkeypatch, lambda: os._exit(3))
+        assert run(prune_args(toy_dir, tmp_path / "out", [
+            "--variant", "uniform", "--ratio-first", "0.5", "--ratio-last", "0.5"])) == 2
+        assert capsys.readouterr().err == ("error: the reference stream's worker exited with "
+                                           "code 3 before sending layer 0\n")
+        assert multiprocessing.active_children() == []
+
+    def test_output_does_not_depend_on_the_cpus_available(self, toy_dir, tmp_path):
+        # The pruning process and the reference worker share one CPU, or
+        # not. Outputs are bit-identical only at a fixed BLAS thread count,
+        # and OpenBLAS sizes its pool by the CPUs it may use, so it is fixed.
+        cpu = min(os.sched_getaffinity(0))
+        outs = [tmp_path / "spread", tmp_path / "one-cpu"]
+        one_blas_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                "MKL_NUM_THREADS")}
+        for out, pin in zip(outs, [None, lambda: os.sched_setaffinity(0, {cpu})]):
+            proc = run_module(prune_args(toy_dir, out, ["--global-target", "0.5"]),
+                              env=one_blas_thread, preexec_fn=pin)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("model.obt", "report.json", "report.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_calibration_without_tokens_exit_2(self, toy_dir, tmp_path, capsys):
         calib_path = tmp_path / "calib0.obt"
         write_tensor_file({f"calib.{i}": np.zeros((16, 0)) for i in range(2)}, calib_path)
@@ -420,6 +494,15 @@ class TestPrune:
         assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("tamper, message", MALFORMED_HEADERS.values(),
+                             ids=MALFORMED_HEADERS.keys())
+    def test_malformed_header_exit_2(self, toy_dir, tmp_path, capsys, tamper, message):
+        path = toy_dir / "model.obt"
+        path.write_bytes(tamper(path.read_bytes()))
+        assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("tamper", MISTYPED_MANIFESTS.values(), ids=MISTYPED_MANIFESTS.keys())
     def test_mistyped_manifest_exit_2(self, toy_dir, tmp_path, capsys, tamper):

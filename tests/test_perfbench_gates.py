@@ -6,7 +6,9 @@ functions, and ``perfbench/spans.py`` traces a job by patching obslim
 functions and methods by name and binding hook arguments by name. Running
 both on one small job here keeps them from drifting away from ``src/``
 unnoticed. The harness loop, its traced mode and its JSON output run only
-in ``perfbench/run.py``, so one short run of it per mode closes the file.
+in ``perfbench/run.py``, so one short run of it per mode closes the file. It
+runs ``ffn_wide`` and ``long_seq``, the workload where the forked reference
+worker saves the most.
 """
 
 import json
@@ -93,11 +95,12 @@ def test_benchmark_runs_end_to_end(tmp_path, trace):
     shutil.copytree(PERFBENCH, tmp_path / "perfbench", ignore=skip)
     shutil.copytree(ROOT / "src" / "obslim", tmp_path / "src" / "obslim", ignore=skip)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ffn_wide", "--seed", "1",
-         "--seconds", "0.1", "--trace", str(trace)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, result
+    for workload in ("ffn_wide", "long_seq"):
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+             "--seconds", "0.1", "--trace", str(trace)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, workload + proc.stdout[-2000:] + proc.stderr[-2000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, (workload, result)

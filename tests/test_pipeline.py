@@ -1,6 +1,8 @@
 """Toy model generation, forward pass, and end-to-end pruning."""
 
 import json
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -28,7 +30,7 @@ from obslim.pipeline import (
 from obslim.schedule import PruneSchedule, build_schedule
 from obslim.tensorstore import ModelManifest, validate_manifest
 
-from conftest import dense_causal_attention, reinvert_prune_heads
+from conftest import dense_causal_attention, ffn_in_worker, reinvert_prune_heads
 
 TOY = ToyModelSpec(n_layers=3, d_model=16, n_head=4, d_ff=24,
                    n_calib_batches=2, tokens_per_batch=24)
@@ -37,6 +39,12 @@ CONFIG = PruneConfig(group_start=8, group_min=2)
 
 def custom_schedule(ratios):
     return PruneSchedule(ratios=tuple(ratios), variant="custom")
+
+
+def shared_counts(keys):
+    """A count per key in shared memory, which a forked process adds to as well."""
+    ctx = multiprocessing.get_context("fork")
+    return {key: ctx.Value("i", 0) for key in keys}
 
 
 class TestGenToy:
@@ -122,6 +130,13 @@ class TestForwardLayer:
         lw = LayerWeights.from_tensors(manifest.layers[0], tensors)
         with pytest.raises(ValueError):
             forward_layer(lw, np.zeros((TOY.d_model + 1, 4)))
+
+    @pytest.mark.parametrize("layout", [dict(n_head=3), dict(d_head=2)])
+    def test_head_layout_mismatch_raises(self, layout):
+        tensors, manifest, calib = gen_toy(TOY)
+        lw = replace(LayerWeights.from_tensors(manifest.layers[0], tensors), **layout)
+        with pytest.raises(ValueError, match="^attention tensors inconsistent with head layout$"):
+            forward_layer(lw, calib[0])
 
     @pytest.mark.parametrize("tokens", [1, 2, 63, 64, 65, 128, 129, 300])
     def test_attention_matches_dense_reference(self, tokens):
@@ -324,24 +339,28 @@ class TestPruneModel:
         # Layer 0 removes nothing, so the pruned and the original stream are
         # still the same arrays and each sublayer runs once per batch. Layer 1
         # shares its attention pass, then its head pruning splits the streams,
-        # so its FFN and all of layer 2 run once per stream.
-        calls = Counter()
-        for name in ("_attention", "_ffn"):
-            def counted(*args, _fn=getattr(pipeline, name), _name=name):
-                calls[_name] += 1
+        # so its FFN and all of layer 2 run once per stream. The counts are
+        # shared memory, so the forked reference worker's passes count too.
+        calls = shared_counts(["_attention", "_ffn"])
+        for name, count in calls.items():
+            def counted(*args, _fn=getattr(pipeline, name), _count=count):
+                with _count.get_lock():
+                    _count.value += 1
                 return _fn(*args)
             monkeypatch.setattr(pipeline, name, counted)
         tensors, manifest, calib = gen_toy(TOY)
         ratios = [0.0, 0.5, 0.5]
         expect = [(1, 1), (1, 2), (2, 2)]
-        before = Counter()
+        before = (0, 0)
         for n in range(1, 4):
-            calls.clear()
+            for count in calls.values():
+                count.value = 0
             prune_model(tensors, ModelManifest(layers=manifest.layers[:n]),
                         calib, custom_schedule(ratios[:n]), CONFIG)
-            per_batch = tuple((calls[k] - before[k]) / len(calib) for k in ("_attention", "_ffn"))
+            now = tuple(count.value for count in calls.values())
+            per_batch = tuple((a - b) / len(calib) for a, b in zip(now, before))
             assert per_batch == expect[n - 1], (n - 1, per_batch)
-            before = Counter(calls)
+            before = now
 
     def test_original_weights_projected_once_per_batch(self, monkeypatch):
         # Layer 0 removes nothing; layer 1 removes heads, which splits the
@@ -352,19 +371,21 @@ class TestPruneModel:
         # pruned sublayers instead.
         tensors, manifest, calib = gen_toy(TOY)
         names = {id(tensors[n]): n for e in manifest.layers for n in (e.attn_out, e.ffn_down)}
-        calls = Counter()
+        calls = shared_counts([*names.values(), "pruned"])  # the worker forks with these ids
 
         def counted(w, _fn=pipeline._projection):
-            step, key = _fn(w), names.get(id(w), "pruned")
+            step, count = _fn(w), calls[names.get(id(w), "pruned")]
 
             def wrapped(x, f):
-                calls[key] += 1
+                with count.get_lock():
+                    count.value += 1
                 return step(x, f)
             return wrapped
 
         monkeypatch.setattr(pipeline, "_projection", counted)
         prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
-        assert calls == {**{n: len(calib) for n in names.values()}, "pruned": 4 * len(calib)}
+        assert {key: count.value for key, count in calls.items()} == {
+            **{n: len(calib) for n in names.values()}, "pruned": 4 * len(calib)}
 
     def test_refresh_modes_agree_end_to_end(self, monkeypatch):
         # the whole run matches one whose head pruning re-inverts every round
@@ -422,6 +443,18 @@ class TestPruneModel:
         with pytest.raises(NotSpdError, match=r"^pruning failed at layer 1 \(attention\): "
                            r"singular Hessian: matrix contains non-finite entries$"):
             prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5]), CONFIG)
+
+    def test_empty_calibration_list_raises(self):
+        tensors, manifest, _ = gen_toy(TOY)
+        with pytest.raises(ValueError, match="^need at least one calibration batch$"):
+            prune_model(tensors, manifest, [], custom_schedule([0.5] * 3), CONFIG)
+
+    def test_calibration_rows_not_d_model_raise(self):
+        tensors, manifest, calib = gen_toy(TOY)
+        with pytest.raises(ValueError, match="^calibration activations do not match d_model "
+                                             "of layer 0$"):
+            prune_model(tensors, manifest, [x[:-1] for x in calib],
+                        custom_schedule([0.5] * 3), CONFIG)
 
     def test_one_factorization_per_hessian(self, monkeypatch):
         # HessianAccumulator.inverse factors each full Hessian once, in its
@@ -579,3 +612,75 @@ class TestReports:
         report2 = self.run_once()[2]
         report2.ratios[0] = 0.9  # no longer follows the variant formula
         assert any("variant" in p for p in verify_report(report2))
+
+
+def spy_workers(monkeypatch) -> list:
+    """The process of every reference worker that ``prune_model`` starts."""
+    procs = []
+
+    class Spy(pipeline._ReferenceWorker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            procs.append(self._proc)
+
+    monkeypatch.setattr(pipeline, "_ReferenceWorker", Spy)
+    return procs
+
+
+@pytest.mark.usefixtures("deadline")
+class TestReferenceWorker:
+    """The original model's stream runs in one forked worker, which ends with ``prune_model``."""
+
+    def test_success_leaves_no_process(self, monkeypatch):
+        procs = spy_workers(monkeypatch)
+        tensors, manifest, calib = gen_toy(TOY)
+        _, _, report = prune_model(tensors, manifest, calib,
+                                   custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+        assert len(procs) == 1 and procs[0].exitcode is not None
+        assert multiprocessing.active_children() == []
+        assert report.layers[0].output_sq_error == 0.0 < report.layers[1].output_sq_error
+
+    def test_no_worker_while_nothing_is_removed(self, monkeypatch):
+        procs = spy_workers(monkeypatch)
+        tensors, manifest, calib = gen_toy(TOY)
+        _, _, report = prune_model(tensors, manifest, calib, custom_schedule([0.0] * 3), CONFIG)
+        assert procs == []
+        assert [row.output_sq_error for row in report.layers] == [0.0] * 3
+
+    def test_failure_after_the_split_leaves_no_process(self, monkeypatch):
+        # layer 1 splits the streams; layer 2's attention Hessian overflows
+        procs = spy_workers(monkeypatch)
+        tensors, manifest, calib = gen_toy(TOY)
+        tensors["layers.2.attn.wv"] = tensors["layers.2.attn.wv"] * 1e160
+        with pytest.raises(NotSpdError, match=r"^pruning failed at layer 2 \(attention\): "):
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+        assert len(procs) == 1 and procs[0].exitcode is not None
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_is_raised_by_prune_model(self, monkeypatch):
+        class ArrayMemoryError(MemoryError):
+            # like numpy's: its message is built from arguments a pickle drops
+            def __init__(self, shape):
+                super().__init__(shape)
+                self.shape = shape
+
+            def __str__(self):
+                return f"Unable to allocate an array with shape {self.shape}"
+
+        def fail():
+            raise ArrayMemoryError((2**20, 2**20))
+
+        ffn_in_worker(monkeypatch, fail)
+        tensors, manifest, calib = gen_toy(TOY)
+        with pytest.raises(MemoryError, match=r"^Unable to allocate an array with shape "
+                                              r"\(1048576, 1048576\)$"):
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_names_the_layer(self, monkeypatch):
+        ffn_in_worker(monkeypatch, lambda: os._exit(3))
+        tensors, manifest, calib = gen_toy(TOY)
+        with pytest.raises(ObslimError, match="^the reference stream's worker exited with "
+                                              "code 3 before sending layer 1$"):
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+        assert multiprocessing.active_children() == []
