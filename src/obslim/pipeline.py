@@ -403,6 +403,9 @@ class _ReferenceWorker:
     """
 
     def __init__(self, tensors, layers, start, xs, feats):
+        if multiprocessing.current_process().daemon:
+            raise ObslimError("prune_model forks a worker process for the reference stream "
+                              "and cannot do so from a daemonic process")
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe(duplex=False)
         self._proc = ctx.Process(target=_run_reference,
@@ -428,25 +431,6 @@ class _ReferenceWorker:
         self._proc.join()
 
 
-def _sublayer(fn, w, cur, prune):
-    """Advance the pruned stream ``cur`` past one sublayer.
-
-    ``fn(x)`` returns the features into the sublayer's original projection
-    ``w``. ``prune(cur, features)``, if not None, prunes ``w`` on them and
-    returns its ``PruneResult``; the stream then advances as
-    ``x + w' @ f[kept]``, and otherwise as ``x + w @ f``. The first such
-    call of a run forks the reference worker, which inherits ``cur`` and
-    the features before they are consumed here. Returns ``(cur, kept)``,
-    with ``kept`` the surviving columns of ``w`` as an index: the kept
-    columns, or every column (``slice(None)``).
-    """
-    feats = [fn(x) for x in cur]
-    new_w, kept = (w, slice(None)) if prune is None else prune(cur, feats)[:2]
-    step = _projection(new_w)
-    feats.reverse()  # each batch's features are freed once it is projected
-    return [step(x, feats.pop()[kept]) for x in cur], kept
-
-
 def prune_model(
     tensors: dict,
     manifest: ModelManifest,
@@ -467,10 +451,10 @@ def prune_model(
     The original model's stream is only the reference for
     ``output_sq_error``. Until a sublayer removes something, the two streams
     are the same arrays and run once, and those layers report 0.0. The
-    first sublayer that removes anything forks one worker process, which
-    needs the POSIX ``fork`` start method and a caller that may have
-    children (not a daemonic process, such as a ``multiprocessing.Pool``
-    worker). The worker inherits that
+    first sublayer that removes anything forks one worker process with the
+    POSIX ``fork`` start method; from a daemonic process, such as a
+    ``multiprocessing.Pool`` worker, which may not have children, that
+    sublayer raises ``ObslimError`` instead. The worker inherits the
     sublayer's input batches and features and runs the original model's
     remaining sublayers with the original ``wo`` and ``w_down``, while this
     process prunes. After each layer it sends the layer's output batches
@@ -480,9 +464,10 @@ def prune_model(
     this process's allocations, not the worker's.
 
     Returns ``(pruned_tensors, pruned_manifest, report)``, float64 arrays
-    sharing no memory with ``tensors``, which is left as it was. Nothing is
-    copied up front: a layer's tensors are copied or sliced when it is
-    reached.
+    sharing no memory with ``tensors``, which is left as it was. A pruned
+    ``wo`` or ``w_down`` is copied when its sublayer prunes, and its coupled
+    rows are sliced then; every tensor that no sublayer changed is copied
+    once, at the end.
     """
     validate_manifest(manifest, tensors)
     if sched.n_layers != manifest.n_layers:
@@ -495,7 +480,7 @@ def prune_model(
     if not any(x.size for x in cur):
         raise ValueError(f"the calibration set has no tokens: all {len(cur)} batches are empty")
 
-    pruned = dict(tensors)  # entries are replaced by new arrays as their layers are reached
+    pruned = dict(tensors)  # entries are replaced by new arrays as their sublayers prune
     groups = GroupSchedule(config.group_start, config.group_min)
     worker = None
     new_entries = []
@@ -508,40 +493,40 @@ def prune_model(
     try:
         for idx, entry in enumerate(manifest.layers):
             ratio = float(sched.ratios[idx])
-            orig_lw = LayerWeights.from_tensors(entry, tensors)
-            if any(x.ndim != 2 or x.shape[0] != orig_lw.wo.shape[0] for x in cur):
+            lw = LayerWeights.from_tensors(entry, tensors)
+            if any(x.ndim != 2 or x.shape[0] != lw.wo.shape[0] for x in cur):
                 raise ValueError(f"calibration activations do not match d_model of layer {idx}")
-            for name in (entry.attn_out, entry.ffn_down):  # dead columns are zeroed in place
-                pruned[name] = np.array(pruned[name], dtype=np.float64)
             n_heads = counts_from_ratio(ratio, entry.n_head)
-            n_channels = counts_from_ratio(ratio, pruned[entry.ffn_down].shape[1])
+            n_channels = counts_from_ratio(ratio, lw.w_down.shape[1])
             kept, paid = [], []
-
-            def prune_step(sub, anchor, coupled, pruner, xs, feats):
-                nonlocal worker
-                if worker is None:  # the streams split at sublayer ``sub``
-                    worker = _ReferenceWorker(tensors, manifest.layers, sub, xs, feats)
-                h_inv = _hessian_over_batches(feats, config.damping, pruned[anchor])
-                result = pruner(pruned[anchor], h_inv)
-                pruned[anchor] = result.pruned_w
-                for name in coupled:
-                    pruned[name] = pruned[name][result.kept_columns, :]
-                paid.append(result.step_error_sum)
-                return result
-
-            for sublayer, fn, w, n_prune, prune in (
-                    ("attention", _attention, orig_lw.wo, n_heads, partial(
-                        prune_step, 2 * idx, entry.attn_out, entry.attn_coupled,
-                        partial(prune_heads, d_head=entry.d_head, n_prune=n_heads))),
-                    ("FFN", _ffn, orig_lw.w_down, n_channels, partial(
-                        prune_step, 2 * idx + 1, entry.ffn_down, entry.ffn_coupled,
-                        partial(prune_channels, n_prune=n_channels, sched=groups)))):
+            for sub, (sublayer, fn, w, anchor, coupled, n_prune) in enumerate((
+                    ("attention", _attention, lw.wo, entry.attn_out, entry.attn_coupled, n_heads),
+                    ("FFN", _ffn, lw.w_down, entry.ffn_down, entry.ffn_coupled, n_channels)),
+                    start=2 * idx):
+                live = w.any(axis=0)
+                cols = slice(None)  # the surviving columns of w
                 try:
-                    cur, cols = _sublayer(partial(fn, orig_lw, w.any(axis=0)), w, cur,
-                                          prune if n_prune else None)
+                    feats = [fn(lw, live, x) for x in cur]
+                    if n_prune:
+                        if worker is None:  # the streams split at this sublayer
+                            worker = _ReferenceWorker(tensors, manifest.layers, sub, cur, feats)
+                        w = np.array(w, dtype=np.float64)  # dead columns are zeroed in place
+                        h_inv = _hessian_over_batches(feats, config.damping, w)
+                        if sub % 2:
+                            result = prune_channels(w, h_inv, n_prune=n_prune, sched=groups)
+                        else:
+                            result = prune_heads(w, h_inv, entry.d_head, n_prune=n_prune)
+                        w = pruned[anchor] = result.pruned_w
+                        cols = result.kept_columns
+                        for name in coupled:
+                            pruned[name] = pruned[name][cols, :]
+                        paid.append(result.step_error_sum)
+                    step = _projection(w)
+                    feats.reverse()  # each batch's features are freed once it is projected
+                    cur = [step(x, feats.pop()[cols]) for x in cur]
                 except (NotSpdError, np.linalg.LinAlgError) as exc:
                     raise NotSpdError(f"pruning failed at layer {idx} ({sublayer}): {exc}") from exc
-                kept.append(np.arange(w.shape[1])[cols])
+                kept.append(np.arange(live.size)[cols])
             ref = cur if worker is None else worker.layer_output(idx)
             row = LayerReport(
                 layer=idx,

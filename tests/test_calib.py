@@ -42,6 +42,10 @@ class TestAccumulate:
         scaled = HessianAccumulator(5).accumulate(2.0 * x)
         assert np.array_equal(scaled.sum, 4.0 * base.sum)
 
+    def test_zero_dim(self):
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            HessianAccumulator(0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             HessianAccumulator(3).accumulate(np.zeros((4, 2)))

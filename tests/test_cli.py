@@ -1,5 +1,7 @@
 """End-to-end CLI behavior and exit codes (0 ok, 1 usage, 2 numerical)."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -101,6 +103,12 @@ class TestGenToy:
         assert err.startswith("error: ") and "dimensions must be >= 1" in err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("flag", ["--batches", "--tokens"])
+    def test_no_calibration_tokens_exit_2(self, tmp_path, capsys, flag):
+        assert run(["gen-toy", "--out", str(tmp_path / "toy"), flag, "0"]) == 2
+        assert capsys.readouterr().err == ("error: calibration needs at least one batch "
+                                           "of one token\n")
+
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 728. TiB for an array"),
          "Unable to allocate 728. TiB for an array"),
@@ -134,6 +142,13 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert run(["prune"]) == 1
+
+
+def run_capturing_stderr(argv):
+    """``(run(argv), what it wrote to stderr)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        return run(argv), err.getvalue()
 
 
 def prune_args(toy_dir, out, extra=()):
@@ -397,6 +412,20 @@ class TestPrune:
         assert proc.stderr == ("error: pruning failed at layer 1 (attention): "
                                "singular Hessian: matrix contains non-finite entries\n")
 
+    @pytest.mark.usefixtures("deadline")
+    def test_prune_in_a_daemonic_process(self, toy_dir, tmp_path):
+        # a Pool worker may have no children: a run that removes something
+        # stops with one error line, and one that removes nothing forks none
+        argvs = [prune_args(toy_dir, tmp_path / "pruned", ["--global-target", "0.4"]),
+                 prune_args(toy_dir, tmp_path / "kept",
+                            ["--ratio-first", "0", "--ratio-last", "0"])]
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pruned, kept = pool.map(run_capturing_stderr, argvs)
+        assert pruned == (2, "error: prune_model forks a worker process for the reference stream "
+                             "and cannot do so from a daemonic process\n")
+        assert kept == (0, "")
+        assert (tmp_path / "kept" / "model.obt").exists()
+
     def test_reference_worker_death_exit_2(self, toy_dir, tmp_path, capsys, monkeypatch,
                                            deadline):
         ffn_in_worker(monkeypatch, lambda: os._exit(3))
@@ -612,7 +641,8 @@ MALFORMED_REPORTS = {
     "kept-heads-bool": lambda d: with_row(d, kept_heads=[True, 2]),
 }
 
-# Each of these passed verify once, or (ratios-empty) ended in an IndexError.
+# Each of these passed verify once, or (ratios-empty) ended in an IndexError;
+# the last four were always caught, but no test reached their branches.
 UNCHECKED_REPORTS = {
     "ratios-empty": (lambda d: {**d, "ratios": []}, "0 ratios for 3 layer rows"),
     "ratio-off-schedule": (lambda d: with_row(d, ratio=0.9), "layer 1: ratio 0.9 is not ratios[1]"),
@@ -623,6 +653,31 @@ UNCHECKED_REPORTS = {
         "layer 1: kept channels are not increasing"),
     "kept-heads-out-of-range": (lambda d: with_row(d, kept_heads=[999, 1000]),
                                 "layer 1: kept heads are not increasing indices in [0, 4)"),
+    "step-error-negative": (lambda d: with_row(d, sum_step_error=-1.0),
+                            "layer 1: bad sum_step_error -1.0"),
+    "ratio-above-one": (
+        lambda d: {**with_row(d, ratio=1.5), "ratios": [d["ratios"][0], 1.5, *d["ratios"][2:]]},
+        "layer 1: ratio 1.5 outside [0, 1)"),
+    "heads-removed-negative": (lambda d: with_row(d, heads_removed=-1),
+                               "layer 1: negative removal count"),
+    "layers-swapped": (
+        lambda d: {**d, "layers": [{**d["layers"][0], "layer": 1}, {**d["layers"][1], "layer": 0},
+                                   *d["layers"][2:]]},
+        "layer indices are not 0..n-1 in order"),
+}
+
+
+def two_layer_manifest(toy_dir, out):
+    path = out.parent / "two_layers.json"
+    ModelManifest(layers=ModelManifest.load(out / "manifest.json").layers[:2]).save(path)
+    return path, out / "model.obt"
+
+
+# (manifest, model) paths that do not match a 3-layer report, from the toy and its prune output
+MISMATCHED_MODEL_FILES = {
+    "two-layer-manifest": (two_layer_manifest, "manifest has 2 layers, report 3"),
+    "unpruned-model": (lambda toy_dir, out: (out / "manifest.json", toy_dir / "model.obt"),
+                       "pruned model fails manifest validation"),
 }
 
 
@@ -672,6 +727,21 @@ class TestVerifyAndReport:
         assert run(["verify", "--report", str(report_path),
                     "--manifest", str(out / "manifest.json"),
                     "--model", str(out / "model.obt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(line.startswith("FAIL: ") for line in captured.out.splitlines())
+        assert message in captured.out, captured.out
+
+    @pytest.mark.parametrize("files, message", MISMATCHED_MODEL_FILES.values(),
+                             ids=MISMATCHED_MODEL_FILES.keys())
+    def test_verify_checks_the_report_against_the_model_files(self, toy_dir, tmp_path, capsys,
+                                                              files, message):
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.4"])) == 0
+        manifest, model = files(toy_dir, out)
+        capsys.readouterr()
+        assert run(["verify", "--report", str(out / "report.json"),
+                    "--manifest", str(manifest), "--model", str(model)]) == 2
         captured = capsys.readouterr()
         assert captured.err == ""
         assert all(line.startswith("FAIL: ") for line in captured.out.splitlines())

@@ -229,6 +229,10 @@ class TestGroupedCholesky:
         with pytest.raises(ValueError, match="divisible"):
             grouped_cholesky(np.eye(5), 2)
 
+    def test_group_size_below_one(self):
+        with pytest.raises(ValueError, match="group_size must be >= 1, got 0"):
+            grouped_cholesky(np.eye(4), 0)
+
     def test_block_not_spd(self):
         m = np.diag([1.0, -1.0, 1.0, 1.0])
         with pytest.raises(NotSpdError):
@@ -436,6 +440,8 @@ class TestRemoveBlockInPlace:
                                 ([], ValueError, "non-empty")):
             with pytest.raises(err, match=match):
                 remove_block(w, h_inv, idx, alive)
+        with pytest.raises(ValueError, match="inconsistent dims"):
+            remove_block(w, h_inv, [0], np.ones(4, dtype=bool))  # mask of another size
         h_bad = h_inv.copy()
         h_bad[1, 1] = -1.0
         with pytest.raises(NotSpdError, match="not SPD"):

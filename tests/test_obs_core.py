@@ -266,6 +266,10 @@ class TestLeastSquaresOracle:
         out = least_squares_oracle(np.ones((2, 3)), SpdMatrix(np.eye(3)), [])
         assert out.shape == (2, 0)
 
+    def test_singular_kept_block(self):
+        with pytest.raises(NotSpdError, match="kept-column block of the Hessian is singular"):
+            least_squares_oracle(np.ones((2, 3)), SpdMatrix(np.diag([1.0, 0.0, 1.0])), [0, 1])
+
 
 class TestBruteForce:
     def test_k_zero(self):
@@ -303,6 +307,11 @@ class TestBruteForce:
                 best_err, best_set = resid, drop
         assert removed == best_set
         assert abs(err - best_err) < 1e-7 * max(1.0, best_err)
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match=f"cannot remove {k} of 4 columns"):
+            brute_force_best_columns(np.ones((1, 4)), SpdMatrix(np.eye(4)), k)
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError, match="guard"):

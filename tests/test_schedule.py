@@ -235,6 +235,10 @@ class TestPruneSchedule:
         with pytest.raises(ValueError):
             PruneSchedule(ratios=(0.5,), variant="mystery")
 
+    def test_empty_schedule(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            PruneSchedule(ratios=(), variant="custom")
+
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
             PruneSchedule(ratios=(1.0,), variant="uniform")
