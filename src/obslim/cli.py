@@ -164,7 +164,6 @@ def _cmd_prune(args) -> int:
     t_start = time.perf_counter()
     pruned, pruned_manifest, report = prune_model(tensors, manifest, calib, sched, config)
     elapsed = time.perf_counter() - t_start
-    del tensors  # the pruned model shares no memory with it: free it before the write
 
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.obt")

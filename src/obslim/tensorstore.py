@@ -6,14 +6,17 @@ then the raw payload (little-endian, row-major). Offsets are relative to the
 start of the payload. Only ``f32`` and ``f64`` matrices are stored; matrices
 come back as float64 (float32 values convert exactly).
 
-The reader checks the whole header against the file size, then reads each
-payload straight into its array; the writer writes each tensor as it
-converts it. Neither holds the file's bytes next to the arrays.
+The reader checks the whole header against the file size, then maps the
+file private copy-on-write, so its ``f64`` matrices copy no payload into the
+heap. The writer writes each tensor as it converts it into a new file, then
+renames that over the destination.
 """
 
 import json
+import mmap
 import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,8 +34,13 @@ def write_tensor_file(tensors: dict, path) -> None:
     """Write a name -> matrix map; round-trips bit-exactly through read_tensor_file.
 
     Matrices must be 2-D, finite, and float32 or float64 (the dtype is
-    preserved on disk). All are checked before the file is opened; then each
+    preserved on disk). All are checked before any file is opened; then each
     is written as it is converted, so at most one tensor is ever copied.
+
+    The bytes go to a new file beside ``path`` that is renamed over it at the
+    end, so ``path`` is replaced atomically and never truncated: arrays mapped
+    from it keep their values, and on any error the new file is deleted and
+    ``path`` is left whole.
     """
     entries = {}
     offset = 0
@@ -55,12 +63,20 @@ def write_tensor_file(tensors: dict, path) -> None:
         }
         offset += arr.nbytes
     header = json.dumps(entries, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for name, value in tensors.items():
-            fh.write(np.ascontiguousarray(value, dtype=_DTYPES[entries[name]["dtype"]]).data)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    # plain open, not mkstemp, so the file's mode follows the umask (mkstemp makes it 0600)
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for name, value in tensors.items():
+                fh.write(np.ascontiguousarray(value, dtype=_DTYPES[entries[name]["dtype"]]).data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class TensorEntry(NamedTuple):
@@ -151,21 +167,28 @@ def read_tensor_header(path) -> dict:
 def read_tensor_file(path) -> dict:
     """Read a container back into a name -> float64 matrix map.
 
-    Each payload is read straight into its array (for ``f32``, a temporary
-    that is then upcast) once ``read_tensor_header``'s checks have passed.
+    Once ``read_tensor_header``'s checks have passed, the file is mapped
+    once, private copy-on-write: each ``f64`` matrix is a writable view of
+    its payload, and an in-place edit never reaches the file; ``f32``
+    payloads are upcast into new arrays. Replace such a file by renaming a
+    new one over it, as ``write_tensor_file`` does: rewriting it in place
+    changes or cuts off the pages the arrays map.
 
     Raises:
-        TensorFormatError: a header error, a payload cut short while it is
-            read, or non-finite values, which the writer refuses as well.
+        TensorFormatError: a header error, a payload cut short before it is
+            mapped, or non-finite values, which the writer refuses as well.
     """
     tensors = {}
     with open(path, "rb") as fh:
-        for name, entry in _read_header(fh).items():
-            arr = np.empty(entry.shape, dtype=entry.dtype)
-            fh.seek(entry.start)
-            # through a byte view: exporting arr's own buffer would cache its format on arr
-            if fh.readinto(arr.view(np.uint8)) != entry.length:
+        entries = _read_header(fh)
+        try:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        except ValueError:  # the file was emptied after its header was read
+            buf = b""
+        for name, entry in entries.items():
+            if entry.start + entry.length > len(buf):
                 raise TensorFormatError(f"{name}: payload truncated")
+            arr = np.frombuffer(buf, entry.dtype, entry.size, entry.start).reshape(entry.shape)
             if not np.all(np.isfinite(arr)):
                 raise TensorFormatError(f"{name}: non-finite values in payload")
             tensors[name] = arr.astype(np.float64, copy=False)

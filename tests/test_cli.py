@@ -268,6 +268,20 @@ class TestPrune:
         for name in ("model.obt", "manifest.json", "report.json", "report.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_out_into_the_input_directory(self, toy_dir, tmp_path):
+        # the input model is still mapped while its replacement is written
+        flags = ["--global-target", "0.4", "--group-start", "8", "--group-min", "2"]
+        fresh = tmp_path / "fresh"
+        assert run(prune_args(toy_dir, fresh, flags)) == 0
+        assert run(prune_args(toy_dir, toy_dir, flags)) == 0
+        for name in ("model.obt", "manifest.json", "report.json", "report.csv"):
+            assert (toy_dir / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert sorted(os.listdir(toy_dir)) == sorted(
+            ["calib.obt", "manifest.json", "model.obt", "report.csv", "report.json"])
+        assert run(["verify", "--report", str(toy_dir / "report.json"),
+                    "--manifest", str(toy_dir / "manifest.json"),
+                    "--model", str(toy_dir / "model.obt")]) == 0
+
     def test_config_file_and_flag_override(self, toy_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

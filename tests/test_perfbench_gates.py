@@ -8,7 +8,9 @@ both on one small job here keeps them from drifting away from ``src/``
 unnoticed. The harness loop, its traced mode and its JSON output run only
 in ``perfbench/run.py``, so one short run of it per mode closes the file. It
 runs ``ffn_wide`` and ``long_seq``, the workload where the forked reference
-worker saves the most.
+worker saves the most. The untraced run also runs ``heads_many``: its gate
+reads the 60 MB model and every pruned output through the mapped reader
+while the harness deletes and rewrites ``out/`` between jobs.
 """
 
 import json
@@ -95,7 +97,7 @@ def test_benchmark_runs_end_to_end(tmp_path, trace):
     shutil.copytree(PERFBENCH, tmp_path / "perfbench", ignore=skip)
     shutil.copytree(ROOT / "src" / "obslim", tmp_path / "src" / "obslim", ignore=skip)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    for workload in ("ffn_wide", "long_seq"):
+    for workload in ("ffn_wide", "long_seq") + (() if trace else ("heads_many",)):
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
              "--seconds", "0.1", "--trace", str(trace)],

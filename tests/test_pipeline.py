@@ -528,6 +528,27 @@ class TestPruneModel:
             assert not np.shares_memory(pruned[name], arr), name
         assert all(x.tobytes() == y.tobytes() for x, y in zip(calib, calib_before))
 
+    def test_read_only_inputs_prune_the_same(self):
+        # read_tensor_file's arrays map the file copy-on-write, and a write
+        # into one would make private pages that tracemalloc cannot see;
+        # read-only inputs make any such write raise. Layer 1 has a dead FFN
+        # channel at damping 0, so the dead-feature rule runs too
+        tensors, manifest, calib = gen_toy(ToyModelSpec(n_layers=3, seed=7))
+        tensors["layers.1.ffn.w_up"][5] = 0.0
+        tensors["embed"] = np.ones((3, 4), dtype=np.float32)
+        cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
+        sched = custom_schedule([0.0, 0.25, 0.5])
+        want = prune_model({name: arr.copy() for name, arr in tensors.items()}, manifest,
+                           [x.copy() for x in calib], sched, cfg)
+        for arr in (*tensors.values(), *calib):
+            arr.setflags(write=False)
+        got = prune_model(tensors, manifest, calib, sched, cfg)
+        assert sum(row.heads_removed for row in got[2].layers) > 0
+        assert 5 not in got[2].layers[1].kept_channels
+        assert list(got[0]) == list(want[0])
+        assert all(got[0][name].tobytes() == want[0][name].tobytes() for name in want[0])
+        assert got[1] == want[1] and got[2].to_json() == want[2].to_json()
+
     def test_dead_feature_rule(self):
         rng = np.random.default_rng(0)
         feats = [rng.normal(size=(6, 20)) for _ in range(2)]

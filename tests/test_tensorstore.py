@@ -115,6 +115,38 @@ class TestRoundTrip:
         assert len(back) == 8
         assert peak <= 1.1 * size, peak / size
 
+    def test_read_f64_maps_the_payload(self, tmp_path):
+        # f64 matrices are views of the mapped file: the heap holds only the
+        # header and one tensor's finiteness mask
+        rng = np.random.default_rng(7)
+        path = tmp_path / "big.obt"
+        write_tensor_file({f"t{i}": rng.normal(size=(256, 512)) for i in range(8)}, path)
+        size = os.path.getsize(path)
+        assert size > 8e6
+        back, peak = traced_peak(lambda: read_tensor_file(path))
+        assert len(back) == 8
+        assert peak < 0.05 * size, peak / size
+
+    def test_in_place_edit_never_reaches_the_file(self, tmp_path):
+        path = tmp_path / "e.obt"
+        write_tensor_file({"w": np.arange(6.0).reshape(2, 3)}, path)
+        blob = path.read_bytes()
+        back = read_tensor_file(path)["w"]
+        back[...] = -1.0
+        back[0, 0] = 7.0
+        assert path.read_bytes() == blob
+        assert np.array_equal(read_tensor_file(path)["w"], np.arange(6.0).reshape(2, 3))
+
+    def test_arrays_keep_their_values_when_the_file_is_replaced(self, tmp_path):
+        path = tmp_path / "r.obt"
+        rng = np.random.default_rng(8)
+        old = {"a": rng.normal(size=(64, 64)), "b": rng.normal(size=(3, 5))}
+        write_tensor_file(old, path)
+        back = read_tensor_file(path)
+        write_tensor_file({"a": np.zeros((2, 2))}, path)
+        assert all(back[name].tobytes() == old[name].tobytes() for name in old)
+        assert list(read_tensor_file(path)) == ["a"]
+
     def test_write_holds_one_converted_tensor_at_most(self, tmp_path):
         # the largest tensor is Fortran-ordered, so it alone needs a contiguous
         # copy; the payload as a whole is never held
@@ -145,6 +177,44 @@ class TestWriteValidation:
     def test_rejects_bad_name(self, tmp_path):
         with pytest.raises(TensorFormatError, match="name"):
             write_tensor_file({"": np.zeros((1, 1))}, tmp_path / "x.obt")
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_the_destination_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "keep.obt"
+        write_tensor_file({"a": np.ones((8, 8)), "b": np.ones((8, 8))}, path)
+        blob = path.read_bytes()
+        convert = np.ascontiguousarray
+        calls = []
+
+        def fail_on_the_second_tensor(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(tensorstore.np, "ascontiguousarray", fail_on_the_second_tensor)
+        with pytest.raises(OSError, match="disk full"):
+            write_tensor_file({"a": np.zeros((8, 8)), "b": np.zeros((8, 8))}, path)
+        assert len(calls) == 2
+        assert path.read_bytes() == blob
+        assert os.listdir(tmp_path) == ["keep.obt"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_tensor_file({"w": np.zeros((1, 1))}, tmp_path / "t.obt")
+            with open(tmp_path / "plain", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "t.obt").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    def test_directory_destination_raises_and_leaves_nothing(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError):
+            write_tensor_file({"w": np.zeros((1, 1))}, tmp_path / "d")
+        assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
 
 
 class TestReadValidation:
@@ -253,6 +323,20 @@ class TestReadValidation:
 
         monkeypatch.setattr(tensorstore, "_read_header", parse_then_truncate)
         with pytest.raises(TensorFormatError, match="b: payload truncated"):
+            read_tensor_file(path)
+
+    def test_file_emptied_while_reading(self, tmp_path, monkeypatch):
+        path = tmp_path / "gone.obt"
+        write_tensor_file({"a": np.ones((2, 2))}, path)
+        parse = tensorstore._read_header
+
+        def parse_then_empty(fh):
+            entries = parse(fh)
+            os.truncate(path, 0)
+            return entries
+
+        monkeypatch.setattr(tensorstore, "_read_header", parse_then_empty)
+        with pytest.raises(TensorFormatError, match="a: payload truncated"):
             read_tensor_file(path)
 
     def test_header_alone(self, tmp_path):
