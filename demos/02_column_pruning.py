@@ -10,12 +10,13 @@ the order. Greedy selection comes close to the exhaustive best subset.
 Run: python demos/02_column_pruning.py
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from obslim import (
     HessianAccumulator,
     block_errors,
-    brute_force_best_columns,
     greedy_prune,
     invert_spd,
     least_squares_oracle,
@@ -60,7 +61,11 @@ dev = np.abs(w_cur - expect).max()
 print(f"\nmax deviation from closed-form optimum for this mask: {dev:.2e}")
 
 # --- and greedy is near the exhaustive optimum ------------------------------
-best_set, best_err = brute_force_best_columns(w, h, 3)
+# all 56 three-column removals, each scored by its optimally compensated mask
+best_err, best_set = min(
+    (mask_residual(w, h, [c for c in range(d) if c not in removed]), removed)
+    for removed in combinations(range(d), 3)
+)
 print(f"exhaustive best 3-column removal: {best_set} with residual {best_err:.3f}")
 print(f"greedy / optimal residual ratio:  {greedy_resid / best_err:.4f}")
 

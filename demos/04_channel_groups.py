@@ -11,16 +11,16 @@ Run: python demos/04_channel_groups.py
 
 import numpy as np
 
-from obslim import GroupSchedule, group_sizes, mask_residual, prune_channels
+from obslim import group_sizes, mask_residual, prune_channels
 from obslim.linalg import SpdMatrix, invert_spd
 
 rng = np.random.default_rng(11)
 
 # --- what the schedules emit --------------------------------------------------
 print("group sizes for 2056 removals, start 1024 floor 8:")
-print("  ", group_sizes(2056, GroupSchedule(1024, 8)))
+print("  ", group_sizes(2056, 1024, 8))
 print("group sizes for 32 removals, start 8 floor 2:")
-print("  ", group_sizes(32, GroupSchedule(8, 2)))
+print("  ", group_sizes(32, 8, 2))
 
 # --- quality vs. re-estimation count -------------------------------------------
 def instance(d=64):
@@ -30,12 +30,12 @@ def instance(d=64):
     return w, SpdMatrix(2.0 * x @ x.T)
 
 
-schedules = {
-    "greedy (size 1)": GroupSchedule(1, 1),
-    "decay 8 -> 2": GroupSchedule(8, 2),
-    "decay 16 -> 2": GroupSchedule(16, 2),
-    "fixed 16": GroupSchedule(16, 16),
-    "one shot (32)": GroupSchedule(32, 32),
+schedules = {  # (group_start, group_min)
+    "greedy (size 1)": (1, 1),
+    "decay 8 -> 2": (8, 2),
+    "decay 16 -> 2": (16, 2),
+    "fixed 16": (16, 16),
+    "one shot (32)": (32, 32),
 }
 
 n_trials = 40
@@ -44,8 +44,8 @@ estimations = {}
 for _ in range(n_trials):
     w, h = instance()
     base = None
-    for name, sched in schedules.items():
-        res = prune_channels(w, invert_spd(h), 32, sched)
+    for name, groups in schedules.items():
+        res = prune_channels(w, invert_spd(h), 32, *groups)
         estimations[name] = res.total_rounds  # one error estimation per round
         resid = mask_residual(w, h, res.kept_columns)
         if name == "greedy (size 1)":

@@ -8,14 +8,14 @@ calibration Hessian so the layer's output changes as little as possible.
 from .calib import HessianAccumulator
 from .config import DEFAULT_DAMPING, TOL, Tolerances
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
-from .ffn_pruner import GroupSchedule, group_sizes, prune_channels
+from .ffn_pruner import prune_channels
 from .head_pruner import prune_heads
 from .linalg import SpdMatrix, grouped_cholesky, invert_spd, remove_block
 from .obs_core import (
     PruneResult,
     block_errors,
-    brute_force_best_columns,
     greedy_prune,
+    group_sizes,
     least_squares_oracle,
     mask_residual,
 )
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_DAMPING",
-    "GroupSchedule",
     "HessianAccumulator",
     "LayerEntry",
     "LayerWeights",
@@ -61,7 +60,6 @@ __all__ = [
     "Tolerances",
     "ToyModelSpec",
     "block_errors",
-    "brute_force_best_columns",
     "build_schedule",
     "counts_from_ratio",
     "forward_layer",

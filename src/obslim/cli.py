@@ -22,7 +22,7 @@ from .pipeline import (
     prune_model,
     verify_report,
 )
-from .schedule import build_schedule
+from .schedule import build_schedule, counts_from_ratio
 from .tensorstore import (
     ModelManifest,
     read_tensor_file,
@@ -144,6 +144,29 @@ def _layer_param_weights(manifest: ModelManifest, tensors: dict) -> np.ndarray:
     return np.asarray(weights, dtype=np.float64)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_hessians_fit(manifest: ModelManifest, header: dict, ratios) -> None:
+    """Refuse a sublayer that removes something and whose n x n float64 Hessian
+    (``8 * n**2`` bytes) exceeds physical memory. A sublayer that removes
+    nothing builds no Hessian."""
+    memory = _physical_memory()
+    for idx, (entry, ratio) in enumerate(zip(manifest.layers, ratios)):
+        n_ff = header[entry.ffn_down].shape[1]
+        for sublayer, anchor, units in (("attention", entry.attn_out, entry.n_head),
+                                        ("FFN", entry.ffn_down, n_ff)):
+            n = header[anchor].shape[1]
+            if counts_from_ratio(ratio, units) and 8 * n * n > memory:
+                raise ObslimError(
+                    f"layer {idx} ({sublayer}): its {n} x {n} Hessian needs "
+                    f"{8 * n * n / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
+                    f"of physical memory"
+                )
+
+
 def _cmd_prune(args) -> int:
     settings = _merged_settings(args)
     header = read_tensor_header(args.model)
@@ -159,6 +182,9 @@ def _cmd_prune(args) -> int:
         layer_param_weights=_layer_param_weights(manifest, header),
     )
     config = PruneConfig(**{f.name: settings[f.name] for f in fields(PruneConfig)})
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ObslimError(f"--out {args.out} exists and is not a directory")
+    _check_hessians_fit(manifest, header, sched.ratios)
     tensors = read_tensor_file(args.model)
     calib = list(read_tensor_file(args.calib).values())
     t_start = time.perf_counter()

@@ -1,25 +1,20 @@
-"""Batched greedy pruning of column blocks, and the exact oracles it is tested against.
+"""Batched greedy pruning of column blocks, and the least-squares oracle it is tested against.
 
 Heads are blocks of ``d_head`` columns and FFN channels are blocks of one
 column; both are pruned by ``greedy_prune``, which scores every live block
 with ``block_errors`` and removes the cheapest ones with the exact block-OBS
-step ``linalg.remove_block`` (the group OBS step of OBC). The module also
-carries the two independent oracles used throughout the test suite: the
-closed-form least-squares solution for a fixed column mask and exhaustive
-subset search.
+step ``linalg.remove_block`` (the group OBS step of OBC), in rounds whose
+sizes ``group_sizes`` gives. The module also carries the oracle that the
+tests and the benchmark's gate compare against: the closed-form
+least-squares solution for a fixed column mask, and its residual.
 """
 
-import math
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotSpdError
 from .linalg import SpdMatrix, grouped_cholesky, remove_block
-
-# Exhaustive search refuses to enumerate more subsets than this.
-ENUMERATION_GUARD = 100_000
 
 
 def block_errors(w: np.ndarray, h_inv: np.ndarray, width: int, alive=None) -> np.ndarray:
@@ -66,6 +61,31 @@ class PruneResult(NamedTuple):
         return sum((err for _, steps in self.rounds for err in steps.tolist()), 0.0)
 
 
+def group_sizes(total: int, group_start: int, group_min: int) -> list[int]:
+    """The round sizes of the Dynamic Group Size rule for ``total`` removals.
+
+    Start at ``group_start``, halve after each round, never go below
+    ``group_min``, and truncate the last round to what remains: the list is
+    non-increasing and sums exactly to ``total``.
+
+    Raises:
+        ValueError: unless ``1 <= group_min <= group_start`` and ``total >= 0``.
+    """
+    if not 1 <= group_min <= group_start:
+        raise ValueError(
+            f"need 1 <= group_min <= group_start, got group_min {group_min}, "
+            f"group_start {group_start}"
+        )
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    sizes, size = [], group_start
+    while total > 0:
+        sizes.append(min(size, total))
+        total -= sizes[-1]
+        size = max(size // 2, group_min)
+    return sizes
+
+
 def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes) -> PruneResult:
     """Remove ``sum(sizes)`` blocks of ``width`` columns, ``sizes[r]`` of them in round ``r``.
 
@@ -76,6 +96,14 @@ def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes) -> PruneRe
     inverse Hessian from ``invert_spd``, is downdated in place. The weights
     are compacted through the survivor mask once, at the end, into the
     returned ``PruneResult``.
+
+    This is the paper's Batched Greedy Pruning. Heads are blocks of
+    ``d_head`` columns removed one per round (``sizes`` all 1); FFN channels
+    are one-column blocks removed in the rounds of its Dynamic Group Size,
+    ``group_sizes``, which trades how often the errors are re-estimated
+    against speed. A round's whole group is removed by one exact block-OBS
+    step, which pays the same per-column errors as removing it column by
+    column.
 
     Raises:
         ValueError: if the shapes disagree, ``width`` does not divide them, a
@@ -133,33 +161,3 @@ def mask_residual(w: np.ndarray, h: SpdMatrix, kept) -> float:
     w_hat = least_squares_oracle(w, h, kept)
     captured = float(np.einsum("ij,ij->", w_hat, w @ h.a[:, kept]))
     return total - captured
-
-
-def brute_force_best_columns(w: np.ndarray, h: SpdMatrix, k: int):
-    """Exhaustively find the k columns whose removal costs least.
-
-    Returns ``(removed, error)`` where ``removed`` is the lexicographically
-    first optimal index tuple and ``error`` the exact residual of the
-    optimally compensated complement.
-
-    Raises:
-        ValueError: if the number of k-subsets exceeds ``ENUMERATION_GUARD``.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    d = w.shape[1]
-    if not 0 <= k <= d:
-        raise ValueError(f"cannot remove {k} of {d} columns")
-    if math.comb(d, k) > ENUMERATION_GUARD:
-        raise ValueError(
-            f"enumeration guard exceeded: C({d},{k}) = {math.comb(d, k)} subsets"
-        )
-    all_cols = np.arange(d)
-    best_removed = None
-    best_err = np.inf
-    for removed in combinations(range(d), k):
-        kept = np.setdiff1d(all_cols, removed, assume_unique=True)
-        err = mask_residual(w, h, kept)
-        if err < best_err:
-            best_err = err
-            best_removed = removed
-    return best_removed, float(best_err)

@@ -22,8 +22,9 @@ import numpy as np
 from .calib import HessianAccumulator
 from .config import DEFAULT_DAMPING, is_finite_real
 from .errors import NotSpdError, ObslimError
-from .ffn_pruner import GroupSchedule, prune_channels
+from .ffn_pruner import prune_channels
 from .head_pruner import prune_heads
+from .obs_core import group_sizes
 from .schedule import VARIANTS, PruneSchedule, build_schedule, counts_from_ratio
 from .tensorstore import LayerEntry, ModelManifest, validate_manifest
 
@@ -266,7 +267,7 @@ class PruneConfig:
         sizes = (self.group_start, self.group_min)
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
             raise ValueError(f"group_start and group_min must be integers, got {sizes!r}")
-        GroupSchedule(self.group_start, self.group_min)  # raises unless 1 <= min <= start
+        group_sizes(0, self.group_start, self.group_min)  # raises unless 1 <= min <= start
 
 
 @dataclass
@@ -481,7 +482,6 @@ def prune_model(
         raise ValueError(f"the calibration set has no tokens: all {len(cur)} batches are empty")
 
     pruned = dict(tensors)  # entries are replaced by new arrays as their sublayers prune
-    groups = GroupSchedule(config.group_start, config.group_min)
     worker = None
     new_entries = []
     report = PruneReport(
@@ -513,7 +513,8 @@ def prune_model(
                         w = np.array(w, dtype=np.float64)  # dead columns are zeroed in place
                         h_inv = _hessian_over_batches(feats, config.damping, w)
                         if sub % 2:
-                            result = prune_channels(w, h_inv, n_prune=n_prune, sched=groups)
+                            result = prune_channels(w, h_inv, n_prune,
+                                                    config.group_start, config.group_min)
                         else:
                             result = prune_heads(w, h_inv, entry.d_head, n_prune=n_prune)
                         w = pruned[anchor] = result.pruned_w

@@ -3,12 +3,15 @@
 Instances mimic the shapes this package prunes: weight matrices with
 unevenly important heads/channels and Hessians built from correlated
 calibration features (finite sample counts, so off-diagonal structure is
-always present). The ``deadline`` fixture and ``ffn_in_worker`` serve the
-tests of the forked reference worker.
+always present). ``brute_force_best_columns`` is the exhaustive-search
+oracle for column selection. The ``deadline`` fixture and ``ffn_in_worker``
+serve the tests of the forked reference worker.
 """
 
+import math
 import os
 import signal
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -43,6 +46,40 @@ def dense_causal_attention(lw, x):
         feats[sl] = v @ (e / e.sum(axis=1, keepdims=True)).T
         out += lw.wo[:, sl] @ feats[sl]
     return out, feats
+
+
+# Exhaustive search refuses to enumerate more subsets than this.
+ENUMERATION_GUARD = 100_000
+
+
+def brute_force_best_columns(w: np.ndarray, h: SpdMatrix, k: int):
+    """Exhaustively find the k columns whose removal costs least.
+
+    Returns ``(removed, error)`` where ``removed`` is the lexicographically
+    first optimal index tuple and ``error`` the exact residual of the
+    optimally compensated complement.
+
+    Raises:
+        ValueError: if the number of k-subsets exceeds ``ENUMERATION_GUARD``.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    d = w.shape[1]
+    if not 0 <= k <= d:
+        raise ValueError(f"cannot remove {k} of {d} columns")
+    if math.comb(d, k) > ENUMERATION_GUARD:
+        raise ValueError(
+            f"enumeration guard exceeded: C({d},{k}) = {math.comb(d, k)} subsets"
+        )
+    all_cols = np.arange(d)
+    best_removed = None
+    best_err = np.inf
+    for removed in combinations(range(d), k):
+        kept = np.setdiff1d(all_cols, removed, assume_unique=True)
+        err = mask_residual(w, h, kept)
+        if err < best_err:
+            best_err = err
+            best_removed = removed
+    return best_removed, float(best_err)
 
 
 def rand_spd(rng, n: int, m_factor: int = 4, gamma: float = 0.3) -> SpdMatrix:

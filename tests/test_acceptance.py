@@ -12,7 +12,7 @@ import numpy as np
 from scipy.stats import binomtest
 
 from obslim.cli import main as cli_main
-from obslim.ffn_pruner import GroupSchedule, prune_channels
+from obslim.ffn_pruner import prune_channels
 from obslim.head_pruner import prune_heads
 from obslim.linalg import SpdMatrix, invert_spd
 from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
@@ -170,9 +170,9 @@ def test_c05_dynamic_group_size():
     for w, h, n_prune in shared_ffn_instances():
         # schedule scaled to desk size: start/min shrink with the layer,
         # mirroring the full-scale 1024 -> 8 decay
-        _, kept_dyn, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))
-        greedy = GroupSchedule(1, 1)
-        _, kept_greedy, rounds_greedy = prune_channels(w, invert_spd(h), n_prune, greedy)
+        _, kept_dyn, _ = prune_channels(w, invert_spd(h), n_prune, 4, 1)
+        greedy = (1, 1)  # group_start, group_min
+        _, kept_greedy, rounds_greedy = prune_channels(w, invert_spd(h), n_prune, *greedy)
         r_dyn = mask_residual(w, h, kept_dyn)
         r_greedy = mask_residual(w, h, kept_greedy)
         ratio = r_dyn / r_greedy
@@ -183,7 +183,7 @@ def test_c05_dynamic_group_size():
         bitwise_equal &= kept_greedy.tolist() == ref_kept
         bitwise_equal &= step_pairs(rounds_greedy) == ref_steps
         bitwise_equal &= bool(
-            np.array_equal(prune_channels(w, invert_spd(h), n_prune, greedy)[0], ref_w)
+            np.array_equal(prune_channels(w, invert_spd(h), n_prune, *greedy)[0], ref_w)
         )
     ok = n_within == 50 and bitwise_equal
     report_line(
@@ -344,10 +344,10 @@ def test_c10_scale_invariance():
         worst_w = max(worst_w, float(np.abs(res1.pruned_w - res2.pruned_w).max()) / scale)
     for _ in range(20):
         w, h, n_prune = ffn_instance(rng, max_channels=32)
-        _, kept1, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))
-        out1 = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))[0]
+        _, kept1, _ = prune_channels(w, invert_spd(h), n_prune, 4, 1)
+        out1 = prune_channels(w, invert_spd(h), n_prune, 4, 1)[0]
         h2 = SpdMatrix(2.0 * h.a)
-        out2, kept2, _ = prune_channels(w, invert_spd(h2), n_prune, GroupSchedule(4, 1))
+        out2, kept2, _ = prune_channels(w, invert_spd(h2), n_prune, 4, 1)
         ok_channels &= np.array_equal(kept1, kept2)
         scale = max(1.0, float(np.abs(out1).max()))
         worst_w = max(worst_w, float(np.abs(out1 - out2).max()) / scale)

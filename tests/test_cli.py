@@ -516,19 +516,34 @@ class TestPrune:
         err = capsys.readouterr().err
         assert err == "error: layer 1: tensor 'layers.1.attn.renamed' missing\n"
 
-    @pytest.mark.parametrize("renamed, flags", [
-        (True, ["--global-target", "0.4"]),
-        (False, ["--group-start", "2", "--group-min", "4"]),
-    ], ids=["manifest-missing-tensor", "config-group-sizes"])
+    @pytest.mark.parametrize("spoil, flags", [
+        ("manifest", ["--global-target", "0.4"]),
+        (None, ["--group-start", "2", "--group-min", "4"]),
+        ("out", ["--global-target", "0.4"]),
+    ], ids=["manifest-missing-tensor", "config-group-sizes", "out-is-a-file"])
     def test_manifest_or_config_error_reads_no_payload(self, toy_dir, tmp_path, capsys,
-                                                       no_payload_read, renamed, flags):
-        if renamed:
+                                                       no_payload_read, spoil, flags):
+        out = tmp_path / "out"
+        if spoil == "manifest":
             manifest = ModelManifest.load(toy_dir / "manifest.json")
             manifest.layers[1].attn_out = "layers.1.attn.renamed"
             manifest.save(toy_dir / "manifest.json")
-        assert run(prune_args(toy_dir, tmp_path / "out", flags)) == 2
+        elif spoil == "out":
+            out.write_text("not a directory")
+        assert run(prune_args(toy_dir, out, flags)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_hessian_larger_than_memory_exit_2(self, toy_dir, tmp_path, capsys, monkeypatch,
+                                               no_payload_read):
+        # toy_dir's attention Hessians take 8 * 16**2 = 2048 bytes, its FFN ones
+        # 8 * 24**2 = 4608; layer 0 sits at ratio 0, removes nothing and builds none
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 4096)
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 1 (FFN): ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("tamper", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
     def test_malformed_model_exit_2(self, toy_dir, tmp_path, capsys, tamper):
@@ -573,9 +588,9 @@ class TestPrune:
         assert err.startswith("error: layers.0.attn.wq: ") and err.count("\n") == 1, err
 
     def test_job_holds_the_model_less_than_twice(self, tmp_path):
-        # reading into preallocated arrays, pruning without copying the whole
-        # model up front and streaming the write keep a prune job below 2x
-        # the model file, pruned copy and one layer's working state included
+        # the job's heap peak stays below 2x the model file: the model is mapped,
+        # not copied into the heap, so it holds the pruned copy, the calibration
+        # set and one layer's working state, and the write streams each tensor
         data = tmp_path / "m"
         assert run(["gen-toy", "--out", str(data), "--layers", "16", "--d-model", "64",
                     "--heads", "4", "--d-ff", "128", "--batches", "2", "--tokens", "32"]) == 0

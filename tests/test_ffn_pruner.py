@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from obslim.ffn_pruner import GroupSchedule, group_sizes, prune_channels
+from obslim.ffn_pruner import prune_channels
 from obslim.linalg import SpdMatrix, invert_spd
-from obslim.obs_core import least_squares_oracle, mask_residual
+from obslim.obs_core import group_sizes, least_squares_oracle, mask_residual
 
 from conftest import ffn_instance, greedy_channels, rand_spd, step_pairs
 
 
 class TestGroupSizes:
     def test_zero(self):
-        assert group_sizes(0, GroupSchedule(1024, 8)) == []
+        assert group_sizes(0, 1024, 8) == []
 
     def test_halving_small(self):
-        assert group_sizes(5, GroupSchedule(4, 1)) == [4, 1]
+        assert group_sizes(5, 4, 1) == [4, 1]
 
     def test_halving_large(self):
-        sizes = group_sizes(2056, GroupSchedule(1024, 8))
+        sizes = group_sizes(2056, 1024, 8)
         assert sizes == [1024, 512, 256, 128, 64, 32, 16, 8, 8, 8]
         assert sum(sizes) == 2056
 
@@ -28,18 +28,16 @@ class TestGroupSizes:
             total = int(rng.integers(0, 3000))
             start = int(rng.integers(1, 1200))
             mn = int(rng.integers(1, start + 1))
-            sizes = group_sizes(total, GroupSchedule(start, mn))
+            sizes = group_sizes(total, start, mn)
             assert sum(sizes) == total
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert all(s <= start for s in sizes)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            GroupSchedule(4, 8)
-        with pytest.raises(ValueError):
-            GroupSchedule(4, 0)
-        with pytest.raises(ValueError):
-            group_sizes(-1, GroupSchedule(4, 1))
+        # a floor of 0 would halve the size to 0 and append 0s forever
+        for total, start, mn in ((5, 4, 8), (5, 4, 0), (-1, 4, 1)):
+            with pytest.raises(ValueError):
+                group_sizes(total, start, mn)
 
 
 class TestPruneChannels:
@@ -49,7 +47,7 @@ class TestPruneChannels:
         zero_cols = [1, 4, 6]
         w[:, zero_cols] = 0.0
         h_inv = invert_spd(SpdMatrix(np.eye(8)))
-        out, kept, rounds = prune_channels(w, h_inv, 3, GroupSchedule(2, 1))
+        out, kept, rounds = prune_channels(w, h_inv, 3, 2, 1)
         assert sorted(set(range(8)) - set(kept.tolist())) == zero_cols
         assert sum(err for _, err in step_pairs(rounds)) == 0.0
         assert np.array_equal(out, w[:, kept])
@@ -58,7 +56,7 @@ class TestPruneChannels:
         rng = np.random.default_rng(2)
         for _ in range(10):
             w, h, n_prune = ffn_instance(rng, max_channels=24)
-            out, kept, rounds = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(1, 1))
+            out, kept, rounds = prune_channels(w, invert_spd(h), n_prune, 1, 1)
             ref_w, ref_kept, ref_steps = greedy_channels(w, h, n_prune)
             assert kept.tolist() == ref_kept
             assert step_pairs(rounds) == ref_steps  # same selection sequence, same floats
@@ -67,9 +65,9 @@ class TestPruneChannels:
     def test_compensation_always_exact(self):
         # whatever mask the schedule picks, weights match the oracle
         rng = np.random.default_rng(3)
-        for sched in (GroupSchedule(16, 2), GroupSchedule(4, 1), GroupSchedule(8, 8)):
+        for groups in ((16, 2), (4, 1), (8, 8)):
             w, h, n_prune = ffn_instance(rng, max_channels=32)
-            out, kept, rounds = prune_channels(w, invert_spd(h), n_prune, sched)
+            out, kept, rounds = prune_channels(w, invert_spd(h), n_prune, *groups)
             expect = least_squares_oracle(w, h, kept)
             norm = max(np.linalg.norm(expect), 1e-12)
             assert np.linalg.norm(out - expect) / norm < 1e-8
@@ -94,8 +92,8 @@ class TestPruneChannels:
             h = rand_spd(rng, d)
             n_prune = 8
             greedy = mask_residual(w, h, greedy_channels(w, h, n_prune)[1])
-            _, kept_dyn, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(4, 1))
-            _, kept_fix, _ = prune_channels(w, invert_spd(h), n_prune, GroupSchedule(8, 8))
+            _, kept_dyn, _ = prune_channels(w, invert_spd(h), n_prune, 4, 1)
+            _, kept_fix, _ = prune_channels(w, invert_spd(h), n_prune, 8, 8)
             r_dyn = mask_residual(w, h, kept_dyn) / greedy
             r_fix = mask_residual(w, h, kept_fix) / greedy
             dyn_le_fixed += r_dyn <= r_fix + 1e-12
@@ -110,11 +108,10 @@ class TestPruneChannels:
         rng = np.random.default_rng(5)
         w, h, n_prune = ffn_instance(rng, max_channels=24)
         h_inv = invert_spd(h)
-        _, kept, _ = prune_channels(w, h_inv, n_prune, GroupSchedule(4, 1))
+        _, kept, _ = prune_channels(w, h_inv, n_prune, 4, 1)
         want = invert_spd(SpdMatrix(h.a[np.ix_(kept, kept)]))
         assert np.linalg.norm(h_inv[np.ix_(kept, kept)] - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            prune_channels(np.ones((2, 4)), invert_spd(SpdMatrix(np.eye(4))), 4,
-                           GroupSchedule(2, 1))
+            prune_channels(np.ones((2, 4)), invert_spd(SpdMatrix(np.eye(4))), 4, 2, 1)

@@ -10,19 +10,26 @@ import numpy as np
 import pytest
 
 from obslim.errors import NotSpdError
-from obslim.ffn_pruner import GroupSchedule, group_sizes, prune_channels
+from obslim.ffn_pruner import prune_channels
 from obslim.head_pruner import prune_heads
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import (
     PruneResult,
     block_errors,
-    brute_force_best_columns,
     greedy_prune,
+    group_sizes,
     least_squares_oracle,
     mask_residual,
 )
 
-from conftest import ffn_instance, head_instance, rand_spd, remove_compacted, remove_sequentially
+from conftest import (
+    brute_force_best_columns,
+    ffn_instance,
+    head_instance,
+    rand_spd,
+    remove_compacted,
+    remove_sequentially,
+)
 
 
 def residual_of(w, h: SpdMatrix, kept, w_hat) -> float:
@@ -155,11 +162,11 @@ class TestAdapters:
 
     def test_prune_channels_is_greedy_prune_over_the_group_sizes(self):
         rng = np.random.default_rng(31)
-        for sched in (GroupSchedule(1, 1), GroupSchedule(4, 1), GroupSchedule(16, 2)):
+        for groups in ((1, 1), (4, 1), (16, 2)):
             w, h, n_prune = ffn_instance(rng, max_channels=32)
             h_inv = invert_spd(h)
-            sizes = group_sizes(n_prune, sched)
-            res = prune_channels(w, h_inv.copy(), n_prune, sched)
+            sizes = group_sizes(n_prune, *groups)
+            res = prune_channels(w, h_inv.copy(), n_prune, *groups)
             self.assert_same_result(res, greedy_prune(w, h_inv.copy(), 1, sizes))
             assert res.total_rounds == len(sizes)
             assert [cols.size for cols, _ in res.rounds] == sizes
