@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical or validation failure.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -86,9 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path) -> None:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ObslimError(f"--out {path} exists and is not a directory")
+
+
 def _cmd_gen_toy(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(ToyModelSpec)}
     spec = ToyModelSpec(**{name: val for name, val in given.items() if val is not None})
+    _check_out_dir(args.out)
+    memory = _physical_memory()
+    if spec.nbytes > memory:
+        raise ObslimError(f"the toy model and calibration set need {spec.nbytes / 2**30:.3g} "
+                          f"GiB, more than the {memory / 2**30:.3g} GiB of physical memory")
     tensors, manifest, calib = gen_toy(spec)
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.obt")
@@ -182,18 +193,23 @@ def _cmd_prune(args) -> int:
         layer_param_weights=_layer_param_weights(manifest, header),
     )
     config = PruneConfig(**{f.name: settings[f.name] for f in fields(PruneConfig)})
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ObslimError(f"--out {args.out} exists and is not a directory")
+    _check_out_dir(args.out)
     _check_hessians_fit(manifest, header, sched.ratios)
     tensors = read_tensor_file(args.model)
     calib = list(read_tensor_file(args.calib).values())
+    created = not os.path.isdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     t_start = time.perf_counter()
-    pruned, pruned_manifest, report = prune_model(tensors, manifest, calib, sched, config)
+    try:
+        pruned, pruned_manifest, report = prune_model(
+            tensors, manifest, calib, sched, config, out=os.path.join(args.out, "model.obt"))
+    except BaseException:
+        if created:  # a failed run leaves no output, not even the directory
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        raise
     elapsed = time.perf_counter() - t_start
 
-    os.makedirs(args.out, exist_ok=True)
-    model_path = os.path.join(args.out, "model.obt")
-    write_tensor_file(pruned, model_path)
     pruned_manifest.save(os.path.join(args.out, "manifest.json"))
     report.save(os.path.join(args.out, "report.json"))
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ from .ffn_pruner import prune_channels
 from .head_pruner import prune_heads
 from .obs_core import group_sizes
 from .schedule import VARIANTS, PruneSchedule, build_schedule, counts_from_ratio
-from .tensorstore import LayerEntry, ModelManifest, validate_manifest
+from .tensorstore import LayerEntry, ModelManifest, TensorFileWriter, validate_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,13 @@ class ToyModelSpec:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_head
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the float64 model and calibration set that ``gen_toy`` makes."""
+        layer = 4 * self.d_model ** 2 + 3 * self.d_model * self.d_ff
+        calib = self.n_calib_batches * self.tokens_per_batch * self.d_model
+        return 8 * (self.n_layers * layer + calib)
 
 
 @dataclass
@@ -438,6 +445,7 @@ def prune_model(
     calib,
     sched: PruneSchedule,
     config: PruneConfig = PruneConfig(),
+    out=None,
 ):
     """Prune every layer at its scheduled ratio.
 
@@ -464,11 +472,22 @@ def prune_model(
     and joined before this returns or raises. ``tracemalloc`` sees only
     this process's allocations, not the worker's.
 
-    Returns ``(pruned_tensors, pruned_manifest, report)``, float64 arrays
-    sharing no memory with ``tensors``, which is left as it was. A pruned
-    ``wo`` or ``w_down`` is copied when its sublayer prunes, and its coupled
-    rows are sliced then; every tensor that no sublayer changed is copied
-    once, at the end.
+    Returns ``(pruned_tensors, pruned_manifest, report)``: float64 matrices
+    in the order of ``tensors``, which is left as it was, and shares no
+    memory with them. A pruned ``wo`` or ``w_down`` is copied when its
+    sublayer prunes, and its coupled rows are sliced then. When its FFN is
+    done, a layer's tensors are handed off; a tensor that belongs to no
+    layer is handed off first.
+
+    With ``out=None`` they are handed to the returned dict, and a tensor that
+    no sublayer changed is copied then. With ``out``, a path, every pruned
+    shape follows from the schedule, so a ``TensorFileWriter`` header is
+    written before pruning starts; each tensor handed off is written and
+    dropped, and ``out`` is replaced by the finished file at the end. Besides
+    the caller's tensors and the calibration set, this process then holds
+    one layer's pruned tensors and working state at a time, and the
+    returned tensors are views of a private copy-on-write map of ``out``, as
+    ``read_tensor_file``'s are. If pruning fails, ``out`` is left as it was.
     """
     validate_manifest(manifest, tensors)
     if sched.n_layers != manifest.n_layers:
@@ -481,8 +500,19 @@ def prune_model(
     if not any(x.size for x in cur):
         raise ValueError(f"the calibration set has no tokens: all {len(cur)} batches are empty")
 
-    pruned = dict(tensors)  # entries are replaced by new arrays as their sublayers prune
-    worker = None
+    counts = [(counts_from_ratio(float(r), e.n_head),
+               counts_from_ratio(float(r), tensors[e.ffn_down].shape[1]))
+              for e, r in zip(manifest.layers, sched.ratios)]  # heads, channels removed
+    shapes = {name: arr.shape for name, arr in tensors.items()}  # once pruned
+    for entry, (n_heads, n_channels) in zip(manifest.layers, counts):
+        for anchor, coupled, removed in ((entry.attn_out, entry.attn_coupled,
+                                          n_heads * entry.d_head),
+                                         (entry.ffn_down, entry.ffn_coupled, n_channels)):
+            rows, width = shapes[anchor]
+            shapes[anchor] = (rows, width - removed)
+            for name in coupled:
+                shapes[name] = (width - removed, shapes[name][1])
+    pruned = dict.fromkeys(tensors)  # the returned dict, in the caller's order
     new_entries = []
     report = PruneReport(
         variant=sched.variant,
@@ -490,14 +520,30 @@ def prune_model(
         config=asdict(config),
     )
 
-    try:
+    with contextlib.ExitStack() as stack:
+        writer = None if out is None else stack.enter_context(
+            TensorFileWriter(out, {name: (np.float64, shape) for name, shape in shapes.items()}))
+
+        def hand_off(layer: dict) -> None:
+            """Write or return each tensor of ``layer``, emptying it."""
+            while layer:
+                name, arr = layer.popitem()
+                if writer is not None:
+                    writer.put(name, arr)
+                else:  # copy what is still the caller's; upcast float32 slices
+                    pruned[name] = (np.array(arr, dtype=np.float64) if arr is tensors[name]
+                                    else np.asarray(arr, dtype=np.float64))
+
+        in_layers = {name for entry in manifest.layers for name in entry.tensor_names()}
+        hand_off({name: arr for name, arr in tensors.items() if name not in in_layers})
+        worker = None
         for idx, entry in enumerate(manifest.layers):
             ratio = float(sched.ratios[idx])
             lw = LayerWeights.from_tensors(entry, tensors)
             if any(x.ndim != 2 or x.shape[0] != lw.wo.shape[0] for x in cur):
                 raise ValueError(f"calibration activations do not match d_model of layer {idx}")
-            n_heads = counts_from_ratio(ratio, entry.n_head)
-            n_channels = counts_from_ratio(ratio, lw.w_down.shape[1])
+            n_heads, n_channels = counts[idx]
+            layer = {name: tensors[name] for name in entry.tensor_names()}
             kept, paid = [], []
             for sub, (sublayer, fn, w, anchor, coupled, n_prune) in enumerate((
                     ("attention", _attention, lw.wo, entry.attn_out, entry.attn_coupled, n_heads),
@@ -510,6 +556,7 @@ def prune_model(
                     if n_prune:
                         if worker is None:  # the streams split at this sublayer
                             worker = _ReferenceWorker(tensors, manifest.layers, sub, cur, feats)
+                            stack.callback(worker.close)
                         w = np.array(w, dtype=np.float64)  # dead columns are zeroed in place
                         h_inv = _hessian_over_batches(feats, config.damping, w)
                         if sub % 2:
@@ -517,10 +564,10 @@ def prune_model(
                                                     config.group_start, config.group_min)
                         else:
                             result = prune_heads(w, h_inv, entry.d_head, n_prune=n_prune)
-                        w = pruned[anchor] = result.pruned_w
+                        w = layer[anchor] = result.pruned_w
                         cols = result.kept_columns
                         for name in coupled:
-                            pruned[name] = pruned[name][cols, :]
+                            layer[name] = layer[name][cols, :]
                         paid.append(result.step_error_sum)
                     step = _projection(w)
                     feats.reverse()  # each batch's features are freed once it is projected
@@ -528,26 +575,26 @@ def prune_model(
                 except (NotSpdError, np.linalg.LinAlgError) as exc:
                     raise NotSpdError(f"pruning failed at layer {idx} ({sublayer}): {exc}") from exc
                 kept.append(np.arange(live.size)[cols])
+            hand_off(layer)
+            # the reference batches are dropped as soon as they are compared
             ref = cur if worker is None else worker.layer_output(idx)
+            sq_error = float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref)))
+            del ref
             row = LayerReport(
                 layer=idx,
                 ratio=ratio,
                 heads_removed=n_heads,
                 channels_removed=n_channels,
                 sum_step_error=sum(paid, 0.0),
-                output_sq_error=float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref))),
+                output_sq_error=sq_error,
                 kept_heads=(kept[0][::entry.d_head] // entry.d_head).tolist(),
                 kept_channels=kept[1].tolist(),
             )
             new_entries.append(replace(entry, n_head=len(row.kept_heads)))
             report.layers.append(row)
-    finally:
-        if worker is not None:
-            worker.close()
+        if writer is not None:
+            pruned = writer.close()
 
-    # copy what no kernel sliced, which is still the caller's; upcast float32 slices
-    pruned = {name: np.array(arr, dtype=np.float64) if arr is tensors[name]
-              else np.asarray(arr, dtype=np.float64) for name, arr in pruned.items()}
     pruned_manifest = ModelManifest(layers=new_entries)
     validate_manifest(pruned_manifest, pruned)
     return pruned, pruned_manifest, report

@@ -8,10 +8,11 @@ come back as float64 (float32 values convert exactly).
 
 The reader checks the whole header against the file size, then maps the
 file private copy-on-write, so its ``f64`` matrices copy no payload into the
-heap. The writer writes each tensor as it converts it into a new file, then
-renames that over the destination.
+heap. ``TensorFileWriter`` writes the header first, then each tensor as it
+is put, into a new file that it renames over the destination.
 """
 
+import contextlib
 import json
 import mmap
 import os
@@ -30,55 +31,6 @@ _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _TAG_FOR = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
-def write_tensor_file(tensors: dict, path) -> None:
-    """Write a name -> matrix map; round-trips bit-exactly through read_tensor_file.
-
-    Matrices must be 2-D, finite, and float32 or float64 (the dtype is
-    preserved on disk). All are checked before any file is opened; then each
-    is written as it is converted, so at most one tensor is ever copied.
-
-    The bytes go to a new file beside ``path`` that is renamed over it at the
-    end, so ``path`` is replaced atomically and never truncated: arrays mapped
-    from it keep their values, and on any error the new file is deleted and
-    ``path`` is left whole.
-    """
-    entries = {}
-    offset = 0
-    for name, value in tensors.items():
-        if not isinstance(name, str) or not name:
-            raise TensorFormatError(f"tensor name must be a non-empty string, got {name!r}")
-        arr = np.asarray(value)
-        tag = _TAG_FOR.get(arr.dtype)
-        if tag is None:
-            raise TensorFormatError(f"{name}: unsupported dtype {arr.dtype}, expected f32/f64")
-        if arr.ndim != 2:
-            raise TensorFormatError(f"{name}: expected a 2-D matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise TensorFormatError(f"{name}: non-finite values rejected")
-        entries[name] = {
-            "dtype": tag,
-            "shape": [int(arr.shape[0]), int(arr.shape[1])],
-            "byte_offset": offset,
-            "byte_len": arr.nbytes,
-        }
-        offset += arr.nbytes
-    header = json.dumps(entries, ensure_ascii=False).encode("utf-8")
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    # plain open, not mkstemp, so the file's mode follows the umask (mkstemp makes it 0600)
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for name, value in tensors.items():
-                fh.write(np.ascontiguousarray(value, dtype=_DTYPES[entries[name]["dtype"]]).data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 class TensorEntry(NamedTuple):
     """One validated header entry: payload dtype, matrix shape, absolute byte extent."""
 
@@ -90,6 +42,132 @@ class TensorEntry(NamedTuple):
     @property
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
+
+
+class TensorFileWriter:
+    """Streams named matrices into a new container that replaces ``path`` when closed.
+
+    ``header`` maps each name to ``(dtype, shape)``: float32 or float64, and
+    2-D. It is checked and written first, and its order sets the payload
+    layout. ``put`` checks one matrix against its entry and writes it at its
+    offset, in any order, so a caller holds only the matrix it puts.
+    ``close`` checks that every entry was put, then renames the file over
+    ``path``: ``path`` is replaced atomically and never truncated, so arrays
+    mapped from it keep their values. On any failure of the writer, or when a
+    ``with`` block around it is left before ``close``, the new file is
+    deleted and ``path`` is left whole.
+    """
+
+    def __init__(self, path, header: dict):
+        layout = {}
+        offset = 0
+        for name, (dtype, shape) in header.items():
+            if not isinstance(name, str) or not name:
+                raise TensorFormatError(f"tensor name must be a non-empty string, got {name!r}")
+            tag = _TAG_FOR.get(np.dtype(dtype))
+            if tag is None:
+                raise TensorFormatError(f"{name}: unsupported dtype {dtype}, expected f32/f64")
+            if len(shape) != 2 or min(shape) < 0:
+                raise TensorFormatError(f"{name}: expected a 2-D matrix, got shape {shape}")
+            rows, cols = map(int, shape)
+            length = rows * cols * _DTYPES[tag].itemsize
+            layout[name] = {"dtype": tag, "shape": [rows, cols],
+                            "byte_offset": offset, "byte_len": length}
+            offset += length
+        raw = json.dumps(layout, ensure_ascii=False).encode("utf-8")
+        end = len(MAGIC) + 8 + len(raw)
+        self._entries = {name: TensorEntry(_DTYPES[e["dtype"]], tuple(e["shape"]),
+                                           end + e["byte_offset"], e["byte_len"])
+                         for name, e in layout.items()}
+        self._pending = set(layout)
+        self._path = path
+        self._tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        # plain open, not mkstemp, so the file's mode follows the umask (mkstemp makes it 0600)
+        self._fh = open(self._tmp, "x+b")
+        with self._failing():
+            self._fh.write(MAGIC + struct.pack("<Q", len(raw)) + raw)
+
+    @contextlib.contextmanager
+    def _failing(self):
+        """Delete the new file if the block raises."""
+        try:
+            yield
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+            os.unlink(self._tmp)
+
+    def put(self, name: str, value) -> None:
+        """Write ``value`` as entry ``name``.
+
+        Raises ``TensorFormatError`` if ``name`` is not in the header or was
+        put already, or if ``value`` has another shape, a dtype that does not
+        convert exactly to the entry's, or non-finite values.
+        """
+        with self._failing():
+            if name not in self._pending:
+                raise TensorFormatError(f"{name!r} is not a header entry still to be written")
+            entry = self._entries[name]
+            arr = np.asarray(value)
+            if arr.shape != entry.shape:
+                raise TensorFormatError(f"{name}: shape {arr.shape}, the header says "
+                                        f"{entry.shape}")
+            if not np.can_cast(arr.dtype, entry.dtype, "safe"):
+                raise TensorFormatError(f"{name}: dtype {arr.dtype} does not convert "
+                                        f"exactly to {_TAG_FOR[entry.dtype]}")
+            if not np.all(np.isfinite(arr)):
+                raise TensorFormatError(f"{name}: non-finite values rejected")
+            self._fh.seek(entry.start)
+            self._fh.write(np.ascontiguousarray(arr, dtype=entry.dtype).data)
+            self._pending.remove(name)
+
+    def close(self) -> dict:
+        """Rename the finished file over ``path`` and return its tensors.
+
+        They are views of one private copy-on-write map of the file, in their
+        stored dtypes, as ``read_tensor_file`` maps it. Raises
+        ``TensorFormatError`` if an entry was never put.
+        """
+        with self._failing():
+            missing = [name for name in self._entries if name in self._pending]
+            if missing:
+                raise TensorFormatError(f"{len(missing)} tensors never written, "
+                                        f"first {missing[0]!r}")
+            self._fh.flush()
+            buf = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            os.replace(self._tmp, self._path)
+        self._fh.close()
+        self._fh = None
+        return {name: np.frombuffer(buf, e.dtype, e.size, e.start).reshape(e.shape)
+                for name, e in self._entries.items()}
+
+    def __enter__(self) -> "TensorFileWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._discard()
+
+
+def write_tensor_file(tensors: dict, path) -> None:
+    """Write a name -> matrix map; round-trips bit-exactly through read_tensor_file.
+
+    Matrices must be 2-D, finite, and float32 or float64 (the dtype is
+    preserved on disk). Names, dtypes and shapes are checked before any file
+    is opened; then ``TensorFileWriter`` checks and writes each matrix as it
+    converts it, so at most one tensor is ever copied, and replaces ``path``
+    atomically: on any error ``path`` is left whole.
+    """
+    arrays = {name: np.asarray(value) for name, value in tensors.items()}
+    header = {name: (arr.dtype, arr.shape) for name, arr in arrays.items()}
+    with TensorFileWriter(path, header) as writer:
+        for name, arr in arrays.items():
+            writer.put(name, arr)
+        writer.close()
 
 
 def _parse_header(raw: bytes) -> dict:
@@ -210,6 +288,10 @@ class LayerEntry:
     n_head: int
     d_head: int
 
+    def tensor_names(self) -> tuple:
+        """The layer's tensor names: each anchor, then its coupled tensors."""
+        return (self.attn_out, *self.attn_coupled, self.ffn_down, *self.ffn_coupled)
+
     def to_dict(self) -> dict:
         return {
             "attn_out": self.attn_out,
@@ -294,7 +376,7 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
     """
     seen = set()
     for idx, entry in enumerate(manifest.layers):
-        for name in (entry.attn_out, *entry.attn_coupled, entry.ffn_down, *entry.ffn_coupled):
+        for name in entry.tensor_names():
             if name not in tensors:
                 raise ManifestError(f"layer {idx}: tensor {name!r} missing")
             if name in seen:  # pruning would slice it once per mention

@@ -15,10 +15,15 @@ import numpy as np
 import pytest
 
 import obslim
-from obslim import cli
+from obslim import cli, pipeline
 from obslim.cli import main
 from obslim.pipeline import PruneReport, ToyModelSpec, gen_toy
-from obslim.tensorstore import ModelManifest, read_tensor_file, write_tensor_file
+from obslim.tensorstore import (
+    ModelManifest,
+    TensorFileWriter,
+    read_tensor_file,
+    write_tensor_file,
+)
 
 from conftest import ffn_in_worker
 
@@ -121,6 +126,39 @@ class TestGenToy:
         monkeypatch.setattr(cli, "gen_toy", gen_toy)
         assert run(["gen-toy", "--out", str(tmp_path / "toy")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.fixture()
+    def no_generation(self, monkeypatch):
+        def gen_toy(spec):
+            raise AssertionError("gen-toy generated before refusing")
+
+        monkeypatch.setattr(cli, "gen_toy", gen_toy)
+
+    def test_out_not_a_directory_exit_2_before_generating(self, tmp_path, capsys,
+                                                          no_generation):
+        out = tmp_path / "afile"
+        out.write_text("kept")
+        assert run(["gen-toy", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("flags, memory", [
+        # the default spec's float64 arrays take 8 * (8 * (4 * 32**2 + 3 * 32 * 64)
+        # + 4 * 64 * 32) = 720896 bytes
+        ([], 720895),
+        (["--d-model", "10000000", "--heads", "1", "--layers", "1"], None),
+    ], ids=["default-spec-one-byte-short", "728-TiB"])
+    def test_spec_larger_than_memory_exit_2_before_generating(self, tmp_path, capsys,
+                                                              monkeypatch, no_generation,
+                                                              flags, memory):
+        if memory is not None:
+            monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        out = tmp_path / "toy"
+        assert run(["gen-toy", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the toy model and calibration set need ") and \
+            err.endswith(" of physical memory\n") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_runs_as_python_module(self, tmp_path):
         proc = run_module(["gen-toy", "--out", str(tmp_path / "toy"),
@@ -589,8 +627,7 @@ class TestPrune:
 
     def test_job_holds_the_model_less_than_twice(self, tmp_path):
         # the job's heap peak stays below 2x the model file: the model is mapped,
-        # not copied into the heap, so it holds the pruned copy, the calibration
-        # set and one layer's working state, and the write streams each tensor
+        # not copied into the heap, and each pruned layer is written as it is done
         data = tmp_path / "m"
         assert run(["gen-toy", "--out", str(data), "--layers", "16", "--d-model", "64",
                     "--heads", "4", "--d-ff", "128", "--batches", "2", "--tokens", "32"]) == 0
@@ -604,6 +641,67 @@ class TestPrune:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2 * size, peak / size
+
+    def test_job_holds_a_few_layers_not_the_pruned_model(self, tmp_path):
+        # 8 layers at d_model 128: the pruned model is over 5 layers' bytes, but
+        # each pruned layer is written and dropped as soon as its FFN is done,
+        # and the input model is mapped, so the job holds the calibration set
+        # and one layer's pruned tensors and working state at a time
+        data, out = tmp_path / "m", tmp_path / "out"
+        assert run(["gen-toy", "--out", str(data), "--layers", "8", "--d-model", "128",
+                    "--heads", "4", "--d-ff", "256", "--batches", "2", "--tokens", "64"]) == 0
+        layer = 8 * (4 * 128**2 + 3 * 128 * 256)
+        calib = os.path.getsize(data / "calib.obt")
+        tracemalloc.start()
+        try:
+            code = run(prune_args(data, out, ["--global-target", "0.3"]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert os.path.getsize(out / "model.obt") > 5 * layer
+        assert peak < 3 * layer + calib, peak / layer
+
+    @pytest.mark.usefixtures("deadline")
+    @pytest.mark.parametrize("failure", ["singular-at-layer-1", "worker-death-at-layer-0"])
+    def test_failed_prune_changes_nothing(self, toy_dir, tmp_path, capsys, monkeypatch,
+                                          failure):
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.3"])) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "model.obt", "report.csv",
+                                           "report.json"]
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        puts = []
+
+        class Spy(TensorFileWriter):
+            def put(self, name, value):
+                puts.append(name)
+                super().put(name, value)
+
+        monkeypatch.setattr(pipeline, "TensorFileWriter", Spy)
+        calib = toy_dir / "calib.obt"
+        if failure == "singular-at-layer-1":
+            # layer 0 sits at ratio 0 and builds no Hessian; layer 1's attention
+            # sees 8 tokens for 16 features at zero damping, a singular Hessian
+            calib = tmp_path / "calib8.obt"
+            write_tensor_file({"calib.0": np.random.default_rng(0).normal(size=(16, 8))}, calib)
+            flags = ["--variant", "lin-inc", "--ratio-first", "0", "--ratio-last", "0.5",
+                     "--damping", "0"]
+            message = "error: pruning failed at layer 1 (attention): "
+        else:
+            ffn_in_worker(monkeypatch, lambda: os._exit(3))
+            flags = ["--variant", "uniform", "--ratio-first", "0.5", "--ratio-last", "0.5"]
+            message = "error: the reference stream's worker exited with code 3 "
+        capsys.readouterr()
+        for dest in (out, tmp_path / "fresh"):
+            args = prune_args(toy_dir, dest, flags)
+            args[args.index("--calib") + 1] = str(calib)
+            assert run(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1, err
+        assert len(puts) == 2 * 7  # layer 0 was streamed before each run failed
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        assert not (tmp_path / "fresh").exists()
 
     def test_unreachable_target_exit_2(self, toy_dir, tmp_path):
         assert run(prune_args(toy_dir, tmp_path / "out", [

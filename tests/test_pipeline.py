@@ -69,6 +69,12 @@ class TestGenToy:
         assert tensors[entry.attn_out].shape[1] == 4 * 8
         assert all(x.shape[0] == 32 for x in calib)
 
+    def test_nbytes_counts_every_array(self):
+        spec = ToyModelSpec(n_layers=3, d_model=12, n_head=3, d_ff=20,
+                            n_calib_batches=2, tokens_per_batch=5)
+        tensors, _, calib = gen_toy(spec)
+        assert spec.nbytes == sum(a.nbytes for a in (*tensors.values(), *calib))
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             ToyModelSpec(d_model=30, n_head=4)

@@ -14,6 +14,7 @@ from obslim.tensorstore import (
     MAGIC,
     LayerEntry,
     ModelManifest,
+    TensorFileWriter,
     read_tensor_file,
     read_tensor_header,
     validate_manifest,
@@ -217,6 +218,98 @@ class TestAtomicWrite:
         with pytest.raises(OSError):
             write_tensor_file({"w": np.zeros((1, 1))}, tmp_path / "d")
         assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+
+class TestStreamingWriter:
+    """``TensorFileWriter``: a header up front, then tensors put in any order."""
+
+    @staticmethod
+    def tensors():
+        rng = np.random.default_rng(9)
+        return {
+            "embed": rng.normal(size=(3, 4)).astype(np.float32),  # belongs to no layer
+            "layers.0.attn.wq": rng.normal(size=(8, 8)),
+            "layers.0.attn.wo": rng.normal(size=(8, 8)).astype(np.float32),
+            "layers.0.ffn.w_down": rng.normal(size=(8, 0)),
+        }
+
+    def open_writer(self, path, tensors):
+        return TensorFileWriter(path, {name: (arr.dtype, arr.shape)
+                                       for name, arr in tensors.items()})
+
+    def test_same_bytes_as_write_tensor_file(self, tmp_path):
+        tensors = self.tensors()
+        write_tensor_file(tensors, tmp_path / "whole.obt")
+        writer = self.open_writer(tmp_path / "streamed.obt", tensors)
+        for name in reversed(tensors):  # the payload layout follows the header, not the puts
+            writer.put(name, tensors[name])
+        back = writer.close()
+        assert (tmp_path / "streamed.obt").read_bytes() == (tmp_path / "whole.obt").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["streamed.obt", "whole.obt"]
+        assert list(back) == list(tensors)
+        for name, arr in tensors.items():
+            assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes(), name
+
+    def test_close_returns_a_map_of_the_file(self, tmp_path):
+        rng = np.random.default_rng(10)
+        tensors = {f"t{i}": rng.normal(size=(256, 512)) for i in range(4)}
+        path = tmp_path / "big.obt"
+
+        def stream():
+            writer = self.open_writer(path, tensors)
+            for name, arr in tensors.items():
+                writer.put(name, arr)
+            return writer.close()
+
+        back, peak = traced_peak(stream)
+        assert peak < 0.5 * tensors["t0"].nbytes, peak  # one finiteness mask, no copy
+        back["t0"][0, 0] = 7.0  # private: never reaches the file
+        assert all(np.array_equal(read_tensor_file(path)[name], tensors[name]) for name in tensors)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("layers.0.attn.wq", np.zeros((8, 7)), "shape"),
+        ("layers.0.attn.wq", np.full((8, 8), np.nan), "non-finite"),
+        ("layers.0.attn.wo", np.zeros((8, 8)), "does not convert exactly"),
+        ("layers.1.attn.wq", np.zeros((8, 8)), "not a header entry"),
+        ("embed", np.zeros((3, 4), dtype=np.float32), "not a header entry"),
+    ], ids=["shape", "non-finite", "lossy-dtype", "unknown-name", "put-twice"])
+    def test_failed_put_deletes_the_new_file(self, tmp_path, name, value, message):
+        path = tmp_path / "keep.obt"
+        write_tensor_file({"a": np.ones((2, 2))}, path)
+        blob = path.read_bytes()
+        writer = self.open_writer(path, self.tensors())
+        writer.put("embed", self.tensors()["embed"])
+        assert len(os.listdir(tmp_path)) == 2
+        with pytest.raises(TensorFormatError, match=message):
+            writer.put(name, value)
+        assert os.listdir(tmp_path) == ["keep.obt"]
+        assert path.read_bytes() == blob
+
+    def test_close_with_an_entry_never_written_raises(self, tmp_path):
+        path = tmp_path / "keep.obt"
+        write_tensor_file({"a": np.ones((2, 2))}, path)
+        blob = path.read_bytes()
+        tensors = self.tensors()
+        writer = self.open_writer(path, tensors)
+        for name in ("embed", "layers.0.attn.wq", "layers.0.ffn.w_down"):
+            writer.put(name, tensors[name])
+        with pytest.raises(TensorFormatError, match="1 tensors never written, "
+                                                    "first 'layers.0.attn.wo'"):
+            writer.close()
+        assert os.listdir(tmp_path) == ["keep.obt"]
+        assert path.read_bytes() == blob
+
+    def test_leaving_a_with_block_before_close_deletes_the_new_file(self, tmp_path):
+        path = tmp_path / "keep.obt"
+        write_tensor_file({"a": np.ones((2, 2))}, path)
+        blob = path.read_bytes()
+        tensors = self.tensors()
+        with pytest.raises(RuntimeError, match="pruning failed"):
+            with self.open_writer(path, tensors) as writer:
+                writer.put("embed", tensors["embed"])
+                raise RuntimeError("pruning failed")
+        assert os.listdir(tmp_path) == ["keep.obt"]
+        assert path.read_bytes() == blob
 
 
 class TestReadValidation:
