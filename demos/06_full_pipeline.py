@@ -8,6 +8,8 @@ depth, and rising ratio curves beat flat and falling ones.
 Run: python demos/06_full_pipeline.py
 """
 
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -23,6 +25,9 @@ from obslim import (
 
 config = PruneConfig(group_start=16, group_min=2)
 spec = ToyModelSpec()  # 8 layers, d_model 32, 4 heads, d_ff 64
+# prune_model writes each pruned model to a file; these runs keep it in a scratch directory
+scratch = tempfile.TemporaryDirectory()
+out = os.path.join(scratch.name, "model.obt")
 
 # --- error accumulation: prune only the first layer ----------------------------
 print("pruning ONLY layer 0 at 25/50/75%, per-layer output error downstream")
@@ -34,7 +39,7 @@ for pct in (25, 50, 75):
         tensors, manifest, calib = gen_toy(ToyModelSpec(seed=seed))
         ratios = (pct / 100.0,) + (0.0,) * (spec.n_layers - 1)
         sched = PruneSchedule(ratios=ratios, variant="custom")
-        _, _, rep = prune_model(tensors, manifest, calib, sched, config)
+        _, _, rep = prune_model(tensors, manifest, calib, sched, config, out=out)
         acc += np.array([row.output_sq_error for row in rep.layers])
     curves[pct] = acc / 5
 print("layer:      " + " ".join(f"{i:>8}" for i in range(spec.n_layers)))
@@ -61,7 +66,7 @@ for seed in range(5):
                                           r0=lin_inc.ratios[-1], rn=lin_inc.ratios[0]),
     }
     for name, sched in scheds.items():
-        _, _, rep = prune_model(tensors, manifest, calib, sched, config)
+        _, _, rep = prune_model(tensors, manifest, calib, sched, config, out=out)
         results.setdefault(name, []).append(rep.layers[-1].output_sq_error)
 for name, vals in results.items():
     print(f"  {name:>16}: {np.mean(vals):10.1f}")
@@ -71,7 +76,7 @@ print("rising curves < uniform < falling curves, the accumulation story again.\n
 tensors, manifest, calib = gen_toy(spec)
 sched = build_schedule(spec.n_layers, "log_increase", r0=0.25, global_target=0.5)
 t_start = time.perf_counter()
-pruned, pmanifest, report = prune_model(tensors, manifest, calib, sched, config)
+pruned, pmanifest, report = prune_model(tensors, manifest, calib, sched, config, out=out)
 elapsed = time.perf_counter() - t_start
 total = sum(a.size for a in tensors.values())
 kept = sum(a.size for a in pruned.values())
@@ -85,3 +90,4 @@ for row in report.layers:
           f"{row.output_sq_error:>13.2f}")
 print("\nper-layer CSV:")
 print(report.to_csv())
+scratch.cleanup()

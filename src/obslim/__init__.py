@@ -6,7 +6,6 @@ calibration Hessian so the layer's output changes as little as possible.
 """
 
 from .calib import HessianAccumulator
-from .config import DEFAULT_DAMPING, TOL, Tolerances
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
 from .ffn_pruner import prune_channels
 from .head_pruner import prune_heads
@@ -42,7 +41,6 @@ from .tensorstore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_DAMPING",
     "HessianAccumulator",
     "LayerEntry",
     "LayerWeights",
@@ -55,9 +53,7 @@ __all__ = [
     "PruneResult",
     "PruneSchedule",
     "SpdMatrix",
-    "TOL",
     "TensorFormatError",
-    "Tolerances",
     "ToyModelSpec",
     "block_errors",
     "build_schedule",

@@ -146,13 +146,8 @@ def _merged_settings(args) -> dict:
 
 def _layer_param_weights(manifest: ModelManifest, tensors: dict) -> np.ndarray:
     """Prunable parameter count per layer (anchor plus coupled tensors, or their headers)."""
-    weights = []
-    for entry in manifest.layers:
-        count = tensors[entry.attn_out].size + tensors[entry.ffn_down].size
-        count += sum(tensors[name].size for name in entry.attn_coupled)
-        count += sum(tensors[name].size for name in entry.ffn_coupled)
-        weights.append(count)
-    return np.asarray(weights, dtype=np.float64)
+    return np.asarray([sum(tensors[name].size for name in entry.tensor_names())
+                       for entry in manifest.layers], dtype=np.float64)
 
 
 def _physical_memory() -> int:

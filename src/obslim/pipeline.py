@@ -445,7 +445,8 @@ def prune_model(
     calib,
     sched: PruneSchedule,
     config: PruneConfig = PruneConfig(),
-    out=None,
+    *,
+    out,
 ):
     """Prune every layer at its scheduled ratio.
 
@@ -472,22 +473,17 @@ def prune_model(
     and joined before this returns or raises. ``tracemalloc`` sees only
     this process's allocations, not the worker's.
 
-    Returns ``(pruned_tensors, pruned_manifest, report)``: float64 matrices
-    in the order of ``tensors``, which is left as it was, and shares no
-    memory with them. A pruned ``wo`` or ``w_down`` is copied when its
-    sublayer prunes, and its coupled rows are sliced then. When its FFN is
-    done, a layer's tensors are handed off; a tensor that belongs to no
-    layer is handed off first.
+    Every pruned shape follows from the schedule, so a ``TensorFileWriter``
+    header for the path ``out`` is written before pruning starts. Tensors
+    that belong to no layer are written first; each layer's tensors are
+    written and dropped when its FFN is done. Besides the caller's tensors
+    and the calibration set, this process holds one layer's pruned tensors
+    and working state at a time. ``tensors`` is left as it was. If pruning
+    fails, ``out`` is left as it was.
 
-    With ``out=None`` they are handed to the returned dict, and a tensor that
-    no sublayer changed is copied then. With ``out``, a path, every pruned
-    shape follows from the schedule, so a ``TensorFileWriter`` header is
-    written before pruning starts; each tensor handed off is written and
-    dropped, and ``out`` is replaced by the finished file at the end. Besides
-    the caller's tensors and the calibration set, this process then holds
-    one layer's pruned tensors and working state at a time, and the
-    returned tensors are views of a private copy-on-write map of ``out``, as
-    ``read_tensor_file``'s are. If pruning fails, ``out`` is left as it was.
+    Returns ``(pruned_tensors, pruned_manifest, report)``. The pruned
+    tensors are float64 views of a private copy-on-write map of the finished
+    ``out``, in the order of ``tensors``, as ``read_tensor_file``'s are.
     """
     validate_manifest(manifest, tensors)
     if sched.n_layers != manifest.n_layers:
@@ -512,7 +508,6 @@ def prune_model(
             shapes[anchor] = (rows, width - removed)
             for name in coupled:
                 shapes[name] = (width - removed, shapes[name][1])
-    pruned = dict.fromkeys(tensors)  # the returned dict, in the caller's order
     new_entries = []
     report = PruneReport(
         variant=sched.variant,
@@ -521,21 +516,12 @@ def prune_model(
     )
 
     with contextlib.ExitStack() as stack:
-        writer = None if out is None else stack.enter_context(
+        writer = stack.enter_context(
             TensorFileWriter(out, {name: (np.float64, shape) for name, shape in shapes.items()}))
-
-        def hand_off(layer: dict) -> None:
-            """Write or return each tensor of ``layer``, emptying it."""
-            while layer:
-                name, arr = layer.popitem()
-                if writer is not None:
-                    writer.put(name, arr)
-                else:  # copy what is still the caller's; upcast float32 slices
-                    pruned[name] = (np.array(arr, dtype=np.float64) if arr is tensors[name]
-                                    else np.asarray(arr, dtype=np.float64))
-
         in_layers = {name for entry in manifest.layers for name in entry.tensor_names()}
-        hand_off({name: arr for name, arr in tensors.items() if name not in in_layers})
+        for name, arr in tensors.items():
+            if name not in in_layers:
+                writer.put(name, arr)
         worker = None
         for idx, entry in enumerate(manifest.layers):
             ratio = float(sched.ratios[idx])
@@ -575,7 +561,8 @@ def prune_model(
                 except (NotSpdError, np.linalg.LinAlgError) as exc:
                     raise NotSpdError(f"pruning failed at layer {idx} ({sublayer}): {exc}") from exc
                 kept.append(np.arange(live.size)[cols])
-            hand_off(layer)
+            while layer:
+                writer.put(*layer.popitem())
             # the reference batches are dropped as soon as they are compared
             ref = cur if worker is None else worker.layer_output(idx)
             sq_error = float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref)))
@@ -592,8 +579,7 @@ def prune_model(
             )
             new_entries.append(replace(entry, n_head=len(row.kept_heads)))
             report.layers.append(row)
-        if writer is not None:
-            pruned = writer.close()
+        pruned = writer.close()
 
     pruned_manifest = ModelManifest(layers=new_entries)
     validate_manifest(pruned_manifest, pruned)

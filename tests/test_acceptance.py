@@ -220,7 +220,7 @@ def test_c06_grouped_cholesky_estimation_value():
     )
 
 
-def test_c07_error_accumulation():
+def test_c07_error_accumulation(tmp_path):
     t0 = time.monotonic()
     config = PruneConfig(group_start=16, group_min=2)
     curves = {}
@@ -230,7 +230,8 @@ def test_c07_error_accumulation():
             tensors, manifest, calib = gen_toy(ToyModelSpec(seed=seed))
             ratios = (pct / 100.0,) + (0.0,) * 7
             sched = PruneSchedule(ratios=ratios, variant="custom")
-            _, _, rep = prune_model(tensors, manifest, calib, sched, config)
+            _, _, rep = prune_model(tensors, manifest, calib, sched, config,
+                                    out=tmp_path / "model.obt")
             per_seed.append([row.output_sq_error for row in rep.layers])
         curves[pct] = np.mean(np.array(per_seed), axis=0)
     pairs_ok = pairs_total = 0
@@ -253,7 +254,7 @@ def test_c07_error_accumulation():
     )
 
 
-def test_c08_schedule_ordering():
+def test_c08_schedule_ordering(tmp_path):
     config = PruneConfig(group_start=16, group_min=2)
     finals = {v: [] for v in
               ("log_increase", "linear_increase", "uniform",
@@ -272,7 +273,8 @@ def test_c08_schedule_ordering():
                                               rn=lin_inc.ratios[0]),
         }
         for name, sched in scheds.items():
-            _, _, rep = prune_model(tensors, manifest, calib, sched, config)
+            _, _, rep = prune_model(tensors, manifest, calib, sched, config,
+                                    out=tmp_path / "model.obt")
             finals[name].append(rep.layers[-1].output_sq_error)
 
     means = {k: float(np.mean(v)) for k, v in finals.items()}

@@ -206,10 +206,11 @@ class TestMaskedVsSliced:
         x = calib[0]
         assert np.array_equal(forward_layer(lw_masked, x), forward_layer(lw_sliced, x))
 
-    def test_model_level_after_real_prune(self):
+    def test_model_level_after_real_prune(self, tmp_path):
         tensors, manifest, calib = gen_toy(TOY)
         sched = custom_schedule([0.5, 0.25, 0.5])
-        pruned, pmanifest, report = prune_model(tensors, manifest, calib, sched, CONFIG)
+        pruned, pmanifest, report = prune_model(tensors, manifest, calib, sched, CONFIG,
+                                                out=tmp_path / "model.obt")
         # rebuild the zero-masked model from the report's kept masks
         masked = {k: v.copy() for k, v in tensors.items()}
         for idx, row in enumerate(report.layers):
@@ -242,16 +243,17 @@ class TestMaskedVsSliced:
 
 
 class TestPruneModel:
-    def test_zero_ratios_bit_identical(self):
+    def test_zero_ratios_bit_identical(self, tmp_path):
         tensors, manifest, calib = gen_toy(TOY)
         sched = build_schedule(3, "uniform", global_target=0.0)
-        pruned, pmanifest, report = prune_model(tensors, manifest, calib, sched, CONFIG)
+        pruned, pmanifest, report = prune_model(tensors, manifest, calib, sched, CONFIG,
+                                                out=tmp_path / "model.obt")
         assert all(np.array_equal(pruned[k], tensors[k]) for k in tensors)
         assert pmanifest == manifest
         assert all(r.output_sq_error == 0.0 for r in report.layers)
         assert all(r.sum_step_error == 0.0 for r in report.layers)
 
-    def test_single_layer_head_only_output_error_oracle(self):
+    def test_single_layer_head_only_output_error_oracle(self, tmp_path):
         # d_ff = 1 so no channel is ever pruned; FFN weights zeroed so the
         # block is attention-only and the output error is exactly the
         # projection residual ||W X - W_hat X_kept||^2
@@ -262,7 +264,8 @@ class TestPruneModel:
         for nm in ("w_up", "w_gate", "w_down"):
             tensors[names[nm]] = np.zeros_like(tensors[names[nm]])
         sched = custom_schedule([0.5])
-        pruned, _, report = prune_model(tensors, manifest, calib, sched, CONFIG)
+        pruned, _, report = prune_model(tensors, manifest, calib, sched, CONFIG,
+                                        out=tmp_path / "model.obt")
         row = report.layers[0]
         assert row.heads_removed == 2
         assert row.channels_removed == 0
@@ -279,30 +282,31 @@ class TestPruneModel:
             expect += ((w_orig @ feats - w_hat @ feats[kept_cols]) ** 2).sum()
         assert abs(row.output_sq_error - expect) < 1e-9 * max(1.0, expect)
 
-    def test_determinism(self):
+    def test_determinism(self, tmp_path):
         tensors, manifest, calib = gen_toy(TOY)
         sched = build_schedule(3, "log_increase", r0=0.2, global_target=0.4)
-        out1 = prune_model(tensors, manifest, calib, sched, CONFIG)
-        out2 = prune_model(tensors, manifest, calib, sched, CONFIG)
+        out1 = prune_model(tensors, manifest, calib, sched, CONFIG, out=tmp_path / "1.obt")
+        out2 = prune_model(tensors, manifest, calib, sched, CONFIG, out=tmp_path / "2.obt")
         assert all(np.array_equal(out1[0][k], out2[0][k]) for k in out1[0])
         assert out1[1] == out2[1]
         assert out1[2].to_json() == out2[2].to_json()
 
-    def test_every_layer_matches_least_squares_oracle(self):
-        self.check_every_layer_matches_least_squares_oracle(TOY)
+    def test_every_layer_matches_least_squares_oracle(self, tmp_path):
+        self.check_every_layer_matches_least_squares_oracle(TOY, tmp_path / "model.obt")
 
-    def test_every_layer_matches_least_squares_oracle_multi_tile(self):
+    def test_every_layer_matches_least_squares_oracle_multi_tile(self, tmp_path):
         # 150 tokens: three attention tiles, the last one partial
-        self.check_every_layer_matches_least_squares_oracle(replace(TOY, tokens_per_batch=150))
+        self.check_every_layer_matches_least_squares_oracle(replace(TOY, tokens_per_batch=150),
+                                                            tmp_path / "model.obt")
 
     @staticmethod
-    def check_every_layer_matches_least_squares_oracle(spec):
+    def check_every_layer_matches_least_squares_oracle(spec, out):
         # Hessians rebuilt from public forward_layer(collect=True) by the
         # documented rule: the stream through the pruned prefix, with the
         # FFN features taken after the layer's own head pruning
         tensors, manifest, calib = gen_toy(spec)
         pruned, pmanifest, report = prune_model(
-            tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG)
+            tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG, out=out)
 
         def hessian(feats):
             acc = HessianAccumulator(feats[0].shape[0])
@@ -340,7 +344,7 @@ class TestPruneModel:
             assert abs(row.output_sq_error - err) <= 1e-9 * err
             cur = [forward_layer(new, x) for x in cur]
 
-    def test_attention_and_ffn_passes_per_layer(self, monkeypatch):
+    def test_attention_and_ffn_passes_per_layer(self, monkeypatch, tmp_path):
         # Per-layer counts come from pruning the 1-, 2- and 3-layer prefixes.
         # Layer 0 removes nothing, so the pruned and the original stream are
         # still the same arrays and each sublayer runs once per batch. Layer 1
@@ -362,13 +366,13 @@ class TestPruneModel:
             for count in calls.values():
                 count.value = 0
             prune_model(tensors, ModelManifest(layers=manifest.layers[:n]),
-                        calib, custom_schedule(ratios[:n]), CONFIG)
+                        calib, custom_schedule(ratios[:n]), CONFIG, out=tmp_path / "model.obt")
             now = tuple(count.value for count in calls.values())
             per_batch = tuple((a - b) / len(calib) for a, b in zip(now, before))
             assert per_batch == expect[n - 1], (n - 1, per_batch)
             before = now
 
-    def test_original_weights_projected_once_per_batch(self, monkeypatch):
+    def test_original_weights_projected_once_per_batch(self, monkeypatch, tmp_path):
         # Layer 0 removes nothing; layer 1 removes heads, which splits the
         # streams, and then channels; layer 2 removes both. Every original
         # wo / w_down is multiplied once per batch, by the reference stream's
@@ -389,16 +393,17 @@ class TestPruneModel:
             return wrapped
 
         monkeypatch.setattr(pipeline, "_projection", counted)
-        prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+        prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG,
+                    out=tmp_path / "model.obt")
         assert {key: count.value for key, count in calls.items()} == {
             **{n: len(calib) for n in names.values()}, "pruned": 4 * len(calib)}
 
-    def test_refresh_modes_agree_end_to_end(self, monkeypatch):
+    def test_refresh_modes_agree_end_to_end(self, monkeypatch, tmp_path):
         # the whole run matches one whose head pruning re-inverts every round
         # from the Hessian whose inverse the pipeline hands to prune_heads
         tensors, manifest, calib = gen_toy(TOY)
         sched = build_schedule(3, "uniform", global_target=0.5)
-        p_t, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG)
+        p_t, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG, out=tmp_path / "t.obt")
         hessians = {}
 
         def hessian_over_batches(feats, damping, w, _fn=pipeline._hessian_over_batches):
@@ -415,12 +420,12 @@ class TestPruneModel:
 
         monkeypatch.setattr(pipeline, "_hessian_over_batches", hessian_over_batches)
         monkeypatch.setattr(pipeline, "prune_heads", prune_heads)
-        p_r, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG)
+        p_r, _, _ = prune_model(tensors, manifest, calib, sched, CONFIG, out=tmp_path / "r.obt")
         assert hessians
         for k in p_t:
             assert np.abs(p_t[k] - p_r[k]).max() < 1e-6
 
-    def test_failure_names_layer(self):
+    def test_failure_names_layer(self, tmp_path):
         # 8 tokens for 16 attention features: rank-deficient, but no feature
         # is dead, so undamped Cholesky fails
         tensors, manifest, calib = gen_toy(TOY)
@@ -428,10 +433,10 @@ class TestPruneModel:
         sched = build_schedule(3, "uniform", global_target=0.5)
         cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
         with pytest.raises(NotSpdError, match="layer 0"):
-            prune_model(tensors, manifest, calib, sched, cfg)
+            prune_model(tensors, manifest, calib, sched, cfg, out=tmp_path / "model.obt")
 
     @pytest.mark.parametrize("ratio, sublayer", [(0.5, "attention"), (0.1, "FFN")])
-    def test_failure_names_sublayer(self, ratio, sublayer):
+    def test_failure_names_sublayer(self, ratio, sublayer, tmp_path):
         # 8 tokens leave both undamped Hessians (16 and 24 features)
         # rank-deficient; ratio 0.1 removes 0 of 4 heads but 2 of 24
         # channels, so only the FFN Hessian is built
@@ -439,30 +444,33 @@ class TestPruneModel:
         cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
         sched = custom_schedule([ratio, 0.0, 0.0])
         with pytest.raises(NotSpdError, match=rf"^pruning failed at layer 0 \({sublayer}\): "):
-            prune_model(tensors, manifest, [calib[0][:, :8]], sched, cfg)
+            prune_model(tensors, manifest, [calib[0][:, :8]], sched, cfg,
+                        out=tmp_path / "model.obt")
 
-    def test_overflowing_features_name_layer_and_sublayer(self):
+    def test_overflowing_features_name_layer_and_sublayer(self, tmp_path):
         # layer 1's values are finite but their squares overflow, so its
         # attention Hessian sum holds inf
         tensors, manifest, calib = gen_toy(replace(TOY, n_layers=2))
         tensors["layers.1.attn.wv"] *= 1e160
         with pytest.raises(NotSpdError, match=r"^pruning failed at layer 1 \(attention\): "
                            r"singular Hessian: matrix contains non-finite entries$"):
-            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5]), CONFIG)
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5]), CONFIG,
+                        out=tmp_path / "model.obt")
 
-    def test_empty_calibration_list_raises(self):
+    def test_empty_calibration_list_raises(self, tmp_path):
         tensors, manifest, _ = gen_toy(TOY)
         with pytest.raises(ValueError, match="^need at least one calibration batch$"):
-            prune_model(tensors, manifest, [], custom_schedule([0.5] * 3), CONFIG)
+            prune_model(tensors, manifest, [], custom_schedule([0.5] * 3), CONFIG,
+                        out=tmp_path / "model.obt")
 
-    def test_calibration_rows_not_d_model_raise(self):
+    def test_calibration_rows_not_d_model_raise(self, tmp_path):
         tensors, manifest, calib = gen_toy(TOY)
         with pytest.raises(ValueError, match="^calibration activations do not match d_model "
                                              "of layer 0$"):
             prune_model(tensors, manifest, [x[:-1] for x in calib],
-                        custom_schedule([0.5] * 3), CONFIG)
+                        custom_schedule([0.5] * 3), CONFIG, out=tmp_path / "model.obt")
 
-    def test_one_factorization_per_hessian(self, monkeypatch):
+    def test_one_factorization_per_hessian(self, monkeypatch, tmp_path):
         # HessianAccumulator.inverse factors each full Hessian once, in its
         # own buffer, as its positive-definiteness check, and inverts from
         # that factor; no SpdMatrix is built on the way. Head blocks (4) and
@@ -483,11 +491,12 @@ class TestPruneModel:
                             counting(HessianAccumulator.inverse, "hessian"))
         monkeypatch.setattr(SpdMatrix, "__init__", counting(SpdMatrix.__init__, "spd_init"))
         tensors, manifest, calib = gen_toy(TOY)
-        prune_model(tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG)
+        prune_model(tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG,
+                    out=tmp_path / "model.obt")
         assert counts == {"hessian": 6, "factor": 6}
         assert counts["spd_init"] == 0
 
-    def test_dead_channel_matches_oracle_on_live_subspace(self):
+    def test_dead_channel_matches_oracle_on_live_subspace(self, tmp_path):
         # Channel 5 of layer 1 never fires (its w_up row is zero), so at
         # damping 0 its Hessian row and column are zero. It is removed at no
         # cost, and the kept channels get the least-squares weights of the
@@ -497,7 +506,7 @@ class TestPruneModel:
         tensors["layers.1.ffn.w_up"][5] = 0.0
         cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
         pruned, pmanifest, report = prune_model(
-            tensors, manifest, calib, custom_schedule([0.0, 0.25]), cfg)
+            tensors, manifest, calib, custom_schedule([0.0, 0.25]), cfg, out=tmp_path / "model.obt")
         row = report.layers[1]
         assert row.channels_removed == 16 and 5 not in row.kept_channels
         orig = LayerWeights.from_tensors(manifest.layers[1], tensors)
@@ -514,7 +523,7 @@ class TestPruneModel:
             orig.w_down[:, live], h_live, np.searchsorted(live, row.kept_channels))
         assert np.linalg.norm(new.w_down - want) <= 1e-8 * np.linalg.norm(want)
 
-    def test_leaves_its_input_alone(self):
+    def test_leaves_its_input_alone(self, tmp_path):
         # layer 0 removes nothing, so its tensors come back unsliced; layer 1
         # has a dead FFN channel at damping 0, whose w_down column the
         # dead-feature rule zeroes in place; "embed" belongs to no layer and
@@ -525,7 +534,8 @@ class TestPruneModel:
         before = {name: arr.copy() for name, arr in tensors.items()}
         calib_before = [x.copy() for x in calib]
         cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
-        pruned, _, report = prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.25]), cfg)
+        pruned, _, report = prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.25]), cfg,
+                                        out=tmp_path / "model.obt")
         assert report.layers[0].channels_removed == 0 and 5 not in report.layers[1].kept_channels
         assert list(pruned) == list(tensors)
         for name, arr in tensors.items():
@@ -534,7 +544,7 @@ class TestPruneModel:
             assert not np.shares_memory(pruned[name], arr), name
         assert all(x.tobytes() == y.tobytes() for x, y in zip(calib, calib_before))
 
-    def test_read_only_inputs_prune_the_same(self):
+    def test_read_only_inputs_prune_the_same(self, tmp_path):
         # read_tensor_file's arrays map the file copy-on-write, and a write
         # into one would make private pages that tracemalloc cannot see;
         # read-only inputs make any such write raise. Layer 1 has a dead FFN
@@ -545,10 +555,10 @@ class TestPruneModel:
         cfg = PruneConfig(damping=0.0, group_start=8, group_min=2)
         sched = custom_schedule([0.0, 0.25, 0.5])
         want = prune_model({name: arr.copy() for name, arr in tensors.items()}, manifest,
-                           [x.copy() for x in calib], sched, cfg)
+                           [x.copy() for x in calib], sched, cfg, out=tmp_path / "want.obt")
         for arr in (*tensors.values(), *calib):
             arr.setflags(write=False)
-        got = prune_model(tensors, manifest, calib, sched, cfg)
+        got = prune_model(tensors, manifest, calib, sched, cfg, out=tmp_path / "got.obt")
         assert sum(row.heads_removed for row in got[2].layers) > 0
         assert 5 not in got[2].layers[1].kept_channels
         assert list(got[0]) == list(want[0])
@@ -584,28 +594,29 @@ class TestPruneModel:
         assert not w[:, 2].any()
         assert np.array_equal(np.delete(w, 2, axis=1), np.delete(w0, 2, axis=1))
 
-    def test_schedule_length_mismatch(self):
+    def test_schedule_length_mismatch(self, tmp_path):
         tensors, manifest, calib = gen_toy(TOY)
         with pytest.raises(ValueError, match="layers"):
-            prune_model(tensors, manifest, calib, custom_schedule([0.5]), CONFIG)
+            prune_model(tensors, manifest, calib, custom_schedule([0.5]), CONFIG,
+                        out=tmp_path / "model.obt")
 
 
 class TestReports:
-    def run_once(self):
+    def run_once(self, out):
         tensors, manifest, calib = gen_toy(TOY)
         sched = build_schedule(3, "log_increase", r0=0.2, global_target=0.4)
-        return prune_model(tensors, manifest, calib, sched, CONFIG)
+        return prune_model(tensors, manifest, calib, sched, CONFIG, out=out)
 
     def test_round_trip(self, tmp_path):
-        _, _, report = self.run_once()
+        _, _, report = self.run_once(tmp_path / "model.obt")
         path = tmp_path / "report.json"
         report.save(path)
         back = PruneReport.load(path)
         assert back.to_json() == report.to_json()
         assert "wall_clock_s" not in json.loads(report.to_json())  # timing is not persisted
 
-    def test_json_key_order(self):
-        data = json.loads(self.run_once()[2].to_json())
+    def test_json_key_order(self, tmp_path):
+        data = json.loads(self.run_once(tmp_path / "model.obt")[2].to_json())
         assert list(data) == ["variant", "ratios", "config", "layers"]
         assert list(data["layers"][0]) == [
             "layer", "ratio", "heads_removed", "channels_removed", "sum_step_error",
@@ -613,30 +624,30 @@ class TestReports:
 
     @pytest.mark.parametrize("field", ["kept_heads", "kept_channels"])
     @pytest.mark.parametrize("units", [["x"], [None], [True], [1.0]])
-    def test_kept_units_must_be_json_integers(self, field, units):
-        row = json.loads(self.run_once()[2].to_json())["layers"][1]
+    def test_kept_units_must_be_json_integers(self, field, units, tmp_path):
+        row = json.loads(self.run_once(tmp_path / "model.obt")[2].to_json())["layers"][1]
         LayerReport.from_dict(row)
         with pytest.raises(ObslimError, match=field):
             LayerReport.from_dict({**row, field: row[field][:-1] + units})
 
-    def test_csv_columns(self):
-        _, _, report = self.run_once()
+    def test_csv_columns(self, tmp_path):
+        _, _, report = self.run_once(tmp_path / "model.obt")
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == ("layer,ratio,heads_removed,channels_removed,"
                             "sum_step_error,output_sq_error")
         assert len(lines) == 1 + 3
 
-    def test_verify_clean(self):
-        _, pmanifest, report = self.run_once()
+    def test_verify_clean(self, tmp_path):
+        _, pmanifest, report = self.run_once(tmp_path / "model.obt")
         assert verify_report(report) == []
         assert verify_report(report, pmanifest) == []
 
-    def test_verify_flags_problems(self):
-        _, pmanifest, report = self.run_once()
+    def test_verify_flags_problems(self, tmp_path):
+        _, pmanifest, report = self.run_once(tmp_path / "1.obt")
         report.layers[1].output_sq_error = -1.0
         problems = verify_report(report, pmanifest)
         assert any("output_sq_error" in p for p in problems)
-        report2 = self.run_once()[2]
+        report2 = self.run_once(tmp_path / "2.obt")[2]
         report2.ratios[0] = 0.9  # no longer follows the variant formula
         assert any("variant" in p for p in verify_report(report2))
 
@@ -658,33 +669,36 @@ def spy_workers(monkeypatch) -> list:
 class TestReferenceWorker:
     """The original model's stream runs in one forked worker, which ends with ``prune_model``."""
 
-    def test_success_leaves_no_process(self, monkeypatch):
+    def test_success_leaves_no_process(self, monkeypatch, tmp_path):
         procs = spy_workers(monkeypatch)
         tensors, manifest, calib = gen_toy(TOY)
         _, _, report = prune_model(tensors, manifest, calib,
-                                   custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+                                   custom_schedule([0.0, 0.5, 0.5]), CONFIG,
+                                   out=tmp_path / "model.obt")
         assert len(procs) == 1 and procs[0].exitcode is not None
         assert multiprocessing.active_children() == []
         assert report.layers[0].output_sq_error == 0.0 < report.layers[1].output_sq_error
 
-    def test_no_worker_while_nothing_is_removed(self, monkeypatch):
+    def test_no_worker_while_nothing_is_removed(self, monkeypatch, tmp_path):
         procs = spy_workers(monkeypatch)
         tensors, manifest, calib = gen_toy(TOY)
-        _, _, report = prune_model(tensors, manifest, calib, custom_schedule([0.0] * 3), CONFIG)
+        _, _, report = prune_model(tensors, manifest, calib, custom_schedule([0.0] * 3), CONFIG,
+                                   out=tmp_path / "model.obt")
         assert procs == []
         assert [row.output_sq_error for row in report.layers] == [0.0] * 3
 
-    def test_failure_after_the_split_leaves_no_process(self, monkeypatch):
+    def test_failure_after_the_split_leaves_no_process(self, monkeypatch, tmp_path):
         # layer 1 splits the streams; layer 2's attention Hessian overflows
         procs = spy_workers(monkeypatch)
         tensors, manifest, calib = gen_toy(TOY)
         tensors["layers.2.attn.wv"] = tensors["layers.2.attn.wv"] * 1e160
         with pytest.raises(NotSpdError, match=r"^pruning failed at layer 2 \(attention\): "):
-            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG,
+                        out=tmp_path / "model.obt")
         assert len(procs) == 1 and procs[0].exitcode is not None
         assert multiprocessing.active_children() == []
 
-    def test_worker_exception_is_raised_by_prune_model(self, monkeypatch):
+    def test_worker_exception_is_raised_by_prune_model(self, monkeypatch, tmp_path):
         class ArrayMemoryError(MemoryError):
             # like numpy's: its message is built from arguments a pickle drops
             def __init__(self, shape):
@@ -701,13 +715,15 @@ class TestReferenceWorker:
         tensors, manifest, calib = gen_toy(TOY)
         with pytest.raises(MemoryError, match=r"^Unable to allocate an array with shape "
                                               r"\(1048576, 1048576\)$"):
-            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG,
+                        out=tmp_path / "model.obt")
         assert multiprocessing.active_children() == []
 
-    def test_worker_death_names_the_layer(self, monkeypatch):
+    def test_worker_death_names_the_layer(self, monkeypatch, tmp_path):
         ffn_in_worker(monkeypatch, lambda: os._exit(3))
         tensors, manifest, calib = gen_toy(TOY)
         with pytest.raises(ObslimError, match="^the reference stream's worker exited with "
                                               "code 3 before sending layer 1$"):
-            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG)
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG,
+                        out=tmp_path / "model.obt")
         assert multiprocessing.active_children() == []

@@ -1,0 +1,34 @@
+"""tools/same_outputs.py tells equal prune outputs from different ones."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "same_outputs.py"
+
+
+def same_outputs(parent_src, change_src):
+    return subprocess.run([sys.executable, str(TOOL), str(parent_src), str(change_src),
+                           "--workloads", "ffn_wide", "--seeds", "404"],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_same_source_is_the_same():
+    proc = same_outputs(ROOT / "src", ROOT / "src")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["ffn_wide seed 404: same", "1 output sets byte-identical"]
+
+
+def test_changed_damping_differs(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "obslim", src / "obslim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    config = src / "obslim" / "config.py"
+    text = config.read_text()
+    assert text.count("DEFAULT_DAMPING = 0.01\n") == 1
+    config.write_text(text.replace("DEFAULT_DAMPING = 0.01\n", "DEFAULT_DAMPING = 0.02\n"))
+    proc = same_outputs(ROOT / "src", src)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["ffn_wide seed 404: model.obt differs"]
