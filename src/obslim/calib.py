@@ -11,7 +11,6 @@ returns an ``SpdMatrix`` copy of the damped sum for the oracles.
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from .config import DEFAULT_DAMPING
 from .errors import NotSpdError
 from .linalg import SpdMatrix, _invert_lower
 
@@ -46,7 +45,7 @@ class HessianAccumulator:
         self.n_samples += x.shape[1]
         return self
 
-    def finalize(self, damping_frac: float = DEFAULT_DAMPING) -> SpdMatrix:
+    def finalize(self, damping_frac: float) -> SpdMatrix:
         """Damped Hessian ``sum + damping_frac * mean(diag(sum)) * I``, as a new matrix.
 
         ``NotSpdError`` if it has non-finite entries; ``invert_spd`` checks it is PD.
@@ -56,7 +55,7 @@ class HessianAccumulator:
         np.fill_diagonal(full, damped)
         return SpdMatrix(full)
 
-    def inverse(self, damping_frac: float = DEFAULT_DAMPING) -> np.ndarray:
+    def inverse(self, damping_frac: float) -> np.ndarray:
         """``invert_spd(self.finalize(damping_frac))``, bit for bit, in the sum's own buffer.
 
         Consumes the accumulator; ``NotSpdError`` if the damped sum is non-finite or not PD.

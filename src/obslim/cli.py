@@ -13,13 +13,13 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .config import is_finite_real
 from .errors import ObslimError
 from .pipeline import (
     PruneConfig,
     PruneReport,
     ToyModelSpec,
     gen_toy,
+    is_finite_real,
     prune_model,
     verify_report,
 )
@@ -87,15 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_dir(path) -> None:
+def _check_out_dir(path, outputs) -> None:
     if os.path.exists(path) and not os.path.isdir(path):
         raise ObslimError(f"--out {path} exists and is not a directory")
+    for name in outputs:
+        if os.path.isdir(os.path.join(path, name)):
+            raise ObslimError(f"--out {path}: {name} is a directory, not a file to replace")
 
 
 def _cmd_gen_toy(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(ToyModelSpec)}
     spec = ToyModelSpec(**{name: val for name, val in given.items() if val is not None})
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, ("model.obt", "calib.obt", "manifest.json"))
     memory = _physical_memory()
     if spec.nbytes > memory:
         raise ObslimError(f"the toy model and calibration set need {spec.nbytes / 2**30:.3g} "
@@ -188,7 +191,7 @@ def _cmd_prune(args) -> int:
         layer_param_weights=_layer_param_weights(manifest, header),
     )
     config = PruneConfig(**{f.name: settings[f.name] for f in fields(PruneConfig)})
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, ("model.obt", "manifest.json", "report.json", "report.csv"))
     _check_hessians_fit(manifest, header, sched.ratios)
     tensors = read_tensor_file(args.model)
     calib = list(read_tensor_file(args.calib).values())

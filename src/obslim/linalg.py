@@ -15,15 +15,17 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .config import TOL
 from .errors import NotSpdError
+
+# asymmetry an SpdMatrix accepts, relative to max(1, its largest |entry|)
+_MAX_ASYMMETRY = 1e-9
 
 
 class SpdMatrix:
     """A validated symmetric float64 matrix, the Hessian type of the public API.
 
     The constructor checks that its input is square and finite and that the
-    asymmetry is within ``TOL.symmetry`` relative to the largest entry, then
+    asymmetry is within ``_MAX_ASYMMETRY`` relative to the largest entry, then
     symmetrizes it as (M + M^T)/2. Positive definiteness is checked by the
     one factorization the matrix gets, in ``invert_spd``, which raises
     ``NotSpdError`` on failure.
@@ -39,10 +41,10 @@ class SpdMatrix:
             raise ValueError("matrix contains non-finite entries")
         scale = max(1.0, float(np.abs(a).max()))
         asym = float(np.abs(a - a.T).max())
-        if asym > TOL.symmetry * scale:
+        if asym > _MAX_ASYMMETRY * scale:
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {TOL.symmetry:.0e} relative tolerance"
+                f"exceeds {_MAX_ASYMMETRY:.0e} relative tolerance"
             )
         self.a = (a + a.T) / 2.0
 

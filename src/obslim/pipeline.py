@@ -14,13 +14,13 @@ import io
 import json
 import multiprocessing
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 
 from .calib import HessianAccumulator
-from .config import DEFAULT_DAMPING, is_finite_real
 from .errors import NotSpdError, ObslimError
 from .ffn_pruner import prune_channels
 from .head_pruner import prune_heads
@@ -260,11 +260,17 @@ def forward_model(tensors: dict, manifest: ModelManifest, x: np.ndarray) -> np.n
 # Pruning driver
 # ---------------------------------------------------------------------------
 
+def is_finite_real(val) -> bool:
+    """True for an int or float in float range; config values arrive untyped, bools excluded."""
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class PruneConfig:
     """Knobs of one pruning run; snapshotted verbatim into the report."""
 
-    damping: float = DEFAULT_DAMPING
+    damping: float = 0.01  # fraction of the mean Hessian diagonal added before inversion
     group_start: int = 1024
     group_min: int = 8
 

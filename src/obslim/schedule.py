@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
+# slack on the reachable range of a global target's mean ratio
+_TARGET_SLACK = 1e-6
 
 VARIANTS = (
     "log_increase",
@@ -96,7 +97,7 @@ def build_schedule(
     equal weights if None; read only here), is affine in ``rn``, so from
     its values ``m0`` at ``rn = 0`` and ``m1`` at the largest ratio below 1
     ``rn`` follows in closed form, clipped to that range. A target up to
-    ``TOL.schedule_residual`` outside ``[m0, m1]`` gets the nearer end, and
+    ``_TARGET_SLACK`` outside ``[m0, m1]`` gets the nearer end, and
     a mean that does not depend on ``rn`` (all weight on layer 0) gets
     ``rn = r0``. The uniform variant, and every variant on a 1-layer
     model, has one ratio: the target if set, else ``r0``.
@@ -135,7 +136,7 @@ def build_schedule(
         hi = math.nextafter(1.0, 0.0)
         m0, m1 = (float(np.average(_curve(n, variant, r0, end), weights=weights))
                   for end in (0.0, hi))
-        if not m0 - TOL.schedule_residual <= global_target <= m1 + TOL.schedule_residual:
+        if not m0 - _TARGET_SLACK <= global_target <= m1 + _TARGET_SLACK:
             raise ValueError(
                 f"target {global_target} unreachable: mean range [{m0:.6f}, {m1:.6f}] for r0={r0}"
             )

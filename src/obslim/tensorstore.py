@@ -371,8 +371,10 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
 
     Raises:
         ManifestError: a tensor missing or named twice, head layout not
-            matching the anchor width, or a coupled tensor whose rows
-            mismatch the anchor columns.
+            matching the anchor width, a coupled tensor whose rows mismatch
+            the anchor columns; then, as the forward pass needs, coupled
+            lists other than (q, k, v) and (up, gate), or a tensor off the
+            model width (anchor rows, coupled columns: layer 0's attn_out rows).
     """
     seen = set()
     for idx, entry in enumerate(manifest.layers):
@@ -397,4 +399,19 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
                     raise ManifestError(
                         f"layer {idx}: coupled tensor {name!r} has {rows} rows, "
                         f"anchor {anchor!r} has {cols} columns"
+                    )
+        for anchor, coupled, roles in ((entry.attn_out, entry.attn_coupled, ("q", "k", "v")),
+                                       (entry.ffn_down, entry.ffn_coupled, ("up", "gate"))):
+            if len(coupled) != len(roles):
+                raise ManifestError(f"layer {idx}: anchor {anchor!r} is coupled to {coupled}, "
+                                    f"the forward pass needs {len(roles)} ({', '.join(roles)})")
+        width = tensors[manifest.layers[0].attn_out].shape[0]
+        for axis, names in ((0, (entry.attn_out, entry.ffn_down)),
+                            (1, (*entry.attn_coupled, *entry.ffn_coupled))):
+            for name in names:
+                size = tensors[name].shape[axis]
+                if size != width:
+                    raise ManifestError(
+                        f"layer {idx}: tensor {name!r} has {size} {('rows', 'columns')[axis]}, "
+                        f"the model width (rows of layer 0's attn_out) is {width}"
                     )

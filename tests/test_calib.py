@@ -141,7 +141,7 @@ class TestFinalize:
 
     def test_empty_accumulator(self):
         with pytest.raises(ValueError, match="empty"):
-            HessianAccumulator(2).finalize()
+            HessianAccumulator(2).finalize(0.01)
 
     def test_negative_damping(self):
         acc = HessianAccumulator(2).accumulate(np.eye(2))
@@ -172,6 +172,7 @@ class TestInverse:
     def test_consumes_the_accumulator(self):
         acc = HessianAccumulator(3).accumulate(np.eye(3))
         assert np.allclose(acc.inverse(0.0), 0.5 * np.eye(3), rtol=1e-15, atol=0)
-        for call in (acc.inverse, acc.finalize, lambda: acc.accumulate(np.eye(3))):
+        for call in (lambda: acc.inverse(0.01), lambda: acc.finalize(0.01),
+                     lambda: acc.accumulate(np.eye(3))):
             with pytest.raises(ValueError, match="consumed"):
                 call()

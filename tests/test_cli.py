@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -26,6 +27,28 @@ from obslim.tensorstore import (
 )
 
 from conftest import ffn_in_worker
+
+
+GEN_TOY_OUTPUTS = ("model.obt", "calib.obt", "manifest.json")
+PRUNE_OUTPUTS = ("model.obt", "manifest.json", "report.json", "report.csv")
+
+
+def out_dir_with_directory_at(out, names, taken):
+    """Fill ``out`` with a file at each output name, but a directory at ``taken``;
+    return a snapshot of its contents."""
+    out.mkdir()
+    for name in names:
+        if name == taken:
+            (out / name).mkdir()
+            (out / name / "inner").write_text("kept")
+        else:
+            (out / name).write_text(name)
+    return snapshot(out)
+
+
+def snapshot(top):
+    return {p.relative_to(top): p.read_bytes() if p.is_file() else None
+            for p in sorted(top.rglob("*"))}
 
 
 def run(argv):
@@ -142,6 +165,16 @@ class TestGenToy:
         assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("taken", GEN_TOY_OUTPUTS)
+    def test_output_name_taken_by_a_directory_exit_2_before_generating(
+            self, tmp_path, capsys, no_generation, taken):
+        out = tmp_path / "toy"
+        before = out_dir_with_directory_at(out, GEN_TOY_OUTPUTS, taken)
+        assert run(["gen-toy", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: --out {out}: {taken} is a directory, "
+                                           f"not a file to replace\n")
+        assert snapshot(out) == before
+
     @pytest.mark.parametrize("flags, memory", [
         # the default spec's float64 arrays take 8 * (8 * (4 * 32**2 + 3 * 32 * 64)
         # + 4 * 64 * 32) = 720896 bytes
@@ -241,14 +274,23 @@ MISTYPED_MANIFESTS = {
     "layout-negative": lambda d: with_layer_1(d, head_layout=[-4, -4]),
 }
 
-# Each of these pruned once: the first two as a 3-layer model, the last
-# until slicing the tensor a second time raised an uncaught IndexError.
+# Each of these pruned once: the first two as a 3-layer model, the third
+# until slicing the tensor a second time raised an uncaught IndexError, and
+# the last two until layer 1's forward pass failed to unpack its tensors.
 INCONSISTENT_MANIFESTS = {
     "n-layers-float": (lambda d: {**d, "n_layers": 2.9}, "n_layers 2.9 is not"),
     "n-layers-string": (lambda d: {**d, "n_layers": "3"}, "n_layers '3' is not"),
     "tensor-named-twice": (
         lambda d: with_layer_1(d, attn_coupled=d["layers"][1]["attn_coupled"][:1] * 3),
         "layer 1: tensor 'layers.1.attn.wq' is named twice"),
+    "two-attn-coupled": (
+        lambda d: with_layer_1(d, attn_coupled=d["layers"][1]["attn_coupled"][:2]),
+        "layer 1: anchor 'layers.1.attn.wo' is coupled to ['layers.1.attn.wq', "
+        "'layers.1.attn.wk'], the forward pass needs 3 (q, k, v)"),
+    "one-ffn-coupled": (
+        lambda d: with_layer_1(d, ffn_coupled=d["layers"][1]["ffn_coupled"][:1]),
+        "layer 1: anchor 'layers.1.ffn.w_down' is coupled to ['layers.1.ffn.w_up'], "
+        "the forward pass needs 2 (up, gate)"),
 }
 
 
@@ -572,6 +614,32 @@ class TestPrune:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("taken", PRUNE_OUTPUTS)
+    def test_output_name_taken_by_a_directory_exit_2_before_reading(
+            self, toy_dir, tmp_path, capsys, no_payload_read, taken):
+        # this once pruned every layer and replaced model.obt and manifest.json
+        # before writing report.json failed
+        out = tmp_path / "out"
+        before = out_dir_with_directory_at(out, PRUNE_OUTPUTS, taken)
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.3"])) == 2
+        assert capsys.readouterr().err == (f"error: --out {out}: {taken} is a directory, "
+                                           f"not a file to replace\n")
+        assert snapshot(out) == before
+
+    def test_prune_into_its_input_directory(self, toy_dir, tmp_path):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(toy_dir, inputs)
+        fresh = tmp_path / "fresh"
+        flags = ["--global-target", "0.3"]
+        assert run(prune_args(inputs, fresh, flags)) == 0
+        assert run(prune_args(toy_dir, toy_dir, flags)) == 0
+        for name in PRUNE_OUTPUTS:
+            assert (toy_dir / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (toy_dir / "calib.obt").read_bytes() == (inputs / "calib.obt").read_bytes()
+        assert run(["verify", "--report", str(toy_dir / "report.json"),
+                    "--manifest", str(toy_dir / "manifest.json"),
+                    "--model", str(toy_dir / "model.obt")]) == 0
+
     def test_hessian_larger_than_memory_exit_2(self, toy_dir, tmp_path, capsys, monkeypatch,
                                                no_payload_read):
         # toy_dir's attention Hessians take 8 * 16**2 = 2048 bytes, its FFN ones
@@ -610,12 +678,28 @@ class TestPrune:
 
     @pytest.mark.parametrize("tamper, message", INCONSISTENT_MANIFESTS.values(),
                              ids=INCONSISTENT_MANIFESTS.keys())
-    def test_inconsistent_manifest_exit_2(self, toy_dir, tmp_path, capsys, tamper, message):
+    def test_inconsistent_manifest_exit_2(self, toy_dir, tmp_path, capsys, no_payload_read,
+                                          tamper, message):
         path = toy_dir / "manifest.json"
         path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
         assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name, cut, message", [
+        # layers 0 and 1 once pruned before numpy's matmul failed in layer 2
+        ("layers.2.attn.wq", np.s_[:, :-1], "layer 2: tensor 'layers.2.attn.wq' has 15 columns"),
+        ("layers.1.ffn.w_down", np.s_[:-1], "layer 1: tensor 'layers.1.ffn.w_down' has 15 rows"),
+    ], ids=["coupled-column-short", "anchor-row-short"])
+    def test_tensor_off_the_model_width_exit_2(self, toy_dir, tmp_path, capsys,
+                                               no_payload_read, name, cut, message):
+        tensors = read_tensor_file(toy_dir / "model.obt")
+        tensors[name] = tensors[name][cut]
+        write_tensor_file(tensors, toy_dir / "model.obt")
+        assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3"])) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {message}, the model width (rows of layer 0's attn_out) "
+                       f"is 16\n"), err
 
     @pytest.mark.parametrize("tamper", MISTYPED_HEADERS.values(), ids=MISTYPED_HEADERS.keys())
     def test_mistyped_tensor_header_exit_2(self, toy_dir, tmp_path, capsys, tamper):

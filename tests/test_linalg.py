@@ -35,6 +35,12 @@ class TestSpdMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             SpdMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
 
+    def test_symmetry_bound(self):
+        # the asymmetry bound is 1e-9 of max(1, largest |entry|): 2e-9 here
+        SpdMatrix([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            SpdMatrix([[2.0, 1.0], [1.0 + 4e-9, 2.0]])
+
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError):
             SpdMatrix(np.ones((2, 3)))

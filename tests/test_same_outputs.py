@@ -25,10 +25,10 @@ def test_changed_damping_differs(tmp_path):
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "obslim", src / "obslim",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    config = src / "obslim" / "config.py"
-    text = config.read_text()
-    assert text.count("DEFAULT_DAMPING = 0.01\n") == 1
-    config.write_text(text.replace("DEFAULT_DAMPING = 0.01\n", "DEFAULT_DAMPING = 0.02\n"))
+    pipeline = src / "obslim" / "pipeline.py"
+    text = pipeline.read_text()
+    assert text.count("    damping: float = 0.01  #") == 1
+    pipeline.write_text(text.replace("    damping: float = 0.01  #", "    damping: float = 0.02  #"))
     proc = same_outputs(ROOT / "src", src)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["ffn_wide seed 404: model.obt differs"]

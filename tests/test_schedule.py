@@ -5,6 +5,8 @@ ratio of a curve is ``curve(n, r0, rn, variant)[i]``, and the ``rn`` solved
 for a target is ``solved_rn(...)``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,14 @@ class TestSolveLastRatio:
             assert solved_rn(0.2 + 5e-7, 0.2, weights, variant) == 0.2
             with pytest.raises(ValueError, match="unreachable"):
                 solved_rn(0.3, 0.2, weights, variant)
+
+    def test_target_slack_above_the_reachable_range(self):
+        # a target up to 1e-6 above the mean at the largest rn below 1 gets that rn
+        top = math.nextafter(1.0, 0.0)
+        m1 = float(np.mean(curve(6, 0.1, top, "log_increase")))
+        assert solved_rn(m1 + 5e-7, 0.1, np.ones(6), "log_increase") == top
+        with pytest.raises(ValueError, match="unreachable"):
+            solved_rn(m1 + 2e-6, 0.1, np.ones(6), "log_increase")
 
     def test_bad_weights(self):
         with pytest.raises(ValueError):
