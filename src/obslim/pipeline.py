@@ -385,12 +385,11 @@ def _run_reference(conn, tensors, layers, start, xs, feats):
     only its projection. Each later sublayer makes its own pass. Every step
     uses the original ``wo`` or ``w_down``. After each layer its output
     batches go to ``conn``; an exception goes there instead and ends the
-    stream. Floating-point warnings are off: the worker runs ahead of the
-    pruning process, which may fail at a layer the worker has passed, and a
-    non-finite reference shows in ``output_sq_error``.
+    stream. It inherits ``prune_model``'s floating-point policy and warns of
+    nothing: it may pass a layer at which the pruning process then fails,
+    and ``prune_model`` refuses a non-finite reference by the layer's name.
     """
     try:
-        np.seterr(all="ignore")
         for s in range(start, 2 * len(layers)):
             lw = LayerWeights.from_tensors(layers[s // 2], tensors)
             fn, w = (_ffn, lw.w_down) if s % 2 else (_attention, lw.wo)
@@ -485,7 +484,9 @@ def prune_model(
     written and dropped when its FFN is done. Besides the caller's tensors
     and the calibration set, this process holds one layer's pruned tensors
     and working state at a time. ``tensors`` is left as it was. If pruning
-    fails, ``out`` is left as it was.
+    fails, ``out`` is left as it was. Floating-point warnings are off, here
+    and in the worker: a non-finite value in a Hessian, its inverse or a
+    layer's errors raises an error that names the layer instead.
 
     Returns ``(pruned_tensors, pruned_manifest, report)``. The pruned
     tensors are float64 views of a private copy-on-write map of the finished
@@ -501,6 +502,9 @@ def prune_model(
     cur = [np.asarray(x, dtype=np.float64) for x in calib]
     if not any(x.size for x in cur):
         raise ValueError(f"the calibration set has no tokens: all {len(cur)} batches are empty")
+    d_model = tensors[manifest.layers[0].attn_out].shape[0]  # every layer's, by validate_manifest
+    if any(x.ndim != 2 or x.shape[0] != d_model for x in cur):  # and each layer keeps its shape
+        raise ValueError("calibration activations do not match d_model of layer 0")
 
     counts = [(counts_from_ratio(float(r), e.n_head),
                counts_from_ratio(float(r), tensors[e.ffn_down].shape[1]))
@@ -521,7 +525,7 @@ def prune_model(
         config=asdict(config),
     )
 
-    with contextlib.ExitStack() as stack:
+    with np.errstate(all="ignore"), contextlib.ExitStack() as stack:
         writer = stack.enter_context(
             TensorFileWriter(out, {name: (np.float64, shape) for name, shape in shapes.items()}))
         in_layers = {name for entry in manifest.layers for name in entry.tensor_names()}
@@ -532,8 +536,6 @@ def prune_model(
         for idx, entry in enumerate(manifest.layers):
             ratio = float(sched.ratios[idx])
             lw = LayerWeights.from_tensors(entry, tensors)
-            if any(x.ndim != 2 or x.shape[0] != lw.wo.shape[0] for x in cur):
-                raise ValueError(f"calibration activations do not match d_model of layer {idx}")
             n_heads, n_channels = counts[idx]
             layer = {name: tensors[name] for name in entry.tensor_names()}
             kept, paid = [], []
@@ -564,7 +566,7 @@ def prune_model(
                     step = _projection(w)
                     feats.reverse()  # each batch's features are freed once it is projected
                     cur = [step(x, feats.pop()[cols]) for x in cur]
-                except (NotSpdError, np.linalg.LinAlgError) as exc:
+                except (NotSpdError, np.linalg.LinAlgError, ValueError) as exc:
                     raise NotSpdError(f"pruning failed at layer {idx} ({sublayer}): {exc}") from exc
                 kept.append(np.arange(live.size)[cols])
             while layer:
@@ -573,6 +575,8 @@ def prune_model(
             ref = cur if worker is None else worker.layer_output(idx)
             sq_error = float(sum(((a - b) ** 2).sum() for a, b in zip(cur, ref)))
             del ref
+            if not np.isfinite([sq_error, sum(paid, 0.0)]).all():
+                raise ObslimError(f"pruning failed at layer {idx}: its output error is not finite")
             row = LayerReport(
                 layer=idx,
                 ratio=ratio,

@@ -5,21 +5,44 @@ unevenly important heads/channels and Hessians built from correlated
 calibration features (finite sample counts, so off-diagonal structure is
 always present). ``brute_force_best_columns`` is the exhaustive-search
 oracle for column selection. The ``deadline`` fixture and ``ffn_in_worker``
-serve the tests of the forked reference worker.
+serve the tests of the forked reference worker. ``SRC`` is the tree under
+test, and ``NON_FINITE`` the weights that make pruning meet non-finite values.
 """
 
 import math
 import os
 import signal
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import obslim
 from obslim import pipeline
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import PruneResult, block_errors, least_squares_oracle, mask_residual
+
+# The directory that holds the obslim this run imported, which PYTHONPATH
+# picks; every test that starts obslim in a new process or copies it uses it.
+SRC = Path(obslim.__file__).resolve().parent.parent
+
+# Tensors of a gen-toy seed 1 model (3 layers, d_model 16, 4 heads, d_ff 24,
+# 2 batches of 24 tokens), a scale for them, and the one error pruning must
+# raise: (a) an attention Hessian's inverse overflows; (b) a pruned FFN's
+# features overflow; (c) and (d) those of an FFN that removes nothing do,
+# so only the layer's output error sees them.
+NON_FINITE = {
+    "a": (("layers.1.attn.wv",), 1e-159,
+          "pruning failed at layer 1 (attention): inverse has non-finite entries"),
+    "b": (("layers.1.ffn.w_up", "layers.1.ffn.w_gate"), 1e200,
+          "pruning failed at layer 1 (FFN): non-finite values in calibration batch"),
+    "c": (("layers.2.ffn.w_up", "layers.2.ffn.w_gate"), 1e200,
+          "pruning failed at layer 2: its output error is not finite"),
+    "d": (("layers.0.ffn.w_up", "layers.0.ffn.w_gate"), 1e200,
+          "pruning failed at layer 0: its output error is not finite"),
+}
 
 
 def dense_causal_attention(lw, x):

@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import obslim
 from obslim import cli, pipeline
 from obslim.cli import main
 from obslim.pipeline import PruneReport, ToyModelSpec, gen_toy
@@ -26,7 +25,7 @@ from obslim.tensorstore import (
     write_tensor_file,
 )
 
-from conftest import ffn_in_worker
+from conftest import NON_FINITE, SRC, ffn_in_worker
 
 
 GEN_TOY_OUTPUTS = ("model.obt", "calib.obt", "manifest.json")
@@ -60,9 +59,8 @@ def run(argv):
 
 def run_module(argv, env=(), **kwargs):
     """``python -m obslim ARGV`` in a new process, from the source tree alone."""
-    src = os.path.dirname(os.path.dirname(obslim.__file__))
     return subprocess.run([sys.executable, "-m", "obslim", *argv],
-                          env={**os.environ, "PYTHONPATH": src, **dict(env)},
+                          env={**os.environ, "PYTHONPATH": str(SRC), **dict(env)},
                           capture_output=True, text=True, timeout=120, **kwargs)
 
 
@@ -505,6 +503,25 @@ class TestPrune:
         assert proc.returncode == 2
         assert proc.stderr == ("error: pruning failed at layer 1 (attention): "
                                "singular Hessian: matrix contains non-finite entries\n")
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_values_print_one_line(self, tmp_path, case):
+        # in a separate process, where a numpy warning would print, and whose
+        # stderr the reference worker shares
+        scaled, scale, message = NON_FINITE[case]
+        flags = (["--variant", "log-dec", "--ratio-first", "0.5", "--ratio-last", "0.0"]
+                 if case == "c" else ["--global-target", "0.4"])  # c prunes no layer 2
+        toy = tmp_path / "toy"
+        assert run(["gen-toy", "--out", str(toy), "--seed", "1", "--layers", "3",
+                    "--d-model", "16", "--heads", "4", "--d-ff", "24",
+                    "--batches", "2", "--tokens", "24"]) == 0
+        tensors = read_tensor_file(toy / "model.obt")
+        for name in scaled:
+            tensors[name] *= scale
+        write_tensor_file(tensors, toy / "model.obt")
+        proc = run_module(prune_args(toy, tmp_path / "out", flags))
+        assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.usefixtures("deadline")
     def test_prune_in_a_daemonic_process(self, toy_dir, tmp_path):

@@ -9,13 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SRC
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
 
 
 def source_env(tmp):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp)}
 
 

@@ -27,6 +27,8 @@ from obslim import cli
 from obslim.pipeline import PruneReport
 from obslim.tensorstore import read_tensor_file, write_tensor_file
 
+from conftest import SRC
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -95,7 +97,7 @@ def test_benchmark_runs_end_to_end(tmp_path, trace):
     # run from a copy, so the harness's perfbench/_work/ stays out of the checkout
     skip = shutil.ignore_patterns("__pycache__", "_work")
     shutil.copytree(PERFBENCH, tmp_path / "perfbench", ignore=skip)
-    shutil.copytree(ROOT / "src" / "obslim", tmp_path / "src" / "obslim", ignore=skip)
+    shutil.copytree(SRC / "obslim", tmp_path / "src" / "obslim", ignore=skip)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     for workload in ("ffn_wide", "long_seq") + (() if trace else ("heads_many",)):
         proc = subprocess.run(

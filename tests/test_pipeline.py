@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from obslim.pipeline import (
 from obslim.schedule import PruneSchedule, build_schedule
 from obslim.tensorstore import ModelManifest, validate_manifest
 
-from conftest import dense_causal_attention, ffn_in_worker, reinvert_prune_heads
+from conftest import NON_FINITE, dense_causal_attention, ffn_in_worker, reinvert_prune_heads
 
 TOY = ToyModelSpec(n_layers=3, d_model=16, n_head=4, d_ff=24,
                    n_calib_batches=2, tokens_per_batch=24)
@@ -457,6 +458,21 @@ class TestPruneModel:
             prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5]), CONFIG,
                         out=tmp_path / "model.obt")
 
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_values_name_the_layer(self, case, tmp_path):
+        # no numpy warning either: the suite would raise it instead
+        scaled, scale, message = NON_FINITE[case]
+        ratios = [0.5, 0.3, 0.0] if case == "c" else [0.0, 0.5, 0.75]  # c prunes no layer 2
+        tensors, manifest, calib = gen_toy(replace(TOY, seed=1))
+        for name in scaled:
+            tensors[name] = tensors[name] * scale
+        out = tmp_path / "model.obt"
+        out.write_bytes(b"kept")
+        with pytest.raises(ObslimError, match=f"^{re.escape(message)}$"):
+            prune_model(tensors, manifest, calib, custom_schedule(ratios), CONFIG, out=out)
+        assert out.read_bytes() == b"kept"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_empty_calibration_list_raises(self, tmp_path):
         tensors, manifest, _ = gen_toy(TOY)
         with pytest.raises(ValueError, match="^need at least one calibration batch$"):
@@ -718,6 +734,27 @@ class TestReferenceWorker:
             prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG,
                         out=tmp_path / "model.obt")
         assert multiprocessing.active_children() == []
+
+    def test_one_floating_point_policy_in_both_processes(self, monkeypatch, tmp_path):
+        # prune_model sets it before the worker forks, and the worker inherits it
+        ignore = sorted(dict.fromkeys(["divide", "over", "under", "invalid"], "ignore").items())
+        before, pruning = np.geterr(), []
+
+        def prune_heads(*args, _fn=pipeline.prune_heads, **kwargs):
+            pruning.append(sorted(np.geterr().items()))
+            return _fn(*args, **kwargs)
+
+        def fail():
+            raise ObslimError(f"worker policy {sorted(np.geterr().items())}")
+
+        monkeypatch.setattr(pipeline, "prune_heads", prune_heads)
+        ffn_in_worker(monkeypatch, fail)
+        tensors, manifest, calib = gen_toy(TOY)
+        with pytest.raises(ObslimError, match=f"^worker policy {re.escape(str(ignore))}$"):
+            prune_model(tensors, manifest, calib, custom_schedule([0.0, 0.5, 0.5]), CONFIG,
+                        out=tmp_path / "model.obt")
+        assert pruning == [ignore]
+        assert np.geterr() == before
 
     def test_worker_death_names_the_layer(self, monkeypatch, tmp_path):
         ffn_in_worker(monkeypatch, lambda: os._exit(3))
