@@ -41,9 +41,9 @@ for p, err in enumerate(errs):
     print(f"  column {p}: {err:10.3f}")
 print(f"cheapest column: {np.argmin(errs)}")
 
-# --- prune three columns greedily, one remove_block call per round ---------
+# --- prune three columns greedily, one block-OBS step per round ------------
 # greedy_prune rescores the live columns every round and removes the cheapest
-# with exact compensation; it downdates h_inv in place, so it gets a copy.
+# with exact compensation; it uses h_inv as scratch, so it gets a copy.
 w_cur, kept, rounds = greedy_prune(w, h_inv.copy(), 1, [1, 1, 1])
 for cols, steps in rounds:
     print(f"removed original column {cols[0]} (paid error {steps[0]:.3f})")

@@ -253,10 +253,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     report = PruneReport.load(args.report)
-    print(_format_report(report))
-    if args.csv:
+    if args.csv:  # written first, so a path it cannot write fails before the table prints
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
+    print(_format_report(report))
+    if args.csv:
         print(f"wrote {args.csv}")
     return 0
 

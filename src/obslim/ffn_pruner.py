@@ -15,6 +15,7 @@ def prune_channels(w: np.ndarray, h_inv: np.ndarray, n_prune: int,
 
     Each round takes the k cheapest live columns by the estimates from the
     start of the round (ties to the lowest original index) and removes them
-    with one ``remove_block`` call, downdating ``h_inv`` in place.
+    with one exact block-OBS step. ``h_inv`` is scratch: its contents
+    afterwards are unspecified (``greedy_prune``).
     """
     return greedy_prune(w, h_inv, 1, group_sizes(n_prune, group_start, group_min))

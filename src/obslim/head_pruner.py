@@ -17,7 +17,8 @@ def prune_heads(w: np.ndarray, h_inv: np.ndarray, d_head: int, n_prune: int) -> 
 
     The rounds are ``group_sizes`` at size 1, so a negative ``n_prune``
     raises. Each round re-scores the surviving heads on the compensated
-    weights and removes the cheapest (ties break to the lowest head index),
-    downdating ``h_inv`` in place.
+    weights and removes the cheapest (ties break to the lowest head index).
+    ``h_inv`` is scratch: its contents afterwards are unspecified
+    (``greedy_prune``).
     """
     return greedy_prune(w, h_inv, d_head, group_sizes(n_prune, 1, 1))

@@ -6,8 +6,8 @@ factorization of diagonal blocks, and the block-OBS kernel that removes a
 set of columns from a weight matrix and its inverse Hessian in one solve.
 
 ``SpdMatrix`` validates a Hessian where it enters the public API; past
-that point, inverses are plain float64 arrays, which ``remove_block`` (and
-so the pruners) downdate in place. Identical inputs give identical bits.
+that point, inverses are plain float64 arrays, which ``remove_block``
+downdates in place and the pruners consume. Identical inputs give identical bits.
 """
 
 import numpy as np
@@ -145,13 +145,20 @@ def remove_block(w: np.ndarray, h_inv: np.ndarray, idx, alive) -> np.ndarray:
         raise ValueError(f"repeated index in {idx.tolist()}")
     if not alive[idx].all():
         raise ValueError(f"index already removed in {idx.tolist()}")
+    q_t, c, steps = _block_solve(w, h_inv, idx, slice(None))
+    dgemm(-1.0, c, q_t, beta=1.0, c=w.T, trans_a=1, overwrite_c=1)
+    dgemm(-1.0, c, c, beta=1.0, c=h_inv.T, trans_a=1, overwrite_c=1)
+    alive[idx] = False
+    return steps
+
+
+def _block_solve(w, h_inv, idx, cols):
+    """``remove_block``'s ``(Q^T, C, step_errors)``, with ``C = L^-1 h_inv[idx, cols]``
+    over the columns ``cols`` only."""
     try:
         low = np.linalg.cholesky(h_inv[np.ix_(idx, idx)])
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"not SPD: removed block failed Cholesky ({exc})") from exc
     q_t = solve_triangular(low, w[:, idx].T, lower=True, check_finite=False)
-    c = solve_triangular(low, h_inv[idx], lower=True, check_finite=False)
-    dgemm(-1.0, c, q_t, beta=1.0, c=w.T, trans_a=1, overwrite_c=1)
-    dgemm(-1.0, c, c, beta=1.0, c=h_inv.T, trans_a=1, overwrite_c=1)
-    alive[idx] = False
-    return (q_t * q_t).sum(axis=1)
+    c = solve_triangular(low, h_inv[idx][:, cols], lower=True, check_finite=False)
+    return q_t, c, (q_t * q_t).sum(axis=1)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotSpdError
-from .linalg import SpdMatrix, grouped_cholesky, remove_block
+from .linalg import SpdMatrix, _block_solve, grouped_cholesky, remove_block
 
 
 def block_errors(w: np.ndarray, h_inv: np.ndarray, width: int, alive=None) -> np.ndarray:
@@ -92,10 +92,10 @@ def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes) -> PruneRe
     Each round scores the live blocks on the current (already compensated)
     weights, takes the ``k`` cheapest (a stable sort: ties go to the lowest
     block index) and removes their columns, in ascending estimated-error
-    order, with one ``remove_block`` call. ``w`` is copied; ``h_inv``, the
-    inverse Hessian from ``invert_spd``, is downdated in place. The weights
-    are compacted through the survivor mask once, at the end, into the
-    returned ``PruneResult``.
+    order, with one exact block-OBS step: an in-place ``remove_block`` call,
+    except in the last round, which solves only for the survivors' weights
+    that the returned ``PruneResult`` holds. ``w`` is copied; ``h_inv``, the
+    inverse Hessian from ``invert_spd``, is scratch, unspecified afterwards.
 
     This is the paper's Batched Greedy Pruning. Heads are blocks of
     ``d_head`` columns removed one per round (``sizes`` all 1); FFN channels
@@ -119,12 +119,18 @@ def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes) -> PruneRe
         raise ValueError(f"cannot prune {sum(sizes)} of {n_blocks} blocks in rounds of sizes >= 1")
     alive = np.ones(w.shape[1], dtype=bool)
     rounds = []
-    for k in sizes:
+    for r, k in enumerate(sizes, 1):
         live = np.flatnonzero(alive[::width])
         picked = live[np.argsort(block_errors(w, h_inv, width, alive), kind="stable")[:k]]
         cols = (picked[:, None] * width + np.arange(width)).ravel()
-        rounds.append((cols, remove_block(w, h_inv, cols, alive)))
-    return PruneResult(w[:, alive], np.flatnonzero(alive), rounds)
+        if r == len(sizes):  # nothing reads h_inv or a dead column after the last round
+            alive[cols] = False
+            q_t, c, steps = _block_solve(w, h_inv, cols, alive)
+            w = np.subtract(w[:, alive], q_t.T @ c, order="C")
+        else:
+            steps = remove_block(w, h_inv, cols, alive)
+        rounds.append((cols, steps))
+    return PruneResult(w, np.flatnonzero(alive), rounds)
 
 
 def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:

@@ -15,7 +15,7 @@ import json
 import multiprocessing
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -337,7 +337,7 @@ class PruneReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps({**vars(self), "layers": [vars(row) for row in self.layers]}, indent=2)
 
     def to_csv(self) -> str:
         """The scalar fields of each layer row, in ``LayerReport``'s order."""
@@ -522,7 +522,7 @@ def prune_model(
     report = PruneReport(
         variant=sched.variant,
         ratios=[float(r) for r in sched.ratios],
-        config=asdict(config),
+        config=dict(vars(config)),
     )
 
     with np.errstate(all="ignore"), contextlib.ExitStack() as stack:

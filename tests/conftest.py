@@ -219,6 +219,22 @@ def remove_sequentially(w, h_inv, order):
     return w[:, alive], h_inv[np.ix_(alive, alive)], np.flatnonzero(alive).tolist(), steps
 
 
+def in_place_rounds(w, h_inv, width: int, sizes):
+    """``greedy_prune``'s rounds, every one of them an in-place ``remove_block`` call.
+
+    Works on a copy of ``w`` and downdates ``h_inv`` in place, also in the
+    last round. Returns ``(w_kept, kept)``: the weights compacted through
+    the survivor mask and the surviving original columns in ascending order.
+    """
+    w = np.array(w, dtype=np.float64, order="C")
+    alive = np.ones(w.shape[1], dtype=bool)
+    for k in sizes:
+        live = np.flatnonzero(alive[::width])
+        picked = live[np.argsort(block_errors(w, h_inv, width, alive), kind="stable")[:k]]
+        remove_block(w, h_inv, (picked[:, None] * width + np.arange(width)).ravel(), alive)
+    return w[:, alive], np.flatnonzero(alive)
+
+
 def step_pairs(rounds) -> list:
     """One ``(original column, error)`` pair per removal of a ``PruneResult``'s rounds, in order."""
     return [pair for cols, steps in rounds for pair in zip(cols.tolist(), steps.tolist())]

@@ -1034,3 +1034,14 @@ class TestVerifyAndReport:
         printed = capsys.readouterr().out
         assert "output_sq_error" in printed
         assert csv_out.read_bytes() == (out / "report.csv").read_bytes()
+
+    def test_report_csv_at_a_directory_prints_no_table(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(prune_args(toy_dir, out, [
+            "--global-target", "0.4", "--group-start", "8", "--group-min", "2"])) == 0
+        capsys.readouterr()
+        assert run(["report", "--report", str(out / "report.json"),
+                    "--csv", str(tmp_path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("error: [Errno 21] Is a directory")

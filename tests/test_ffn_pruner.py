@@ -7,7 +7,7 @@ from obslim.ffn_pruner import prune_channels
 from obslim.linalg import SpdMatrix, invert_spd
 from obslim.obs_core import group_sizes, least_squares_oracle, mask_residual
 
-from conftest import ffn_instance, greedy_channels, rand_spd, step_pairs
+from conftest import ffn_instance, greedy_channels, in_place_rounds, rand_spd, step_pairs
 
 
 class TestGroupSizes:
@@ -104,13 +104,24 @@ class TestPruneChannels:
         assert np.mean(fixed_ratios) < 1.10
 
     def test_downdates_h_inv_in_place(self):
-        # the caller's inverse ends as the inverse Hessian of the kept channels
+        # the same rounds through the in-place kernel leave the inverse Hessian of the
+        # kept channels, and prune_channels, whose last round computes on the survivors
+        # only, keeps the same channels with the same weights; also with a dead channel
         rng = np.random.default_rng(5)
         w, h, n_prune = ffn_instance(rng, max_channels=24)
-        h_inv = invert_spd(h)
-        _, kept, _ = prune_channels(w, h_inv, n_prune, 4, 1)
-        want = invert_spd(SpdMatrix(h.a[np.ix_(kept, kept)]))
-        assert np.linalg.norm(h_inv[np.ix_(kept, kept)] - want) <= 1e-8 * np.linalg.norm(want)
+        dead = h.a.copy()
+        dead[3], dead[:, 3], dead[3, 3] = 0.0, 0.0, 0.01 * np.diag(h.a).mean()
+        w_dead = w.copy()
+        w_dead[:, 3] = 0.0
+        for w, h in ((w, h), (w_dead, SpdMatrix(dead))):
+            h_inv = invert_spd(h)
+            w_run, kept = in_place_rounds(w, h_inv, 1, group_sizes(n_prune, 4, 1))
+            want = invert_spd(SpdMatrix(h.a[np.ix_(kept, kept)]))
+            assert np.linalg.norm(h_inv[np.ix_(kept, kept)] - want) <= 1e-8 * np.linalg.norm(want)
+            out, got, _ = prune_channels(w, invert_spd(h), n_prune, 4, 1)
+            assert np.array_equal(got, kept)
+            assert np.linalg.norm(out - w_run) <= 1e-12 * np.linalg.norm(w_run)
+        assert 3 not in kept
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
 from conftest import (
     head_cols,
     head_instance,
+    in_place_rounds,
     kept_heads,
     other_cols,
     rand_spd,
@@ -225,13 +226,18 @@ class TestPruneHeads:
             assert np.abs(res.pruned_w - ref.pruned_w).max() < 1e-6
 
     def test_downdates_h_inv_in_place(self):
-        # the caller's inverse ends as the inverse Hessian of the kept heads
+        # the same two rounds through the in-place kernel leave the inverse Hessian of
+        # the kept heads, and prune_heads, whose last round computes on the survivors
+        # only, keeps the same heads with the same weights
         w, h, d_head, _ = head_instance(np.random.default_rng(17))
         h_inv = invert_spd(h)
-        res = prune_heads(w, h_inv, d_head, 2)
-        cols = np.ix_(res.kept_columns, res.kept_columns)
+        w_run, kept = in_place_rounds(w, h_inv, d_head, [1, 1])
+        cols = np.ix_(kept, kept)
         want = invert_spd(SpdMatrix(h.a[cols]))
         assert np.linalg.norm(h_inv[cols] - want) <= 1e-8 * np.linalg.norm(want)
+        res = prune_heads(w, invert_spd(h), d_head, 2)
+        assert np.array_equal(res.kept_columns, kept)
+        assert np.linalg.norm(res.pruned_w - w_run) <= 1e-12 * np.linalg.norm(w_run)
 
     def test_invalid_args(self):
         w = np.ones((2, 4))
