@@ -9,7 +9,7 @@ from .calib import HessianAccumulator
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
 from .ffn_pruner import prune_channels
 from .head_pruner import prune_heads
-from .linalg import SpdMatrix, grouped_cholesky, invert_spd, remove_block
+from .linalg import SpdMatrix, invert_spd, remove_block
 from .obs_core import (
     PruneResult,
     block_errors,
@@ -62,7 +62,6 @@ __all__ = [
     "forward_model",
     "gen_toy",
     "greedy_prune",
-    "grouped_cholesky",
     "group_sizes",
     "invert_spd",
     "least_squares_oracle",

@@ -1,9 +1,9 @@
 """Dense symmetric-positive-definite linear algebra.
 
 Everything the pruning kernels need from an SPD matrix lives here:
-inversion from one Cholesky factorization, per-block (grouped)
-factorization of diagonal blocks, and the block-OBS kernel that removes a
-set of columns from a weight matrix and its inverse Hessian in one solve.
+inversion from one Cholesky factorization, and the block-OBS kernel that
+removes a set of columns from a weight matrix and its inverse Hessian in
+one solve. Block scoring (``obs_core.block_errors``) factors its own blocks.
 
 ``SpdMatrix`` validates a Hessian where it enters the public API; past
 that point, inverses are plain float64 arrays, which ``remove_block``
@@ -80,34 +80,6 @@ def _invert_lower(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(inv)):
         raise ValueError("inverse has non-finite entries")
     return inv
-
-
-def grouped_cholesky(h_inv: np.ndarray, group_size: int, alive=None) -> np.ndarray:
-    """Factor every live ``group_size`` diagonal block of ``h_inv`` independently.
-
-    ``h_inv`` is a symmetric float64 array, such as ``invert_spd``'s result;
-    with the survivor mask ``alive`` of ``remove_block``, only blocks whose
-    columns all survive are factored. Returns their (n_blocks, group_size,
-    group_size) stack of lower-triangular factors, in block order. The
-    blocks are factored as a batch; the result does not depend on the order
-    they are processed in.
-
-    Raises:
-        ValueError: if the dimension is not divisible by ``group_size``.
-        NotSpdError: if any factored diagonal block is not positive definite.
-    """
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    n = h_inv.shape[0]
-    if n % group_size != 0:
-        raise ValueError(f"dimension {n} not divisible by group size {group_size}")
-    cols = np.arange(n).reshape(-1, group_size)
-    if alive is not None:
-        cols = cols[alive.reshape(-1, group_size).all(axis=1)]
-    try:
-        return np.linalg.cholesky(h_inv[cols[:, :, None], cols[:, None, :]])
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"not SPD: a diagonal block failed Cholesky ({exc})") from exc
 
 
 def remove_block(w: np.ndarray, h_inv: np.ndarray, idx, alive) -> np.ndarray:

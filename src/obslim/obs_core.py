@@ -2,9 +2,10 @@
 
 Heads are blocks of ``d_head`` columns and FFN channels are blocks of one
 column; both are pruned by ``greedy_prune``, which scores every live block
-with ``block_errors`` and removes the cheapest ones with the exact block-OBS
-step ``linalg.remove_block`` (the group OBS step of OBC), in rounds whose
-sizes ``group_sizes`` gives. The module also carries the oracle that the
+with ``block_errors`` (a grouped Cholesky of the inverse Hessian's diagonal
+blocks) and removes the cheapest ones with the exact block-OBS step
+``linalg.remove_block`` (the group OBS step of OBC), in rounds whose sizes
+``group_sizes`` gives. The module also carries the oracle that the
 tests and the benchmark's gate compare against: the closed-form
 least-squares solution for a fixed column mask, and its residual.
 """
@@ -14,33 +15,40 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotSpdError
-from .linalg import SpdMatrix, _block_solve, grouped_cholesky, remove_block
+from .linalg import SpdMatrix, _block_solve, remove_block
 
 
 def block_errors(w: np.ndarray, h_inv: np.ndarray, width: int, alive=None) -> np.ndarray:
     """Estimated removal error of every live block of ``width`` columns, in block order.
 
-    Each diagonal block of ``h_inv`` is factored on its own
-    (``grouped_cholesky``), and ``err[b] = sum over the block's columns j and
-    all rows of w[:, j]**2 / L_b[j, j]**2``: the squared factor diagonal
-    stands in for the inverse-Hessian diagonal that sequential removal would
-    update. At ``width == 1`` this is the exact single-column OBS error
-    ``sum(w[:, p]**2) / h_inv[p, p]``. With the survivor mask ``alive`` of
-    ``remove_block``, only whole live blocks are scored.
+    Each diagonal block of ``h_inv`` is factored on its own, in one batched
+    Cholesky (grouped Cholesky), and ``err[b] = sum over the block's columns
+    j and all rows of w[:, j]**2 / L_b[j, j]**2``: the squared factor
+    diagonal stands in for the inverse-Hessian diagonal that sequential
+    removal would update. At ``width == 1`` this is the exact single-column
+    OBS error ``sum(w[:, p]**2) / h_inv[p, p]``. With the survivor mask
+    ``alive`` of ``remove_block``, only whole live blocks are factored and
+    scored, with the same bits as on the compacted arrays.
 
     Raises:
         ValueError: if the shapes disagree or ``width`` does not divide them.
         NotSpdError: if a live block of ``h_inv`` is not positive definite.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     if w.ndim != 2 or np.shape(h_inv) != (w.shape[1],) * 2:
         raise ValueError(f"weight shape {w.shape} inconsistent with h_inv {np.shape(h_inv)}")
-    factors = grouped_cholesky(h_inv, width, alive)
+    if width < 1 or w.shape[1] % width:
+        raise ValueError(f"dimension {w.shape[1]} not divisible by block width {width}")
+    live = slice(None) if alive is None else alive.reshape(-1, width).all(axis=1)
+    cols = np.arange(w.shape[1]).reshape(-1, width)[live]
+    try:
+        factors = np.linalg.cholesky(h_inv[cols[:, :, None], cols[:, None, :]])
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError(f"not SPD: a diagonal block failed Cholesky ({exc})") from exc
     denom = factors.diagonal(axis1=1, axis2=2) ** 2  # (live blocks, width)
-    per_col = (w * w).sum(axis=0).reshape(-1, width)
-    if alive is not None:
-        per_col = per_col[alive.reshape(-1, width).all(axis=1)]
-    return (per_col / denom).sum(axis=1)
+    sq = w * w  # np.sum adds the rows of a C-order w in order, but of one column pairwise
+    per_col = sq.sum(axis=0) if w.shape[1] > 1 else sum(sq, np.zeros(1))
+    return (per_col.reshape(-1, width)[live] / denom).sum(axis=1)
 
 
 class PruneResult(NamedTuple):

@@ -371,10 +371,11 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
 
     Raises:
         ManifestError: a tensor missing or named twice, head layout not
-            matching the anchor width, a coupled tensor whose rows mismatch
-            the anchor columns; then, as the forward pass needs, coupled
-            lists other than (q, k, v) and (up, gate), or a tensor off the
-            model width (anchor rows, coupled columns: layer 0's attn_out rows).
+            matching the anchor width, an FFN anchor with no columns, a
+            coupled tensor whose rows mismatch the anchor columns; then, as
+            the forward pass needs, coupled lists other than (q, k, v) and
+            (up, gate), or a tensor off the model width (anchor rows,
+            coupled columns: layer 0's attn_out rows).
     """
     seen = set()
     for idx, entry in enumerate(manifest.layers):
@@ -390,6 +391,8 @@ def validate_manifest(manifest: ModelManifest, tensors: dict) -> None:
                 f"layer {idx}: attn_out has {attn_cols} columns, "
                 f"head layout implies {entry.n_head * entry.d_head}"
             )
+        if tensors[entry.ffn_down].shape[1] == 0:
+            raise ManifestError(f"layer {idx}: FFN anchor {entry.ffn_down!r} has no columns")
         for anchor, coupled in ((entry.attn_out, entry.attn_coupled),
                                 (entry.ffn_down, entry.ffn_coupled)):
             cols = tensors[anchor].shape[1]

@@ -219,6 +219,18 @@ def remove_sequentially(w, h_inv, order):
     return w[:, alive], h_inv[np.ix_(alive, alive)], np.flatnonzero(alive).tolist(), steps
 
 
+def masked_instance(rng, width: int):
+    """``(w, h_inv, alive)`` after ``remove_block`` took random whole blocks of
+    ``width`` columns out of a random instance: 2-40 rows, 2-8 blocks, 1 or more dead."""
+    n_blocks = int(rng.integers(2, 9))
+    w = rng.normal(size=(int(rng.integers(2, 41)), n_blocks * width))
+    h_inv = invert_spd(rand_spd(rng, n_blocks * width))
+    dead = rng.choice(n_blocks, size=int(rng.integers(1, n_blocks)), replace=False)
+    alive = np.ones(w.shape[1], dtype=bool)
+    remove_block(w, h_inv, (dead[:, None] * width + np.arange(width)).ravel(), alive)
+    return w, h_inv, alive
+
+
 def in_place_rounds(w, h_inv, width: int, sizes):
     """``greedy_prune``'s rounds, every one of them an in-place ``remove_block`` call.
 

@@ -718,6 +718,20 @@ class TestPrune:
         assert err == (f"error: {message}, the model width (rows of layer 0's attn_out) "
                        f"is 16\n"), err
 
+    @pytest.mark.parametrize("flags", [["--global-target", "0.3"], ["--ratio-first", "0.0"]],
+                             ids=["global-target", "ratio-first-0"])
+    def test_ffn_without_channels_exit_2_naming_the_layer(self, toy_dir, tmp_path, capsys,
+                                                          no_payload_read, flags):
+        # this once ended in "units must be >= 1, got 0", naming no layer
+        tensors = read_tensor_file(toy_dir / "model.obt")
+        tensors["layers.1.ffn.w_down"] = np.zeros((16, 0))
+        for name in ("layers.1.ffn.w_up", "layers.1.ffn.w_gate"):
+            tensors[name] = np.zeros((0, 16))
+        write_tensor_file(tensors, toy_dir / "model.obt")
+        assert run(prune_args(toy_dir, tmp_path / "out", flags)) == 2
+        assert capsys.readouterr().err == ("error: layer 1: FFN anchor 'layers.1.ffn.w_down' "
+                                           "has no columns\n")
+
     @pytest.mark.parametrize("tamper", MISTYPED_HEADERS.values(), ids=MISTYPED_HEADERS.keys())
     def test_mistyped_tensor_header_exit_2(self, toy_dir, tmp_path, capsys, tamper):
         path = toy_dir / "model.obt"

@@ -13,6 +13,7 @@ from conftest import (
     head_instance,
     in_place_rounds,
     kept_heads,
+    masked_instance,
     other_cols,
     rand_spd,
     reinvert_prune_heads,
@@ -55,8 +56,9 @@ class TestHeadErrors:
         assert np.abs(he - ce).max() < 1e-12 * ce.max()
 
     def test_survivor_mask_scores_live_heads_only(self):
-        # live heads score as on the compacted arrays; a dead head's block,
-        # not positive definite here, is never factored
+        # live heads score as on the compacted arrays, bit for bit, for any
+        # number of rows and head width; a dead head's block, not positive
+        # definite here, is never factored
         rng = np.random.default_rng(17)
         w = rng.normal(size=(5, 12))
         h_inv = invert_spd(rand_spd(rng, 12))
@@ -66,6 +68,11 @@ class TestHeadErrors:
         errs = block_errors(w, h_inv, 3, alive)
         compact = block_errors(w[:, alive], h_inv[np.ix_(alive, alive)], 3)
         assert np.array_equal(errs, compact)
+        for width in (2, 3, 8):
+            for _ in range(20):
+                w, h_inv, alive = masked_instance(rng, width)
+                compact = block_errors(w[:, alive], h_inv[np.ix_(alive, alive)], width)
+                assert np.array_equal(block_errors(w, h_inv, width, alive), compact)
 
 
 class TestReorder:

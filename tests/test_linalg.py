@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from obslim.errors import NotSpdError
-from obslim.linalg import (
-    SpdMatrix,
-    grouped_cholesky,
-    invert_spd,
-    remove_block,
-)
-from obslim.obs_core import least_squares_oracle, mask_residual
+from obslim.linalg import SpdMatrix, invert_spd, remove_block
+from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
 
 from conftest import compact_remove_block, rand_spd, remove_compacted, remove_sequentially
 
@@ -125,36 +120,44 @@ class TestInvertSpd:
             assert np.abs(inv - ref).max() <= 1e-15 * cond * np.abs(ref).max()
 
 
-def cholesky_lower(a) -> np.ndarray:
-    """The whole-matrix lower Cholesky factor: ``grouped_cholesky`` with one block."""
-    a = np.asarray(a, dtype=np.float64)
-    return grouped_cholesky(a, a.shape[0])[0]
+def block_pivots(h_inv, width: int) -> np.ndarray:
+    """The factor diagonals of ``h_inv``'s ``width`` diagonal blocks, (blocks, width),
+    read through ``block_errors``: a unit weight row at column j scores 1 / L_b[j, j]**2."""
+    h_inv = np.asarray(h_inv, dtype=np.float64)
+    rows = np.eye(h_inv.shape[0])[:, None, :]
+    return np.array([block_errors(r, h_inv, width).sum() for r in rows]).reshape(-1, width) ** -0.5
+
+
+def pivots(a) -> np.ndarray:
+    """The whole-matrix lower Cholesky factor's diagonal: one block of width n."""
+    return block_pivots(a, np.shape(a)[0])[0]
 
 
 class TestCholeskyLower:
+    """The whole-matrix factor as ``block_errors`` shows it: its pivots."""
+
     def test_identity(self):
-        assert np.array_equal(cholesky_lower(np.eye(4)), np.eye(4))
+        assert np.array_equal(pivots(np.eye(4)), np.ones(4))
 
     def test_known_2x2(self):
-        low = cholesky_lower(np.array([[4.0, 2.0], [2.0, 5.0]]))
-        assert np.allclose(low, [[2.0, 0.0], [1.0, 2.0]])
-        assert np.allclose(low @ low.T, [[4.0, 2.0], [2.0, 5.0]])
+        assert np.allclose(pivots(np.array([[4.0, 2.0], [2.0, 5.0]])), [2.0, 2.0])
 
     def test_scalar(self):
-        assert np.allclose(cholesky_lower([[9.0]]), [[3.0]])
+        assert np.allclose(pivots([[9.0]]), [3.0])
 
-    def test_reconstruction_and_positive_diag(self):
+    def test_positive_pivots_match_leading_inverses(self):
+        # 1 / L[j, j]**2 is the last diagonal entry of inv(A[:j+1, :j+1])
         rng = np.random.default_rng(2)
         for _ in range(25):
             m = rand_spd(rng, 12)
-            low = cholesky_lower(m.a)
-            assert np.allclose(low, np.tril(low))
-            assert np.all(np.diag(low) > 0)
-            assert np.abs(low @ low.T - m.a).max() < 1e-8 * max(1, np.abs(m.a).max())
+            piv = pivots(m.a)
+            want = [np.linalg.inv(m.a[: j + 1, : j + 1])[j, j] ** -0.5 for j in range(12)]
+            assert np.all(piv > 0)
+            assert np.abs(piv - want).max() < 1e-8 * max(1, np.abs(m.a).max())
 
     def test_not_spd(self):
         with pytest.raises(NotSpdError):
-            cholesky_lower(-np.eye(2))
+            pivots(-np.eye(2))
 
 
 class TestPermuteSymmetric:
@@ -204,45 +207,47 @@ class TestPermuteSymmetric:
 
 
 class TestGroupedCholesky:
+    """``block_errors``' grouped factorization: each diagonal block on its own."""
+
     def test_identity_blocks(self):
-        factors = grouped_cholesky(np.eye(4), 2)
-        assert factors.shape == (2, 2, 2)
-        assert np.array_equal(factors[0], np.eye(2))
-        assert np.array_equal(factors[1], np.eye(2))
+        w = np.arange(8.0).reshape(2, 4)
+        errs = block_errors(w, np.eye(4), 2)
+        assert np.array_equal(errs, [(w[:, :2] ** 2).sum(), (w[:, 2:] ** 2).sum()])
+        assert np.array_equal(block_pivots(np.eye(4), 2), np.ones((2, 2)))
 
     def test_block_diagonal_known_blocks(self):
         a = np.array([[4.0, 2.0], [2.0, 5.0]])
         b = np.array([[9.0, 3.0], [3.0, 5.0]])
         m = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
-        factors = grouped_cholesky(m, 2)
-        assert np.allclose(factors[0], np.linalg.cholesky(a))
-        assert np.allclose(factors[1], np.linalg.cholesky(b))
+        piv = block_pivots(m, 2)
+        assert np.allclose(piv[0], np.diag(np.linalg.cholesky(a)))
+        assert np.allclose(piv[1], np.diag(np.linalg.cholesky(b)))
 
     def test_per_block_oracle_and_leading_block_identity(self):
         # block k of the grouped factorization equals the Cholesky of that
         # diagonal block; only k=0 coincides with the full factor's slice
         rng = np.random.default_rng(6)
         m = rand_spd(rng, 12)
-        factors = grouped_cholesky(m.a, 4)
-        full = np.linalg.cholesky(m.a)
+        piv = block_pivots(m.a, 4)
+        full = np.diag(np.linalg.cholesky(m.a))
         for k in range(3):
             blk = m.a[4 * k : 4 * (k + 1), 4 * k : 4 * (k + 1)]
-            assert np.abs(factors[k] - np.linalg.cholesky(blk)).max() < 1e-10
-        assert np.abs(factors[0] - full[:4, :4]).max() < 1e-10
-        assert np.abs(factors[1] - full[4:8, 4:8]).max() > 1e-6  # trailing differs
+            assert np.abs(piv[k] - np.diag(np.linalg.cholesky(blk))).max() < 1e-10
+        assert np.abs(piv[0] - full[:4]).max() < 1e-10
+        assert np.abs(piv[1] - full[4:8]).max() > 1e-6  # trailing differs
 
     def test_dimension_not_divisible(self):
         with pytest.raises(ValueError, match="divisible"):
-            grouped_cholesky(np.eye(5), 2)
+            block_errors(np.ones((1, 5)), np.eye(5), 2)
 
     def test_group_size_below_one(self):
-        with pytest.raises(ValueError, match="group_size must be >= 1, got 0"):
-            grouped_cholesky(np.eye(4), 0)
+        with pytest.raises(ValueError, match="block width 0"):
+            block_errors(np.ones((1, 4)), np.eye(4), 0)
 
     def test_block_not_spd(self):
         m = np.diag([1.0, -1.0, 1.0, 1.0])
         with pytest.raises(NotSpdError):
-            grouped_cholesky(m, 2)
+            block_errors(np.ones((1, 4)), m, 2)
 
 
 class TestRemoveUpdate:
@@ -319,8 +324,8 @@ class TestProperties:
         rng = np.random.default_rng(11)
         m = rand_spd(rng, 9)
         assert np.array_equal(invert_spd(m), invert_spd(m))
-        assert np.array_equal(grouped_cholesky(m.a, 3), grouped_cholesky(m.a, 3))
         w = rng.normal(size=(2, 9))
+        assert np.array_equal(block_errors(w, m.a, 3), block_errors(w, m.a, 3))
         first, second = remove_compacted(w, m.a, [3, 1]), remove_compacted(w, m.a, [3, 1])
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 

@@ -26,6 +26,7 @@ from conftest import (
     brute_force_best_columns,
     ffn_instance,
     head_instance,
+    masked_instance,
     rand_spd,
     remove_compacted,
     remove_sequentially,
@@ -72,8 +73,10 @@ class TestColumnErrors:
             block_errors(np.ones((2, 3)), np.eye(2), 1)
 
     def test_survivor_mask_reads_only_live_entries(self):
-        # the errors of the live columns equal those of the compacted arrays;
-        # a dead diagonal entry is never read, a non-positive live one raises
+        # the errors of the live columns equal those of the compacted arrays
+        # bit for bit, for any number of rows: each column of w is summed in
+        # row order, whatever the layout of the compacted w[:, alive]; a dead
+        # diagonal entry is never read, a non-positive live one raises
         rng = np.random.default_rng(16)
         w = rng.normal(size=(3, 6))
         h_inv = invert_spd(rand_spd(rng, 6))
@@ -85,6 +88,10 @@ class TestColumnErrors:
         h_inv[2, 2] = 0.0
         with pytest.raises(NotSpdError, match="diagonal"):
             block_errors(w, h_inv, 1, alive)
+        for _ in range(50):
+            w, h_inv, alive = masked_instance(rng, 1)
+            compact = block_errors(w[:, alive], h_inv[np.ix_(alive, alive)], 1)
+            assert np.array_equal(block_errors(w, h_inv, 1, alive), compact)
 
 
 class TestGreedyPrune:

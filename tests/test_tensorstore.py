@@ -509,6 +509,13 @@ class TestManifest:
         with pytest.raises(ManifestError, match="head layout"):
             validate_manifest(manifest, tensors)
 
+    def test_rejects_ffn_anchor_without_columns(self):
+        # pruning keeps at least one channel, so only an input can have none
+        manifest, tensors = toy_manifest_and_tensors()
+        tensors.update(down=np.zeros((6, 0)), up=np.zeros((0, 6)), gate=np.zeros((0, 6)))
+        with pytest.raises(ManifestError, match="^layer 0: FFN anchor 'down' has no columns$"):
+            validate_manifest(manifest, tensors)
+
     def test_rejects_missing_tensor(self):
         manifest, tensors = toy_manifest_and_tensors()
         del tensors["gate"]
