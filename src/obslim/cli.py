@@ -5,11 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 numerical or validation failure.
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -67,23 +66,25 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--manifest", required=True)
     prune.add_argument("--calib", required=True)
     prune.add_argument("--out", required=True, help="output directory")
-    prune.add_argument("--config", help="JSON config file; flags override its values")
-    prune.add_argument("--ratio-first", type=float, default=None)
-    prune.add_argument("--ratio-last", type=float, default=None)
-    prune.add_argument("--global-target", type=float, default=None)
-    prune.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default=None)
-    prune.add_argument("--damping", type=float, default=None)
-    prune.add_argument("--group-start", type=int, default=None)
-    prune.add_argument("--group-min", type=int, default=None)
+    prune.add_argument("--ratio-first", type=float, help="default 0")
+    prune.add_argument("--ratio-last", type=float, help="default: --ratio-first")
+    prune.add_argument("--global-target", type=float, help="solves --ratio-last")
+    prune.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="log-inc",
+                       help="default %(default)s")
+    for flag, name, kind in (("--damping", "damping", float),
+                             ("--group-start", "group_start", int),
+                             ("--group-min", "group_min", int)):
+        prune.add_argument(flag, type=kind, default=getattr(PruneConfig, name),
+                           help="default %(default)s")
 
     ver = sub.add_parser("verify", help="re-check the invariants of a written report")
     ver.add_argument("--report", required=True)
     ver.add_argument("--manifest", help="pruned manifest to cross-check")
     ver.add_argument("--model", help="pruned model to cross-check")
 
-    rep = sub.add_parser("report", help="print a report as a per-layer table")
+    rep = sub.add_parser("report", help="print a report.json as a per-layer table "
+                                        "(prune writes the same rows to report.csv)")
     rep.add_argument("--report", required=True)
-    rep.add_argument("--csv", help="also write the per-layer table as CSV")
     return parser
 
 
@@ -116,37 +117,6 @@ def _cmd_gen_toy(args) -> int:
     return 0
 
 
-def _merged_settings(args) -> dict:
-    """Config-file values overridden by explicitly given flags."""
-    settings = {
-        "ratio_first": None,
-        "ratio_last": None,
-        "global_target": None,
-        "variant": None,
-        **asdict(PruneConfig()),
-    }
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ObslimError(f"config file {args.config} must hold a JSON object, "
-                              f"got {type(loaded).__name__}")
-        unknown = set(loaded) - set(settings)
-        if unknown:
-            raise ObslimError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(loaded)
-    for key in settings:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            settings[key] = flag_val
-    for key in ("ratio_first", "ratio_last", "global_target"):
-        if settings[key] is not None and not is_finite_real(settings[key]):
-            raise ObslimError(f"{key} must be a finite number, got {settings[key]!r}")
-    if not isinstance(settings["variant"], (str, type(None))):
-        raise ObslimError(f"variant must be a string, got {settings['variant']!r}")
-    return settings
-
-
 def _layer_param_weights(manifest: ModelManifest, tensors: dict) -> np.ndarray:
     """Prunable parameter count per layer (anchor plus coupled tensors, or their headers)."""
     return np.asarray([sum(tensors[name].size for name in entry.tensor_names())
@@ -177,20 +147,24 @@ def _check_hessians_fit(manifest: ModelManifest, header: dict, ratios) -> None:
 
 
 def _cmd_prune(args) -> int:
-    settings = _merged_settings(args)
+    for key in ("ratio_first", "ratio_last", "global_target"):  # argparse's float takes nan
+        val = getattr(args, key)
+        if val is not None and not is_finite_real(val):
+            raise ObslimError(f"{key} must be a finite number, got {val!r}")
     header = read_tensor_header(args.model)
     manifest = ModelManifest.load(args.manifest)
     validate_manifest(manifest, header)
     # the schedule needs only the shapes, so a bad setting costs no payload read
     sched = build_schedule(
         manifest.n_layers,
-        VARIANT_FLAGS.get(settings["variant"], settings["variant"]) or "log_increase",
-        r0=settings["ratio_first"],
-        rn=settings["ratio_last"],
-        global_target=settings["global_target"],
+        VARIANT_FLAGS[args.variant],
+        r0=args.ratio_first,
+        rn=args.ratio_last,
+        global_target=args.global_target,
         layer_param_weights=_layer_param_weights(manifest, header),
     )
-    config = PruneConfig(**{f.name: settings[f.name] for f in fields(PruneConfig)})
+    config = PruneConfig(damping=args.damping, group_start=args.group_start,
+                         group_min=args.group_min)
     _check_out_dir(args.out, ("model.obt", "manifest.json", "report.json", "report.csv"))
     _check_hessians_fit(manifest, header, sched.ratios)
     tensors = read_tensor_file(args.model)
@@ -252,13 +226,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = PruneReport.load(args.report)
-    if args.csv:  # written first, so a path it cannot write fails before the table prints
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-    print(_format_report(report))
-    if args.csv:
-        print(f"wrote {args.csv}")
+    print(_format_report(PruneReport.load(args.report)))
     return 0
 
 

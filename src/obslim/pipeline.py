@@ -455,13 +455,15 @@ def prune_model(
 ):
     """Prune every layer at its scheduled ratio.
 
-    Per layer, the damped Hessian of the features into ``wo`` picks the
-    heads to remove (the coupled q/k/v rows are sliced), then that of the
-    features into ``w_down`` picks the channels. Both come from the
-    calibration stream through the pruned prefix, the FFN features after the
-    layer's own head pruning. That stream makes one features-only attention
-    and FFN pass per batch and layer, and advances with one projection GEMM
-    per sublayer: ``x + wo' @ feats[kept]``, then ``x1 + w_down' @ act[kept]``.
+    ``calib`` is a sequence of ``(d_model, tokens)`` batches, such as a list
+    or one stacked ``(batches, d_model, tokens)`` array. Per layer, the
+    damped Hessian of the features into ``wo`` picks the heads to remove
+    (the coupled q/k/v rows are sliced), then that of the features into
+    ``w_down`` picks the channels. Both come from the calibration stream
+    through the pruned prefix, the FFN features after the layer's own head
+    pruning. That stream makes one features-only attention and FFN pass per
+    batch and layer, and advances with one projection GEMM per sublayer:
+    ``x + wo' @ feats[kept]``, then ``x1 + w_down' @ act[kept]``.
 
     The original model's stream is only the reference for
     ``output_sq_error``. Until a sublayer removes something, the two streams
@@ -497,7 +499,7 @@ def prune_model(
         raise ValueError(
             f"schedule covers {sched.n_layers} layers, manifest has {manifest.n_layers}"
         )
-    if not calib:
+    if len(calib) == 0:
         raise ValueError("need at least one calibration batch")
     cur = [np.asarray(x, dtype=np.float64) for x in calib]
     if not any(x.size for x in cur):

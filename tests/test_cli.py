@@ -212,6 +212,11 @@ class TestUsageErrors:
     def test_missing_required(self):
         assert run(["prune"]) == 1
 
+    def test_removed_report_csv(self, tmp_path):
+        # prune writes report.csv; report only prints the table
+        assert run(["report", "--report", str(tmp_path / "report.json"),
+                    "--csv", str(tmp_path / "table.csv")]) == 1
+
 
 def run_capturing_stderr(argv):
     """``(run(argv), what it wrote to stderr)``."""
@@ -360,15 +365,11 @@ class TestPrune:
                     "--manifest", str(toy_dir / "manifest.json"),
                     "--model", str(toy_dir / "model.obt")]) == 0
 
-    def test_config_file_and_flag_override(self, toy_dir, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "ratio_first": 0.25, "global_target": 0.5, "variant": "uniform",
-            "group_start": 8, "group_min": 2, "damping": 0.02,
-        }))
+    def test_flags_set_the_variant_and_config(self, toy_dir, tmp_path):
         out = tmp_path / "out"
         code = run(prune_args(toy_dir, out, [
-            "--config", str(cfg), "--variant", "lin-inc",  # flag wins
+            "--ratio-first", "0.25", "--global-target", "0.5", "--variant", "lin-inc",
+            "--group-start", "8", "--group-min", "2", "--damping", "0.02",
         ]))
         assert code == 0
         report = PruneReport.load(out / "report.json")
@@ -376,53 +377,37 @@ class TestPrune:
         assert report.config["damping"] == 0.02
         assert report.config["group_start"] == 8
 
-    def test_unknown_config_key(self, toy_dir, tmp_path, capsys):
-        for key in ("groop_start", "calib_mode"):  # calib_mode is a deleted setting
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({key: "pruned"}))
-            assert run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)])) == 2
-            assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
-
-    @pytest.mark.parametrize("loaded", [[["ratio_first", 0.1]], None, 3, "ratio_first"])
-    def test_config_not_an_object_exit_2(self, toy_dir, tmp_path, capsys, loaded):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(loaded))
-        assert run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)])) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "must hold a JSON object" in err
-
     @pytest.mark.parametrize("bad", [
-        {"damping": "x"},
-        {"damping": -0.5},
-        {"damping": None},
-        {"group_start": "8"},
-        {"group_start": 8.5},
-        {"group_min": True},
-        {"group_start": 2, "group_min": 4},
-        {"group_min": 0},
-        {"variant": ["uniform"]},
+        ["--damping", "-0.5"],
+        ["--group-start", "2", "--group-min", "4"],
+        ["--group-min", "0"],
+        ["--damping", "1e400"],  # parses as inf
     ])
     def test_wrongly_typed_config_value_exit_2(self, toy_dir, tmp_path, capsys, bad):
         # validated even when no layer prunes a channel (global target 0)
-        for target in (0.3, 0.0):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"global_target": target, **bad}))
-            code = run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)]))
+        for target in ("0.3", "0.0"):
+            code = run(prune_args(toy_dir, tmp_path / "out", ["--global-target", target, *bad]))
             err = capsys.readouterr().err
             assert code == 2
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", [
+        ["--damping", "x"],
+        ["--group-start", "8.5"],
+        ["--variant", "log_increase"],
+    ], ids=["damping-string", "group-start-float", "variant-unknown"])
+    def test_unparsable_config_value_is_a_usage_error(self, toy_dir, tmp_path, bad):
+        assert run(prune_args(toy_dir, tmp_path / "out", ["--global-target", "0.3", *bad])) == 1
+
     @pytest.mark.parametrize("key, rest", [
-        ("ratio_first", {"global_target": 0.3}),
-        ("ratio_last", {"ratio_first": 0.1}),
-        ("global_target", {}),
+        ("ratio_first", ["--global-target", "0.3"]),
+        ("ratio_last", ["--ratio-first", "0.1"]),
+        ("global_target", []),
     ])
     def test_wrongly_typed_schedule_value_exit_2(self, toy_dir, tmp_path, capsys, key, rest):
-        for bad in ("0.3", [0.3], True, float("nan")):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({**rest, key: bad}))
-            code = run(prune_args(toy_dir, tmp_path / "out", ["--config", str(cfg)]))
+        for bad in ("nan", "inf"):
+            flag = "--" + key.replace("_", "-")
+            code = run(prune_args(toy_dir, tmp_path / "out", [*rest, flag, bad]))
             err = capsys.readouterr().err
             assert code == 2, bad
             assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
@@ -452,6 +437,7 @@ class TestPrune:
 
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "1"), ("--refresh", "trailing"), ("--calib-mode", "original"),
+        ("--config", "x.json"),
     ])
     def test_removed_flags_are_usage_errors(self, toy_dir, tmp_path, flag, value):
         assert run(prune_args(toy_dir, tmp_path / "out", [flag, value])) == 1
@@ -1038,24 +1024,10 @@ class TestVerifyAndReport:
                     str(out / "manifest.json"), "--model", str(out / "model.obt")]) == 0
         assert run(["report", "--report", str(report_path)]) == 0
 
-    def test_report_table_and_csv(self, toy_dir, tmp_path, capsys):
+    def test_report_table(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(prune_args(toy_dir, out, [
             "--global-target", "0.4", "--group-start", "8", "--group-min", "2"])) == 0
-        csv_out = tmp_path / "table.csv"
-        assert run(["report", "--report", str(out / "report.json"),
-                    "--csv", str(csv_out)]) == 0
+        assert run(["report", "--report", str(out / "report.json")]) == 0
         printed = capsys.readouterr().out
         assert "output_sq_error" in printed
-        assert csv_out.read_bytes() == (out / "report.csv").read_bytes()
-
-    def test_report_csv_at_a_directory_prints_no_table(self, toy_dir, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run(prune_args(toy_dir, out, [
-            "--global-target", "0.4", "--group-start", "8", "--group-min", "2"])) == 0
-        capsys.readouterr()
-        assert run(["report", "--report", str(out / "report.json"),
-                    "--csv", str(tmp_path)]) == 2
-        printed = capsys.readouterr()
-        assert printed.out == ""
-        assert printed.err.startswith("error: [Errno 21] Is a directory")

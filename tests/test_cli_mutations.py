@@ -1,11 +1,10 @@
 """One-field mutations of every file the CLI reads, drawn by derandomized hypothesis.
 
 Each example changes one field of a manifest, a model's or the calibration
-file's tensor header, a config file or a report, and runs the command that
-reads it. The documented
-outcome is exit 0, or exit 2 with one ``error:`` line on stderr; for a
-report that parses but fails its checks, ``verify`` prints ``FAIL:`` lines
-instead. A traceback fails the test, and so does a warning (pytest turns
+file's tensor header, or a report, and runs the command that reads it. The
+documented outcome is exit 0, or exit 2 with one ``error:`` line on stderr;
+for a report that parses but fails its checks, ``verify`` prints ``FAIL:``
+lines instead. A traceback fails the test, and so does a warning (pytest turns
 warnings into errors).
 """
 
@@ -127,11 +126,7 @@ def header_paths(names):
 
 model_header_paths = header_paths([n for i in range(N_LAYERS) for n in layer_names(i).values()])
 calib_header_paths = header_paths(["calib.0", "calib.1"])
-config_paths = st.tuples(st.sampled_from(
-    ["ratio_first", "ratio_last", "global_target", "variant", "damping", "group_start",
-     "group_min", "calib_mode"]))
-
-CONFIG = {"global_target": 0.4, "group_start": 8, "group_min": 2}
+PRUNE_FLAGS = ["--global-target", "0.4", "--group-start", "8", "--group-min", "2"]
 
 
 def run(argv):
@@ -166,24 +161,22 @@ def files(tmp_path_factory):
     assert run(["gen-toy", "--out", str(toy), "--seed", "7", "--layers", str(N_LAYERS),
                 "--d-model", "16", "--heads", "4", "--d-ff", "24",
                 "--batches", "2", "--tokens", "24"])[0] == 0
-    (base / "config.json").write_text(json.dumps(CONFIG))
     assert run(["prune", "--model", str(toy / "model.obt"), "--manifest",
                 str(toy / "manifest.json"), "--calib", str(toy / "calib.obt"),
-                "--out", str(out), "--config", str(base / "config.json")])[0] == 0
+                "--out", str(out), *PRUNE_FLAGS])[0] == 0
     work.mkdir()
     return toy, out, work
 
 
 def prune_outcome(files, edit_file):
-    """Copy the toy's inputs and config, let ``edit_file(work)`` change one, and prune."""
+    """Copy the toy's inputs, let ``edit_file(work)`` change one, and prune."""
     toy, _, work = files
     for name in ("model.obt", "manifest.json", "calib.obt"):
         shutil.copyfile(toy / name, work / name)
-    (work / "config.json").write_text(json.dumps(CONFIG))
     edit_file(work)
     return run(["prune", "--model", str(work / "model.obt"), "--manifest",
                 str(work / "manifest.json"), "--calib", str(work / "calib.obt"),
-                "--out", str(work / "out"), "--config", str(work / "config.json")])
+                "--out", str(work / "out"), *PRUNE_FLAGS])
 
 
 @MUTATIONS
@@ -218,17 +211,6 @@ def test_prune_mutated_calib_header(files, path, edit):
     def edit_file(work):
         calib = work / "calib.obt"
         calib.write_bytes(with_header(calib.read_bytes(), lambda h: edited(h, path, edit)))
-
-    assert_documented(*prune_outcome(files, edit_file))
-
-
-@MUTATIONS
-@given(path=config_paths, edit=edits)
-@example(path=("damping",), edit="10**400")
-@example(path=("damping",), edit="1e308")
-def test_prune_mutated_config(files, path, edit):
-    def edit_file(work):
-        (work / "config.json").write_text(json.dumps(edited(CONFIG, path, edit)))
 
     assert_documented(*prune_outcome(files, edit_file))
 

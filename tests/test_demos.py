@@ -53,4 +53,5 @@ def test_readme_cli_quick_start(tmp_path):
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
                               env=source_env(tmp_path), cwd=tmp_path)
         assert proc.returncode == 0, (command, proc.stderr)
-    assert (tmp_path / "table.csv").read_text().startswith("layer,ratio,")
+    assert (tmp_path / "pruned" / "report.csv").read_text().startswith("layer,ratio,")
+    assert "output_sq_error" in proc.stdout  # report prints the table

@@ -26,6 +26,9 @@ class TestSpdMatrix:
         m = SpdMatrix(a)
         assert np.array_equal(m.a, m.a.T)
 
+    def test_repr_names_the_order(self):
+        assert repr(SpdMatrix(np.eye(3))) == "SpdMatrix(n=3)"
+
     def test_rejects_large_asymmetry(self):
         with pytest.raises(ValueError, match="not symmetric"):
             SpdMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))

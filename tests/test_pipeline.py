@@ -479,6 +479,20 @@ class TestPruneModel:
             prune_model(tensors, manifest, [], custom_schedule([0.5] * 3), CONFIG,
                         out=tmp_path / "model.obt")
 
+    def test_stacked_calibration_array_prunes_as_its_list(self, tmp_path):
+        # truth-testing the stacked array once raised numpy's "ambiguous" ValueError
+        tensors, manifest, calib = gen_toy(replace(TOY, seed=1))
+        sched = custom_schedule([0.5, 0.25, 0.5])
+        *_, listed = prune_model(tensors, manifest, calib, sched, CONFIG,
+                                 out=tmp_path / "list.obt")
+        *_, stacked = prune_model(tensors, manifest, np.stack(calib), sched, CONFIG,
+                                  out=tmp_path / "stacked.obt")
+        assert (tmp_path / "stacked.obt").read_bytes() == (tmp_path / "list.obt").read_bytes()
+        assert stacked.to_json() == listed.to_json()
+        with pytest.raises(ValueError, match="^need at least one calibration batch$"):
+            prune_model(tensors, manifest, np.stack(calib)[:0], sched, CONFIG,
+                        out=tmp_path / "empty.obt")
+
     def test_calibration_rows_not_d_model_raise(self, tmp_path):
         tensors, manifest, calib = gen_toy(TOY)
         with pytest.raises(ValueError, match="^calibration activations do not match d_model "
@@ -615,6 +629,21 @@ class TestPruneModel:
         with pytest.raises(ValueError, match="layers"):
             prune_model(tensors, manifest, calib, custom_schedule([0.5]), CONFIG,
                         out=tmp_path / "model.obt")
+
+
+class TestPruneConfig:
+    # the values a JSON config file could hold and a flag cannot
+    @pytest.mark.parametrize("bad", [
+        {"damping": "x"},
+        {"damping": None},
+        {"damping": True},
+        {"group_start": "8"},
+        {"group_start": 8.5},
+        {"group_min": True},
+    ])
+    def test_mistyped_value_raises(self, bad):
+        with pytest.raises(ValueError, match="^(damping|group_start and group_min) must be "):
+            PruneConfig(**bad)
 
 
 class TestReports:
