@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical or validation failure.
 import argparse
 import contextlib
 import os
+import re
 import sys
 import time
 from dataclasses import fields
@@ -41,7 +42,15 @@ VARIANT_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; this CLI uses 1."""
+    """argparse defaults to exit code 2 on usage errors; this CLI uses 1.
+
+    No option starts like a negative number, so ``-1e-3`` and ``-inf`` are
+    values, not the option names argparse's own rule takes them for.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

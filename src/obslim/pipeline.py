@@ -164,6 +164,10 @@ def _silu_inplace(x: np.ndarray) -> np.ndarray:
 
 # Query rows per attention tile; on a 512-token head, 64 ran faster than 128.
 _TILE = 64
+# Largest score bound at which a head's softmax takes ``exp`` of the raw
+# scores: ``e**64`` times any row length stays far below the float64 maximum,
+# and a row sum of at least ``e**-64`` is a normal number.
+_EXP_BOUND = 64.0
 
 
 def _attention(lw: LayerWeights, live: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -175,9 +179,16 @@ def _attention(lw: LayerWeights, live: np.ndarray, x: np.ndarray) -> np.ndarray:
     Each head takes its query rows in tiles of ``_TILE``. A tile scores
     against the keys up to its last row only, so the masked future beyond
     its diagonal block is never computed, and it sees all of those keys at
-    once: the softmax is the exact two-pass ``exp(z - max) / sum``, with no
-    online rescaling. ``1/sqrt(d)`` is folded into the queries, and the
-    division by the row sums is applied after the product with the values.
+    once, with no online rescaling. ``1/sqrt(d)`` is folded into the
+    queries, and the division by the row sums is applied after the product
+    with the values.
+
+    By Cauchy-Schwarz, every score of a head lies within
+    ``B = max_i |q_i| * max_j |k_j|`` of zero. When ``B <= _EXP_BOUND`` the
+    softmax is one pass, ``exp(z) / sum``: no ``exp`` overflows, and every
+    causal row holds its own key, so its sum is at least ``e**-B > 0``.
+    Otherwise, and when ``B`` is NaN or inf, it is the two-pass
+    ``exp(z - max) / sum``.
     """
     h = _rmsnorm(x)
     d = lw.d_head
@@ -190,12 +201,14 @@ def _attention(lw: LayerWeights, live: np.ndarray, x: np.ndarray) -> np.ndarray:
         q /= np.sqrt(d)
         k = lw.wk[sl] @ h
         v = lw.wv[sl] @ h
+        bound = np.sqrt(np.einsum("ij,ij->j", q, q).max() * np.einsum("ij,ij->j", k, k).max())
         ctx = ho[sl]
         for start in range(0, t, _TILE):
             end = min(start + _TILE, t)
             p = q[:, start:end].T @ k[:, :end]
             np.putmask(p[:, start:], future[: end - start, : end - start], -np.inf)
-            p -= p.max(axis=1, keepdims=True)
+            if not bound <= _EXP_BOUND:
+                p -= p.max(axis=1, keepdims=True)
             np.exp(p, out=p)
             ctx[:, start:end] = (v[:, :end] @ p.T) / p.sum(axis=1)
     return ho

@@ -32,7 +32,9 @@ SRC = Path(obslim.__file__).resolve().parent.parent
 # 2 batches of 24 tokens), a scale for them, and the one error pruning must
 # raise: (a) an attention Hessian's inverse overflows; (b) a pruned FFN's
 # features overflow; (c) and (d) those of an FFN that removes nothing do,
-# so only the layer's output error sees them.
+# so only the layer's output error sees them; (e) attention scores overflow,
+# so the bound on them is inf, the softmax takes two passes and the
+# features are NaN.
 NON_FINITE = {
     "a": (("layers.1.attn.wv",), 1e-159,
           "pruning failed at layer 1 (attention): inverse has non-finite entries"),
@@ -42,6 +44,8 @@ NON_FINITE = {
           "pruning failed at layer 2: its output error is not finite"),
     "d": (("layers.0.ffn.w_up", "layers.0.ffn.w_gate"), 1e200,
           "pruning failed at layer 0: its output error is not finite"),
+    "e": (("layers.1.attn.wq", "layers.1.attn.wk"), 1e200,
+          "pruning failed at layer 1 (attention): non-finite values in calibration batch"),
 }
 
 

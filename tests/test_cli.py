@@ -413,6 +413,24 @@ class TestPrune:
             assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("flags", [
+        ["--ratio-first", "-1e-3"],
+        ["--ratio-first", "0.1", "--ratio-last", "-1e-3"],
+        ["--global-target", "-1e308"],
+        ["--global-target", "-inf"],
+        ["--global-target", "0.3", "--damping", "-1e-3"],
+    ], ids=["ratio-first", "ratio-last", "global-target", "global-target-inf", "damping"])
+    def test_negative_value_after_a_space_is_out_of_range(self, toy_dir, tmp_path, capsys,
+                                                         flags, no_payload_read):
+        # "--flag -1e-3" is read as "--flag=-1e-3", not as an option named -1e-3
+        joined = [*flags[:-2], f"{flags[-2]}={flags[-1]}"]
+        errs = []
+        for form in (flags, joined):
+            assert run(prune_args(toy_dir, tmp_path / "out", form)) == 2, form
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1], errs
+        assert errs[0].startswith("error: ") and errs[0].count("\n") == 1, errs[0]
+
+    @pytest.mark.parametrize("flags", [
         ["--variant", "uniform", "--ratio-first", "0.1", "--ratio-last", "0.5"],
         ["--global-target", "0.3", "--ratio-last", "0.9"],
         ["--variant", "uniform", "--ratio-first", "0.1", "--global-target", "0.4"],

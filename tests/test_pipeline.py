@@ -48,6 +48,50 @@ def shared_counts(keys):
     return {key: ctx.Value("i", 0) for key in keys}
 
 
+def two_pass_attention(lw, live, x):
+    """``pipeline._attention`` with the two-pass softmax ``exp(z - max) / sum``
+    in every tile, as it was before heads under the exp bound took one pass."""
+    h = x / np.sqrt((x * x).mean(axis=0, keepdims=True) + 1e-6)
+    d = lw.d_head
+    t = x.shape[1]
+    future = np.triu(np.ones((pipeline._TILE, pipeline._TILE), dtype=bool), k=1)
+    ho = np.zeros((lw.n_head * d, t))
+    for head in np.flatnonzero(live.reshape(lw.n_head, d).any(axis=1)):
+        sl = slice(head * d, (head + 1) * d)
+        q = lw.wq[sl] @ h
+        q /= np.sqrt(d)
+        k = lw.wk[sl] @ h
+        v = lw.wv[sl] @ h
+        ctx = ho[sl]
+        for start in range(0, t, pipeline._TILE):
+            end = min(start + pipeline._TILE, t)
+            p = q[:, start:end].T @ k[:, :end]
+            np.putmask(p[:, start:], future[: end - start, : end - start], -np.inf)
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            ctx[:, start:end] = (v[:, :end] @ p.T) / p.sum(axis=1)
+    return ho
+
+
+def score_bounds(lw, x):
+    """Per head, ``max_i |q_i| * max_j |k_j|`` with ``q`` scaled by ``1/sqrt(d)``:
+    by Cauchy-Schwarz, a bound on every attention score of that head."""
+    h = x / np.sqrt((x * x).mean(axis=0, keepdims=True) + 1e-6)
+    d = lw.d_head
+    q = (lw.wq @ h / np.sqrt(d)).reshape(lw.n_head, d, -1)
+    k = (lw.wk @ h).reshape(lw.n_head, d, -1)
+    return np.linalg.norm(q, axis=1).max(axis=1) * np.linalg.norm(k, axis=1).max(axis=1)
+
+
+def push_over_the_bound(lw, x, head, over=2.0):
+    """Scale ``head``'s query rows in place until its score bound is ``over``
+    times ``_EXP_BOUND``; check that it is the one head over the bound."""
+    rows = slice(head * lw.d_head, (head + 1) * lw.d_head)
+    lw.wq[rows] *= over * pipeline._EXP_BOUND / score_bounds(lw, x)[head]
+    bounds = score_bounds(lw, x)
+    assert bounds[head] > pipeline._EXP_BOUND >= np.delete(bounds, head).max(), bounds
+
+
 class TestGenToy:
     def test_determinism(self):
         t1, m1, c1 = gen_toy(TOY)
@@ -147,12 +191,14 @@ class TestForwardLayer:
 
     @pytest.mark.parametrize("tokens", [1, 2, 63, 64, 65, 128, 129, 300])
     def test_attention_matches_dense_reference(self, tokens):
-        # tile edges on both sides of 64 and 128, and a partial last tile
+        # tile edges on both sides of 64 and 128, and a partial last tile;
+        # head 2 takes the two-pass softmax, heads 0 and 3 the one-pass one
         tensors, manifest, calib = gen_toy(ToyModelSpec(
             n_layers=1, d_model=16, n_head=4, d_ff=8,
             n_calib_batches=1, tokens_per_batch=tokens, seed=tokens))
         lw = LayerWeights.from_tensors(manifest.layers[0], tensors)
         lw.wo[:, 4:8] = 0.0  # head 1 is dead
+        push_over_the_bound(lw, calib[0], head=2)
         feats = pipeline._attention(lw, lw.wo.any(axis=0), calib[0])
         out = pipeline._projection(lw.wo)(calib[0], feats)  # the caller's residual step
         want_out, want_feats = dense_causal_attention(lw, calib[0])
@@ -160,17 +206,53 @@ class TestForwardLayer:
         assert np.linalg.norm(feats - want_feats) <= 1e-12 * np.linalg.norm(want_feats)
         assert np.linalg.norm(out - want_out) <= 1e-12 * np.linalg.norm(want_out)
 
+    @pytest.mark.parametrize("over", [2.0, 20.0])
+    def test_head_over_the_exp_bound_takes_two_passes(self, over):
+        # at 20 times the bound, exp of the unshifted scores would overflow
+        tensors, manifest, calib = gen_toy(ToyModelSpec(
+            n_layers=1, d_model=16, n_head=4, d_ff=8,
+            n_calib_batches=1, tokens_per_batch=150, seed=5))
+        lw = LayerWeights.from_tensors(manifest.layers[0], tensors)
+        push_over_the_bound(lw, calib[0], head=2, over=over)
+        live = lw.wo.any(axis=0)
+        feats = pipeline._attention(lw, live, calib[0])
+        want = two_pass_attention(lw, live, calib[0])
+        assert np.array_equal(feats[8:12], want[8:12])
+        under = np.r_[0:8, 12:16]
+        assert (np.linalg.norm(feats[under] - want[under])
+                <= 1e-12 * np.linalg.norm(want[under]))
+
+    @pytest.mark.parametrize("wq_scale, wk_scale, finite", [
+        (1e200, 1e200, False), (1e300, 1.0, True)], ids=["scores-overflow", "bound-overflows"])
+    def test_non_finite_bound_takes_two_passes(self, wq_scale, wk_scale, finite):
+        # head 2's bound is inf: its scores overflow too (features NaN), or
+        # only the norms in the bound do (features finite; one pass gives NaN)
+        tensors, manifest, calib = gen_toy(ToyModelSpec(
+            n_layers=1, d_model=16, n_head=4, d_ff=8,
+            n_calib_batches=1, tokens_per_batch=150, seed=5))
+        lw = LayerWeights.from_tensors(manifest.layers[0], tensors)
+        lw.wq[8:12] *= wq_scale
+        lw.wk[8:12] *= wk_scale
+        live = lw.wo.any(axis=0)
+        with np.errstate(all="ignore"):
+            assert np.isinf(score_bounds(lw, calib[0])[2])
+            feats = pipeline._attention(lw, live, calib[0])
+            want = two_pass_attention(lw, live, calib[0])
+        assert np.array_equal(feats[8:12], want[8:12], equal_nan=True)
+        assert np.isfinite(feats[8:12]).all() == finite
+
 
 class TestMaskedVsSliced:
     def test_layer_level_exact_equality(self):
         self.check_layer_level_exact_equality(tokens=19)
 
     def test_layer_level_exact_equality_multi_tile(self):
-        # 150 tokens: three attention tiles, the last one partial
-        self.check_layer_level_exact_equality(tokens=150)
+        # 150 tokens: three attention tiles, the last one partial; kept head
+        # 2 takes the two-pass softmax, kept heads 0 and 3 the one-pass one
+        self.check_layer_level_exact_equality(tokens=150, over_the_bound=2)
 
     @staticmethod
-    def check_layer_level_exact_equality(tokens):
+    def check_layer_level_exact_equality(tokens, over_the_bound=None):
         # zero-masking pruned structures and physically slicing them produce
         # numerically identical layer outputs
         rng = np.random.default_rng(1)
@@ -178,6 +260,9 @@ class TestMaskedVsSliced:
             n_layers=1, d_model=24, n_head=4, d_ff=17,
             n_calib_batches=1, tokens_per_batch=tokens, seed=3))
         entry = manifest.layers[0]
+        if over_the_bound is not None:
+            push_over_the_bound(LayerWeights.from_tensors(entry, tensors), calib[0],
+                                head=over_the_bound)
         names = layer_names(0)
         kept_heads = [0, 2, 3]
         kept_cols = np.concatenate([np.arange(h * 6, h * 6 + 6) for h in kept_heads])
