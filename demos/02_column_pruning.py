@@ -79,4 +79,4 @@ for order in (removed, removed[::-1]):
     print("  same final weights:", np.abs(w_blk[:, alive] - w_cur).max() < 1e-10)
     print("  inverse Hessian equals inv(H[kept, kept]):",
           np.abs(h_inv_blk[np.ix_(alive, alive)]
-                 - np.linalg.inv(h.a[np.ix_(kept, kept)])).max() < 1e-10)
+                 - np.linalg.inv(h[np.ix_(kept, kept)])).max() < 1e-10)

@@ -12,11 +12,11 @@ Run: python demos/03_head_pruning.py
 import numpy as np
 
 from obslim import (
-    SpdMatrix,
     block_errors,
+    greedy_prune,
+    group_sizes,
     invert_spd,
     mask_residual,
-    prune_heads,
 )
 
 rng = np.random.default_rng(7)
@@ -35,7 +35,7 @@ def correlated_instance(rho):
     x = np.sqrt(1 - rho) * rng.normal(size=(n, m))
     for head in range(N_HEAD):
         x[cols(head)] += np.sqrt(rho) * rng.normal(size=m)
-    h = SpdMatrix(2.0 * x @ x.T)
+    h = 2.0 * x @ x.T
     w = rng.normal(size=(10, n))
     for head in range(N_HEAD):
         w[:, cols(head)] *= np.exp(0.8 * rng.normal())
@@ -85,7 +85,7 @@ print(f"  block-factor selection no worse than raw:        {gc_no_worse}/{n_tria
 w, h = correlated_instance(rho=0.4)
 print("\nround-0 estimated head errors:")
 print(np.array_str(block_errors(w, invert_spd(h), D_HEAD), precision=1))
-res = prune_heads(w, invert_spd(h), D_HEAD, n_prune=2)
+res = greedy_prune(w, invert_spd(h), D_HEAD, group_sizes(2, 1, 1))  # one head per round
 print(f"two greedy rounds kept heads {(res.kept_columns[::D_HEAD] // D_HEAD).tolist()}, "
       f"paying {res.step_error_sum:.2f} over {res.total_rounds} rounds")
 greedy = mask_residual(w, h, res.kept_columns)

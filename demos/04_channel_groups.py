@@ -11,8 +11,7 @@ Run: python demos/04_channel_groups.py
 
 import numpy as np
 
-from obslim import group_sizes, mask_residual, prune_channels
-from obslim.linalg import SpdMatrix, invert_spd
+from obslim import greedy_prune, group_sizes, invert_spd, mask_residual
 
 rng = np.random.default_rng(11)
 
@@ -27,7 +26,7 @@ def instance(d=64):
     mix = np.eye(d) + 0.3 * rng.normal(size=(d, d)) / np.sqrt(d)
     x = mix @ rng.normal(size=(d, 4 * d))
     w = rng.normal(size=(12, d)) * np.exp(0.5 * rng.normal(size=d))[None, :]
-    return w, SpdMatrix(2.0 * x @ x.T)
+    return w, 2.0 * x @ x.T
 
 
 schedules = {  # (group_start, group_min)
@@ -45,7 +44,7 @@ for _ in range(n_trials):
     w, h = instance()
     base = None
     for name, groups in schedules.items():
-        res = prune_channels(w, invert_spd(h), 32, *groups)
+        res = greedy_prune(w, invert_spd(h), 1, group_sizes(32, *groups))
         estimations[name] = res.total_rounds  # one error estimation per round
         resid = mask_residual(w, h, res.kept_columns)
         if name == "greedy (size 1)":

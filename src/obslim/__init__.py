@@ -7,9 +7,7 @@ calibration Hessian so the layer's output changes as little as possible.
 
 from .calib import HessianAccumulator
 from .errors import ManifestError, NotSpdError, ObslimError, TensorFormatError
-from .ffn_pruner import prune_channels
-from .head_pruner import prune_heads
-from .linalg import SpdMatrix, invert_spd, remove_block
+from .linalg import invert_spd, remove_block
 from .obs_core import (
     PruneResult,
     block_errors,
@@ -52,7 +50,6 @@ __all__ = [
     "PruneReport",
     "PruneResult",
     "PruneSchedule",
-    "SpdMatrix",
     "TensorFormatError",
     "ToyModelSpec",
     "block_errors",
@@ -66,8 +63,6 @@ __all__ = [
     "invert_spd",
     "least_squares_oracle",
     "mask_residual",
-    "prune_channels",
-    "prune_heads",
     "prune_model",
     "read_tensor_file",
     "remove_block",

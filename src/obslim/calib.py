@@ -5,14 +5,14 @@ layer's input features X (columns are tokens). Its lower triangle lives in
 one Fortran-order buffer: one BLAS ``dsyrk`` call per batch adds to it, in
 arrival order; the proportional damping touches only its diagonal; and
 ``inverse``, which ``prune_model`` uses, inverts it in place. ``finalize``
-returns an ``SpdMatrix`` copy of the damped sum for the oracles.
+returns the damped sum as a new, exactly symmetric array for the oracles.
 """
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
 from .errors import NotSpdError
-from .linalg import SpdMatrix, _invert_lower
+from .linalg import _invert_lower
 
 
 class HessianAccumulator:
@@ -45,15 +45,15 @@ class HessianAccumulator:
         self.n_samples += x.shape[1]
         return self
 
-    def finalize(self, damping_frac: float) -> SpdMatrix:
-        """Damped Hessian ``sum + damping_frac * mean(diag(sum)) * I``, as a new matrix.
+    def finalize(self, damping_frac: float) -> np.ndarray:
+        """Damped Hessian ``sum + damping_frac * mean(diag(sum)) * I``, as a new array.
 
         ``NotSpdError`` if it has non-finite entries; ``invert_spd`` checks it is PD.
         """
         damped = self._damped_diagonal(damping_frac)
         full = self.sum + self.sum.T  # the one n x n temporary; it doubles the diagonal
         np.fill_diagonal(full, damped)
-        return SpdMatrix(full)
+        return full
 
     def inverse(self, damping_frac: float) -> np.ndarray:
         """``invert_spd(self.finalize(damping_frac))``, bit for bit, in the sum's own buffer.

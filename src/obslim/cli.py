@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 numerical or validation failure.
 """
 
 import argparse
-import contextlib
 import os
 import re
+import shutil
 import sys
 import time
+import uuid
 from dataclasses import fields
 
 import numpy as np
@@ -174,27 +175,30 @@ def _cmd_prune(args) -> int:
     )
     config = PruneConfig(damping=args.damping, group_start=args.group_start,
                          group_min=args.group_min)
-    _check_out_dir(args.out, ("model.obt", "manifest.json", "report.json", "report.csv"))
+    outputs = ("model.obt", "manifest.json", "report.json", "report.csv")
+    _check_out_dir(args.out, outputs)
     _check_hessians_fit(manifest, header, sched.ratios)
     tensors = read_tensor_file(args.model)
     calib = list(read_tensor_file(args.calib).values())
     created = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
+    stage = os.path.join(args.out, f".prune-{uuid.uuid4().hex}")  # all four are written here first
     t_start = time.perf_counter()
     try:
+        os.mkdir(stage)
         pruned, pruned_manifest, report = prune_model(
-            tensors, manifest, calib, sched, config, out=os.path.join(args.out, "model.obt"))
-    except BaseException:
-        if created:  # a failed run leaves no output, not even the directory
-            with contextlib.suppress(OSError):
-                os.rmdir(args.out)
+            tensors, manifest, calib, sched, config, out=os.path.join(stage, "model.obt"))
+        elapsed = time.perf_counter() - t_start
+        pruned_manifest.save(os.path.join(stage, "manifest.json"))
+        report.save(os.path.join(stage, "report.json"))
+        with open(os.path.join(stage, "report.csv"), "w", encoding="utf-8") as fh:
+            fh.write(report.to_csv())
+        for name in outputs:
+            os.replace(os.path.join(stage, name), os.path.join(args.out, name))
+    except BaseException:  # a failed run leaves no output, not even a directory it made
+        shutil.rmtree(args.out if created else stage, ignore_errors=True)
         raise
-    elapsed = time.perf_counter() - t_start
-
-    pruned_manifest.save(os.path.join(args.out, "manifest.json"))
-    report.save(os.path.join(args.out, "report.json"))
-    with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
+    os.rmdir(stage)
     total_params = sum(entry.size for entry in header.values())
     kept_params = sum(a.size for a in pruned.values())
     print(_format_report(report))

@@ -1,7 +1,7 @@
 """FFN channel pruning: ``greedy_prune`` over one-column blocks in rounds of ``group_sizes``.
 
-``prune_channels`` and ``head_pruner.prune_heads`` stay as named functions
-because the benchmark's tracer binds these names (until ROADMAP item 1).
+``prune_channels`` is ``prune_model``'s call, not public API: it stays a named
+function only because the benchmark's tracer binds it (until ROADMAP item 1).
 """
 
 import numpy as np

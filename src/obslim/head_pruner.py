@@ -3,8 +3,8 @@
 Heads are contiguous, equal-width column blocks, so head pruning is
 ``obs_core.greedy_prune`` with blocks of ``d_head`` columns, one head per
 round. The kept heads are ``kept_columns[::d_head] // d_head``.
-``prune_heads`` and ``ffn_pruner.prune_channels`` stay as named functions
-because the benchmark's tracer binds these names (until ROADMAP item 1).
+``prune_heads`` is ``prune_model``'s call, not public API: it stays a named
+function only because the benchmark's tracer binds it (until ROADMAP item 1).
 """
 
 import numpy as np

@@ -5,9 +5,10 @@ inversion from one Cholesky factorization, and the block-OBS kernel that
 removes a set of columns from a weight matrix and its inverse Hessian in
 one solve. Block scoring (``obs_core.block_errors``) factors its own blocks.
 
-``SpdMatrix`` validates a Hessian where it enters the public API; past
-that point, inverses are plain float64 arrays, which ``remove_block``
-downdates in place and the pruners consume. Identical inputs give identical bits.
+A Hessian is a plain float64 array, checked where it enters the public API
+(``invert_spd`` and the oracles of ``obs_core``); inverses are plain arrays
+too, which ``remove_block`` downdates in place and the pruners consume.
+Identical inputs give identical bits.
 """
 
 import numpy as np
@@ -17,53 +18,46 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NotSpdError
 
-# asymmetry an SpdMatrix accepts, relative to max(1, its largest |entry|)
+# asymmetry a Hessian may have, relative to max(1, its largest |entry|)
 _MAX_ASYMMETRY = 1e-9
 
 
 class SpdMatrix:
-    """A validated symmetric float64 matrix, the Hessian type of the public API.
-
-    The constructor checks that its input is square and finite and that the
-    asymmetry is within ``_MAX_ASYMMETRY`` relative to the largest entry, then
-    symmetrizes it as (M + M^T)/2. Positive definiteness is checked by the
-    one factorization the matrix gets, in ``invert_spd``, which raises
-    ``NotSpdError`` on failure.
-    """
-
-    __slots__ = ("a",)
+    """A placeholder obslim never builds; ``perfbench/spans.py`` binds its ``__init__``."""
 
     def __init__(self, data):
-        a = np.asarray(data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix contains non-finite entries")
-        scale = max(1.0, float(np.abs(a).max()))
-        asym = float(np.abs(a - a.T).max())
-        if asym > _MAX_ASYMMETRY * scale:
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {_MAX_ASYMMETRY:.0e} relative tolerance"
-            )
-        self.a = (a + a.T) / 2.0
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def __repr__(self):
-        return f"SpdMatrix(n={self.n})"
+        raise TypeError("pass the Hessian as a plain array")
 
 
-def invert_spd(m: SpdMatrix) -> np.ndarray:
+def _check_hessian(h) -> np.ndarray:
+    """``h`` as a new float64 array (h + h^T)/2; ``ValueError`` unless it is square,
+    finite and symmetric within ``_MAX_ASYMMETRY`` of max(1, its largest |entry|)."""
+    a = np.asarray(h, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    scale = max(1.0, float(np.abs(a).max()))
+    buf = a - a.T  # the one n x n buffer: the asymmetry, then the result
+    asym = float(np.abs(buf, out=buf).max())
+    if asym > _MAX_ASYMMETRY * scale:
+        raise ValueError(
+            f"matrix is not symmetric: max asymmetry {asym:.3e} "
+            f"exceeds {_MAX_ASYMMETRY:.0e} relative tolerance"
+        )
+    return np.divide(np.add(a, a.T, out=buf), 2.0, out=buf)
+
+
+def invert_spd(h) -> np.ndarray:
     """Exactly symmetric inverse of an SPD matrix, as a writeable C-contiguous array.
 
     Raises:
+        ValueError: if ``h`` is not square, not finite or not symmetric
+            (``_check_hessian``), or if the inverse has non-finite entries.
         NotSpdError: if the matrix is not positive definite.
-        ValueError: if the inverse has non-finite entries.
     """
-    return _invert_lower(np.array(m.a, order="F"))
+    # the checked matrix is exactly symmetric: its transpose is it in Fortran order
+    return _invert_lower(_check_hessian(h).T)
 
 
 def _invert_lower(a: np.ndarray) -> np.ndarray:

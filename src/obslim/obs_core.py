@@ -7,7 +7,8 @@ blocks) and removes the cheapest ones with the exact block-OBS step
 ``linalg.remove_block`` (the group OBS step of OBC), in rounds whose sizes
 ``group_sizes`` gives. The module also carries the oracle that the
 tests and the benchmark's gate compare against: the closed-form
-least-squares solution for a fixed column mask, and its residual.
+least-squares solution for a fixed column mask, and its residual. Both take
+the Hessian as a plain array and check it as ``linalg.invert_spd`` does.
 """
 
 from typing import NamedTuple
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotSpdError
-from .linalg import SpdMatrix, _block_solve, remove_block
+from .linalg import _block_solve, _check_hessian, remove_block
 
 
 def block_errors(w: np.ndarray, h_inv: np.ndarray, width: int, alive=None) -> np.ndarray:
@@ -141,7 +142,7 @@ def greedy_prune(w: np.ndarray, h_inv: np.ndarray, width: int, sizes) -> PruneRe
     return PruneResult(w, np.flatnonzero(alive), rounds)
 
 
-def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:
+def least_squares_oracle(w: np.ndarray, h: np.ndarray, kept) -> np.ndarray:
     """Exact minimizer of the reconstruction error for a fixed column mask.
 
     Returns ``W @ H[:, kept] @ inv(H[kept, kept])``, the unique weights over
@@ -149,29 +150,31 @@ def least_squares_oracle(w: np.ndarray, h: SpdMatrix, kept) -> np.ndarray:
     features X with ``X X^T`` proportional to H. Output columns follow the
     order of ``kept``.
     """
+    h = _check_hessian(h)
     w = np.asarray(w, dtype=np.float64)
     kept = np.asarray(kept, dtype=np.intp)
     if kept.size == 0:
         return np.zeros((w.shape[0], 0))
-    h_k = h.a[:, kept]
-    h_kk = h.a[np.ix_(kept, kept)]
+    h_k = h[:, kept]
+    h_kk = h[np.ix_(kept, kept)]
     try:
         return np.linalg.solve(h_kk, (w @ h_k).T).T
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"kept-column block of the Hessian is singular ({exc})") from exc
 
 
-def mask_residual(w: np.ndarray, h: SpdMatrix, kept) -> float:
+def mask_residual(w: np.ndarray, h: np.ndarray, kept) -> float:
     """Reconstruction error of the optimally compensated mask.
 
     Evaluates ``||W X - W_hat X[kept]||^2`` (with ``H = X X^T``) at the
     least-squares optimum without needing X itself.
     """
+    h = _check_hessian(h)
     w = np.asarray(w, dtype=np.float64)
     kept = np.asarray(kept, dtype=np.intp)
-    total = float(np.einsum("ij,jk,ik->", w, h.a, w))
+    total = float(np.einsum("ij,jk,ik->", w, h, w))
     if kept.size == 0:
         return total
     w_hat = least_squares_oracle(w, h, kept)
-    captured = float(np.einsum("ij,ij->", w_hat, w @ h.a[:, kept]))
+    captured = float(np.einsum("ij,ij->", w_hat, w @ h[:, kept]))
     return total - captured

@@ -206,7 +206,7 @@ def _attention(lw: LayerWeights, live: np.ndarray, x: np.ndarray) -> np.ndarray:
         for start in range(0, t, _TILE):
             end = min(start + _TILE, t)
             p = q[:, start:end].T @ k[:, :end]
-            np.putmask(p[:, start:], future[: end - start, : end - start], -np.inf)
+            np.copyto(p[:, start:], -np.inf, where=future[: end - start, : end - start])
             if not bound <= _EXP_BOUND:
                 p -= p.max(axis=1, keepdims=True)
             np.exp(p, out=p)

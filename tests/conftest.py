@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 
 import obslim
 from obslim import pipeline
-from obslim.linalg import SpdMatrix, invert_spd, remove_block
+from obslim.linalg import invert_spd, remove_block
 from obslim.obs_core import PruneResult, block_errors, least_squares_oracle, mask_residual
 
 # The directory that holds the obslim this run imported, which PYTHONPATH
@@ -79,7 +79,7 @@ def dense_causal_attention(lw, x):
 ENUMERATION_GUARD = 100_000
 
 
-def brute_force_best_columns(w: np.ndarray, h: SpdMatrix, k: int):
+def brute_force_best_columns(w: np.ndarray, h: np.ndarray, k: int):
     """Exhaustively find the k columns whose removal costs least.
 
     Returns ``(removed, error)`` where ``removed`` is the lexicographically
@@ -109,11 +109,16 @@ def brute_force_best_columns(w: np.ndarray, h: SpdMatrix, k: int):
     return best_removed, float(best_err)
 
 
-def rand_spd(rng, n: int, m_factor: int = 4, gamma: float = 0.3) -> SpdMatrix:
-    """SPD Hessian of mildly mixed features, 2 X X^T with m_factor*n tokens."""
+def symmetrized(a: np.ndarray) -> np.ndarray:
+    """``(a + a^T) / 2``: exactly symmetric, as the Hessian checks leave a matrix."""
+    return (a + a.T) / 2.0
+
+
+def rand_spd(rng, n: int, m_factor: int = 4, gamma: float = 0.3) -> np.ndarray:
+    """SPD Hessian of mildly mixed features, 2 X X^T with m_factor*n tokens, exactly symmetric."""
     mix = np.eye(n) + gamma * rng.normal(size=(n, n)) / np.sqrt(n)
     x = mix @ rng.normal(size=(n, m_factor * n))
-    return SpdMatrix(2.0 * x @ x.T)
+    return symmetrized(2.0 * x @ x.T)
 
 
 def head_cols(d_head: int, head: int) -> np.ndarray:
@@ -132,7 +137,7 @@ def kept_heads(result: PruneResult, d_head: int) -> list:
     return (result.kept_columns[::d_head] // d_head).tolist()
 
 
-def exact_head_residuals(w, h: SpdMatrix, d_head: int) -> np.ndarray:
+def exact_head_residuals(w, h: np.ndarray, d_head: int) -> np.ndarray:
     """Exact residual of optimally removing each single head."""
     n_head = w.shape[1] // d_head
     return np.array(
@@ -159,7 +164,7 @@ def head_instance(rng, n_head: int = 4, sep: float = 2.0):
             x[head_cols(d_head, hd)] += np.sqrt(rho) * rng.normal(size=m)
         mix = np.eye(n) + 0.15 * rng.normal(size=(n, n)) / np.sqrt(n)
         xm = mix @ x
-        h = SpdMatrix(2.0 * xm @ xm.T)
+        h = symmetrized(2.0 * xm @ xm.T)
         w = rng.normal(size=(int(rng.integers(8, 17)), n))
         for hd in range(n_head):
             w[:, head_cols(d_head, hd)] *= np.exp(0.8 * rng.normal())
@@ -256,7 +261,7 @@ def step_pairs(rounds) -> list:
     return [pair for cols, steps in rounds for pair in zip(cols.tolist(), steps.tolist())]
 
 
-def greedy_channels(w, h: SpdMatrix, n_prune: int):
+def greedy_channels(w, h: np.ndarray, n_prune: int):
     """Plain greedy column pruning: rescore, then remove the argmin, one column a call.
 
     Scores with the inline single-column OBS error ``sum(w**2) / diag(h_inv)``,
@@ -275,7 +280,7 @@ def greedy_channels(w, h: SpdMatrix, n_prune: int):
     return w[:, alive], np.flatnonzero(alive).tolist(), steps
 
 
-def reinvert_prune_heads(w, h: SpdMatrix, d_head: int, n_prune: int) -> PruneResult:
+def reinvert_prune_heads(w, h: np.ndarray, d_head: int, n_prune: int) -> PruneResult:
     """Reference greedy head pruning that never carries an inverse between rounds.
 
     Every round re-inverts the kept submatrix of ``h`` and scores the
@@ -289,7 +294,7 @@ def reinvert_prune_heads(w, h: SpdMatrix, d_head: int, n_prune: int) -> PruneRes
     for _ in range(n_prune):
         cols = np.concatenate([head_cols(d_head, hd) for hd in alive])
         w_cur = least_squares_oracle(w, h, cols)
-        h_kept = SpdMatrix(h.a[np.ix_(cols, cols)])
+        h_kept = h[np.ix_(cols, cols)]
         head = alive.pop(int(np.argmin(block_errors(w_cur, invert_spd(h_kept), d_head))))
         resid = mask_residual(w, h, np.concatenate([head_cols(d_head, hd) for hd in alive]))
         rounds.append((head_cols(d_head, head), np.array([resid - paid])))

@@ -14,7 +14,7 @@ from scipy.stats import binomtest
 from obslim.cli import main as cli_main
 from obslim.ffn_pruner import prune_channels
 from obslim.head_pruner import prune_heads
-from obslim.linalg import SpdMatrix, invert_spd
+from obslim.linalg import invert_spd
 from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
 from obslim.pipeline import PruneConfig, ToyModelSpec, gen_toy, prune_model
 from obslim.schedule import PruneSchedule, build_schedule
@@ -59,11 +59,11 @@ def test_c01_lemma_suite():
         perm = rng.permutation(n)
         sym = np.ix_(perm, perm)
         lhs = invert_spd(m)[sym]
-        rhs = invert_spd(SpdMatrix(m.a[sym]))
+        rhs = invert_spd(m[sym])
         worst_perm = max(worst_perm, float(np.abs(lhs - rhs).max()))
         k = int(rng.integers(1, n + 1))
-        low = np.linalg.cholesky(m.a)
-        sub = np.linalg.cholesky(m.a[:k, :k])
+        low = np.linalg.cholesky(m)
+        sub = np.linalg.cholesky(m[:k, :k])
         worst_chol = max(worst_chol, float(np.abs(low[:k, :k] - sub).max()))
     elapsed = time.monotonic() - t0
     ok = worst_perm < 1e-8 and worst_chol < 1e-8 and elapsed < 10.0
@@ -85,11 +85,11 @@ def test_c02_remove_update_oracle():
         h_inv = invert_spd(h)
         w = np.zeros((1, n))
         for p in range(n):
-            direct = np.linalg.inv(np.delete(np.delete(h.a, p, 0), p, 1))
+            direct = np.linalg.inv(np.delete(np.delete(h, p, 0), p, 1))
             worst = max(worst, float(np.abs(remove_compacted(w, h_inv, [p])[1] - direct).max()))
         idx = rng_block.permutation(n)[: int(rng_block.integers(1, n))]
         rest = np.setdiff1d(np.arange(n), idx)
-        direct = np.linalg.inv(h.a[np.ix_(rest, rest)])
+        direct = np.linalg.inv(h[np.ix_(rest, rest)])
         block_dev = np.abs(remove_compacted(w, h_inv, idx)[1] - direct).max()
         worst_block = max(worst_block, float(block_dev))
     worst_refresh = 0.0
@@ -100,7 +100,7 @@ def test_c02_remove_update_oracle():
         low = np.linalg.cholesky(invert_spd(h))
         tail = low[d:, d:]
         trailing = tail @ tail.T
-        reinv = invert_spd(SpdMatrix(h.a[d:, d:]))
+        reinv = invert_spd(h[d:, d:])
         worst_refresh = max(worst_refresh, float(np.abs(trailing - reinv).max()))
     ok = worst < 1e-8 and worst_block < 1e-8 and worst_refresh < 1e-6
     report_line(
@@ -340,7 +340,7 @@ def test_c10_scale_invariance():
     for _ in range(20):
         w, h, d_head, _ = head_instance(rng)
         res1 = prune_heads(w, invert_spd(h), d_head, 2)
-        res2 = prune_heads(w, invert_spd(SpdMatrix(2.0 * h.a)), d_head, 2)
+        res2 = prune_heads(w, invert_spd(2.0 * h), d_head, 2)
         ok_heads &= kept_heads(res1, d_head) == kept_heads(res2, d_head)
         scale = max(1.0, float(np.abs(res1.pruned_w).max()))
         worst_w = max(worst_w, float(np.abs(res1.pruned_w - res2.pruned_w).max()) / scale)
@@ -348,7 +348,7 @@ def test_c10_scale_invariance():
         w, h, n_prune = ffn_instance(rng, max_channels=32)
         _, kept1, _ = prune_channels(w, invert_spd(h), n_prune, 4, 1)
         out1 = prune_channels(w, invert_spd(h), n_prune, 4, 1)[0]
-        h2 = SpdMatrix(2.0 * h.a)
+        h2 = 2.0 * h
         out2, kept2, _ = prune_channels(w, invert_spd(h2), n_prune, 4, 1)
         ok_channels &= np.array_equal(kept1, kept2)
         scale = max(1.0, float(np.abs(out1).max()))

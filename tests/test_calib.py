@@ -7,7 +7,9 @@ import pytest
 
 from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError
-from obslim.linalg import SpdMatrix, invert_spd
+from obslim.linalg import invert_spd
+
+from conftest import symmetrized
 
 
 class TestAccumulate:
@@ -89,7 +91,7 @@ class TestFinalize:
         acc = HessianAccumulator(2)
         acc.sum = 2.0 * np.eye(2)
         acc.n_samples = 1
-        assert np.array_equal(acc.finalize(0.0).a, 2.0 * np.eye(2))
+        assert np.array_equal(acc.finalize(0.0), 2.0 * np.eye(2))
 
     def test_damping_value(self):
         # mean diagonal of diag(2, 4) is 3, so damping 0.01 adds 0.03
@@ -97,13 +99,13 @@ class TestFinalize:
         acc.sum = np.diag([2.0, 4.0])
         acc.n_samples = 1
         out = acc.finalize(0.01)
-        assert np.allclose(out.a, np.diag([2.03, 4.03]), atol=1e-15)
+        assert np.allclose(out, np.diag([2.03, 4.03]), atol=1e-15)
 
     def test_rank_deficient_becomes_spd(self):
         acc = HessianAccumulator(4)
         acc.accumulate(np.ones((4, 1)))  # rank-1 sum
         h = acc.finalize(0.01)
-        low = np.linalg.cholesky(h.a)
+        low = np.linalg.cholesky(h)
         assert np.all(np.diag(low) > 0)
 
     def test_singular_without_damping(self):
@@ -126,8 +128,8 @@ class TestFinalize:
         # in invert_spd, finds the rank-1 sum not positive definite
         acc = HessianAccumulator(4).accumulate(np.ones((4, 1)))
         h = acc.finalize(0.0)
-        assert isinstance(h, SpdMatrix)
-        assert np.array_equal(h.a, 2.0 * np.ones((4, 4)))
+        assert type(h) is np.ndarray
+        assert np.array_equal(h, 2.0 * np.ones((4, 4)))
         with pytest.raises(NotSpdError, match="not SPD"):
             invert_spd(h)
 
@@ -149,11 +151,26 @@ class TestFinalize:
             acc.finalize(-0.1)
 
 
+    def test_array_with_the_bits_of_the_symmetrized_damped_sum(self):
+        # the damped sum mirrored from its lower triangle, symmetrized as
+        # (H + H^T)/2 the way the Hessian checks leave it: the same bits
+        rng = np.random.default_rng(5)
+        acc = HessianAccumulator(9)
+        for _ in range(3):
+            acc.accumulate(rng.normal(size=(9, 14)))
+        low = np.tril(acc.sum)
+        full = low + np.tril(low, -1).T
+        diag = np.diag(acc.sum)
+        np.fill_diagonal(full, diag + 0.01 * np.mean(diag))
+        h = acc.finalize(0.01)
+        assert type(h) is np.ndarray
+        assert h.tobytes() == symmetrized(full).tobytes()
+
     def test_finalize_leaves_the_sum(self):
         acc = HessianAccumulator(5).accumulate(np.random.default_rng(4).normal(size=(5, 8)))
         before = acc.sum.copy()
         first, second = acc.finalize(0.01), acc.finalize(0.01)
-        assert np.array_equal(first.a, second.a)
+        assert np.array_equal(first, second)
         assert np.array_equal(acc.sum, before)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior and exit codes (0 ok, 1 usage, 2 numerical)."""
 
 import contextlib
+import errno
 import io
 import json
 import multiprocessing
@@ -821,6 +822,44 @@ class TestPrune:
         assert len(puts) == 2 * 7  # layer 0 was streamed before each run failed
         assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
         assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    @pytest.mark.parametrize("owner, method, output", [
+        (ModelManifest, "to_json", "manifest.json"),
+        (PruneReport, "to_json", "report.json"),
+        (PruneReport, "to_csv", "report.csv"),
+    ], ids=["manifest.json", "report.json", "report.csv"])
+    def test_failed_output_write_changes_no_output(self, toy_dir, tmp_path, capsys, monkeypatch,
+                                                   owner, method, output, in_place):
+        # the four outputs replace the old ones as one set, once all are written;
+        # the snapshot also holds every temporary file or directory left behind
+        out = toy_dir if in_place else tmp_path / "out"
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.2"])) == 0
+        before = snapshot(out)
+
+        def no_space(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), output)
+
+        monkeypatch.setattr(owner, method, no_space)
+        capsys.readouterr()
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.4"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 28] ") and err.count("\n") == 1, err
+        assert snapshot(out) == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_outputs_replace_a_symlink_to_a_full_device(self, toy_dir, tmp_path):
+        # each output is renamed over its destination, never written through it
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.2"])) == 0
+        (out / "report.json").unlink()
+        (out / "report.json").symlink_to("/dev/full")
+        assert run(prune_args(toy_dir, out, ["--global-target", "0.4"])) == 0
+        assert run(prune_args(toy_dir, fresh, ["--global-target", "0.4"])) == 0
+        assert sorted(os.listdir(out)) == sorted(PRUNE_OUTPUTS)
+        assert not (out / "report.json").is_symlink()
+        for name in PRUNE_OUTPUTS:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_unreachable_target_exit_2(self, toy_dir, tmp_path):
         assert run(prune_args(toy_dir, tmp_path / "out", [

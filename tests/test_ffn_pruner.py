@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obslim.ffn_pruner import prune_channels
-from obslim.linalg import SpdMatrix, invert_spd
+from obslim.linalg import invert_spd
 from obslim.obs_core import group_sizes, least_squares_oracle, mask_residual
 
 from conftest import ffn_instance, greedy_channels, in_place_rounds, rand_spd, step_pairs
@@ -46,7 +46,7 @@ class TestPruneChannels:
         w = rng.normal(size=(4, 8))
         zero_cols = [1, 4, 6]
         w[:, zero_cols] = 0.0
-        h_inv = invert_spd(SpdMatrix(np.eye(8)))
+        h_inv = invert_spd(np.eye(8))
         out, kept, rounds = prune_channels(w, h_inv, 3, 2, 1)
         assert sorted(set(range(8)) - set(kept.tolist())) == zero_cols
         assert sum(err for _, err in step_pairs(rounds)) == 0.0
@@ -109,14 +109,14 @@ class TestPruneChannels:
         # only, keeps the same channels with the same weights; also with a dead channel
         rng = np.random.default_rng(5)
         w, h, n_prune = ffn_instance(rng, max_channels=24)
-        dead = h.a.copy()
-        dead[3], dead[:, 3], dead[3, 3] = 0.0, 0.0, 0.01 * np.diag(h.a).mean()
+        dead = h.copy()
+        dead[3], dead[:, 3], dead[3, 3] = 0.0, 0.0, 0.01 * np.diag(h).mean()
         w_dead = w.copy()
         w_dead[:, 3] = 0.0
-        for w, h in ((w, h), (w_dead, SpdMatrix(dead))):
+        for w, h in ((w, h), (w_dead, dead)):
             h_inv = invert_spd(h)
             w_run, kept = in_place_rounds(w, h_inv, 1, group_sizes(n_prune, 4, 1))
-            want = invert_spd(SpdMatrix(h.a[np.ix_(kept, kept)]))
+            want = invert_spd(h[np.ix_(kept, kept)])
             assert np.linalg.norm(h_inv[np.ix_(kept, kept)] - want) <= 1e-8 * np.linalg.norm(want)
             out, got, _ = prune_channels(w, invert_spd(h), n_prune, 4, 1)
             assert np.array_equal(got, kept)
@@ -125,4 +125,4 @@ class TestPruneChannels:
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            prune_channels(np.ones((2, 4)), invert_spd(SpdMatrix(np.eye(4))), 4, 2, 1)
+            prune_channels(np.ones((2, 4)), invert_spd(np.eye(4)), 4, 2, 1)

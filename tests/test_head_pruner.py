@@ -5,7 +5,7 @@ import pytest
 
 from obslim.errors import NotSpdError
 from obslim.head_pruner import prune_heads
-from obslim.linalg import SpdMatrix, invert_spd, remove_block
+from obslim.linalg import invert_spd, remove_block
 from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
 
 from conftest import (
@@ -31,7 +31,7 @@ class TestHeadErrors:
         assert np.allclose(errs, (w * w).sum(axis=0))
 
     def test_zero_weights(self):
-        errs = block_errors(np.zeros((3, 8)), rand_spd(np.random.default_rng(1), 8).a, 4)
+        errs = block_errors(np.zeros((3, 8)), rand_spd(np.random.default_rng(1), 8), 4)
         assert np.array_equal(errs, np.zeros(2))
 
     def test_block_diagonal_hand_evaluation(self):
@@ -99,7 +99,7 @@ class TestReorder:
         w = rng.normal(size=(5, 12))
         _, h_rest, _ = remove_compacted(w, invert_spd(h), head_cols(3, 2))
         kept = other_cols(4, 3, 2)
-        direct = np.linalg.inv(h.a[np.ix_(kept, kept)])
+        direct = np.linalg.inv(h[np.ix_(kept, kept)])
         assert np.abs(h_rest - direct).max() < 1e-8
 
 
@@ -198,7 +198,7 @@ class TestPruneHeads:
         relabel = rng.permutation(len(exact))  # new position of each old head
         col_perm = np.concatenate([head_cols(d_head, hd) for hd in relabel])
         w2 = w[:, col_perm]
-        h2 = SpdMatrix(h.a[np.ix_(col_perm, col_perm)])
+        h2 = h[np.ix_(col_perm, col_perm)]
         res1 = prune_heads(w, invert_spd(h), d_head, 2)
         res2 = prune_heads(w2, invert_spd(h2), d_head, 2)
         kept1, kept2 = kept_heads(res1, d_head), kept_heads(res2, d_head)
@@ -218,7 +218,7 @@ class TestPruneHeads:
         rng = np.random.default_rng(15)
         w, h, d_head, _ = head_instance(rng)
         res1 = prune_heads(w, invert_spd(h), d_head, 2)
-        res2 = prune_heads(w, invert_spd(SpdMatrix(2.0 * h.a)), d_head, 2)
+        res2 = prune_heads(w, invert_spd(2.0 * h), d_head, 2)
         assert np.array_equal(res1.kept_columns, res2.kept_columns)
         assert np.abs(res1.pruned_w - res2.pruned_w).max() < 1e-12 * max(1, np.abs(w).max())
 
@@ -240,7 +240,7 @@ class TestPruneHeads:
         h_inv = invert_spd(h)
         w_run, kept = in_place_rounds(w, h_inv, d_head, [1, 1])
         cols = np.ix_(kept, kept)
-        want = invert_spd(SpdMatrix(h.a[cols]))
+        want = invert_spd(h[cols])
         assert np.linalg.norm(h_inv[cols] - want) <= 1e-8 * np.linalg.norm(want)
         res = prune_heads(w, invert_spd(h), d_head, 2)
         assert np.array_equal(res.kept_columns, kept)
@@ -248,7 +248,7 @@ class TestPruneHeads:
 
     def test_invalid_args(self):
         w = np.ones((2, 4))
-        h = SpdMatrix(np.eye(4))
+        h = np.eye(4)
         with pytest.raises(ValueError):
             prune_heads(w, invert_spd(h), 2, 2)  # would remove every head
         with pytest.raises(ValueError):
@@ -260,4 +260,4 @@ class TestPruneHeads:
         with pytest.raises(ValueError):
             prune_heads(w, invert_spd(h), 0, 1)
         with pytest.raises(NotSpdError):
-            prune_heads(w, invert_spd(SpdMatrix(np.diag([1.0, 1.0, 1.0, -1.0]))), 2, 1)
+            prune_heads(w, invert_spd(np.diag([1.0, 1.0, 1.0, -1.0])), 2, 1)

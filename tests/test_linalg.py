@@ -13,45 +13,66 @@ from obslim.errors import NotSpdError
 from obslim.linalg import SpdMatrix, invert_spd, remove_block
 from obslim.obs_core import block_errors, least_squares_oracle, mask_residual
 
-from conftest import compact_remove_block, rand_spd, remove_compacted, remove_sequentially
+from conftest import (
+    compact_remove_block,
+    rand_spd,
+    remove_compacted,
+    remove_sequentially,
+    symmetrized,
+)
 
 
 def delete_rc(a: np.ndarray, p: int) -> np.ndarray:
     return np.delete(np.delete(a, p, axis=0), p, axis=1)
 
 
+# The three public entry points that take a Hessian, each as a function of it alone.
+HESSIAN_ENTRY_POINTS = (
+    invert_spd,
+    lambda h: least_squares_oracle(np.ones((1, len(h))), h, [0]),
+    lambda h: mask_residual(np.ones((1, len(h))), h, [0]),
+)
+
+
 class TestSpdMatrix:
+    """The placeholder, and the check each Hessian entry point makes of a plain array."""
+
+    def test_placeholder_cannot_be_built(self):
+        with pytest.raises(TypeError, match="^pass the Hessian as a plain array$"):
+            SpdMatrix(np.eye(3))
+
     def test_symmetrizes_small_asymmetry(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
-        m = SpdMatrix(a)
-        assert np.array_equal(m.a, m.a.T)
-
-    def test_repr_names_the_order(self):
-        assert repr(SpdMatrix(np.eye(3))) == "SpdMatrix(n=3)"
+        for entry in HESSIAN_ENTRY_POINTS:
+            assert np.array_equal(entry(a), entry(symmetrized(a)))
+        assert np.array_equal(invert_spd(a), invert_spd(a).T)
 
     def test_rejects_large_asymmetry(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SpdMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
+        for entry in HESSIAN_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="not symmetric"):
+                entry(np.array([[1.0, 2.0], [1.0, 1.0]]))
 
     def test_symmetry_bound(self):
         # the asymmetry bound is 1e-9 of max(1, largest |entry|): 2e-9 here
-        SpdMatrix([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
-        with pytest.raises(ValueError, match="not symmetric"):
-            SpdMatrix([[2.0, 1.0], [1.0 + 4e-9, 2.0]])
+        for entry in HESSIAN_ENTRY_POINTS:
+            entry([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
+            with pytest.raises(ValueError, match="not symmetric"):
+                entry([[2.0, 1.0], [1.0 + 4e-9, 2.0]])
 
     def test_rejects_non_square_and_non_finite(self):
-        with pytest.raises(ValueError):
-            SpdMatrix(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            SpdMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for entry in HESSIAN_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="^expected a square matrix, got shape"):
+                entry(np.ones((2, 3)))
+            with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                entry(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestInvertSpd:
     def test_identity(self):
-        assert np.allclose(invert_spd(SpdMatrix(np.eye(3))), np.eye(3))
+        assert np.allclose(invert_spd(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        inv = invert_spd(SpdMatrix(np.diag([2.0, 4.0])))
+        inv = invert_spd(np.diag([2.0, 4.0]))
         assert np.allclose(inv, np.diag([0.5, 0.25]), atol=1e-14)
 
     def test_multiply_back_oracle(self):
@@ -59,18 +80,18 @@ class TestInvertSpd:
         for _ in range(25):
             m = rand_spd(rng, 8)
             inv = invert_spd(m)
-            assert np.abs(m.a @ inv - np.eye(8)).max() < 1e-8
+            assert np.abs(m @ inv - np.eye(8)).max() < 1e-8
             assert np.array_equal(inv, inv.T)
 
     def test_not_spd(self):
-        bad = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(NotSpdError, match="not SPD"):
             invert_spd(bad)
 
     def test_rejects_overflowing_inverse(self):
         # dpotrf accepts the subnormal pivot; its inverse overflows to inf
         with pytest.raises(ValueError, match="non-finite"):
-            invert_spd(SpdMatrix(np.diag([1e-310, 1.0])))
+            invert_spd(np.diag([1e-310, 1.0]))
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(11)
@@ -79,12 +100,13 @@ class TestInvertSpd:
             assert np.array_equal(inv, inv.T)
 
     def test_mirror_allocates_nothing_n_by_n(self):
-        # dpotri's triangle is mirrored in row panels: besides the factor
-        # that becomes the inverse, nothing n x n is allocated, and the
-        # result is bit for bit the whole-matrix np.tril mirror
+        # the Hessian check's one n x n buffer becomes the factor and then
+        # the inverse, whose dpotri triangle is mirrored in row panels:
+        # nothing else n x n is held beside it, and the result is bit for
+        # bit the whole-matrix np.tril mirror
         n = 512
         m = rand_spd(np.random.default_rng(13), n, m_factor=2)
-        want, _ = dpotri(dpotrf(m.a, lower=1, clean=1)[0], lower=1, overwrite_c=1)
+        want, _ = dpotri(dpotrf(m, lower=1, clean=1)[0], lower=1, overwrite_c=1)
         want += np.tril(want, -1).T
         tracemalloc.start()
         try:
@@ -118,8 +140,8 @@ class TestInvertSpd:
         rng = np.random.default_rng(int(np.log10(cond)))
         for n in (8, 32, 128):
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            m = SpdMatrix((q * np.logspace(0, -np.log10(cond), n)) @ q.T)
-            inv, ref = invert_spd(m), np.linalg.inv(m.a)
+            m = symmetrized((q * np.logspace(0, -np.log10(cond), n)) @ q.T)
+            inv, ref = invert_spd(m), np.linalg.inv(m)
             assert np.abs(inv - ref).max() <= 1e-15 * cond * np.abs(ref).max()
 
 
@@ -153,10 +175,10 @@ class TestCholeskyLower:
         rng = np.random.default_rng(2)
         for _ in range(25):
             m = rand_spd(rng, 12)
-            piv = pivots(m.a)
-            want = [np.linalg.inv(m.a[: j + 1, : j + 1])[j, j] ** -0.5 for j in range(12)]
+            piv = pivots(m)
+            want = [np.linalg.inv(m[: j + 1, : j + 1])[j, j] ** -0.5 for j in range(12)]
             assert np.all(piv > 0)
-            assert np.abs(piv - want).max() < 1e-8 * max(1, np.abs(m.a).max())
+            assert np.abs(piv - want).max() < 1e-8 * max(1, np.abs(m).max())
 
     def test_not_spd(self):
         with pytest.raises(NotSpdError):
@@ -201,7 +223,7 @@ class TestPermuteSymmetric:
             idx = rng.permutation(n)[: int(rng.integers(1, n))]
             rest = np.setdiff1d(np.arange(n), idx)
             _, h_rest, _ = remove_compacted(np.zeros((1, n)), invert_spd(h), idx)
-            assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
+            assert np.abs(h_rest - np.linalg.inv(h[np.ix_(rest, rest)])).max() < 1e-8
 
     def test_rejects_non_bijection(self):
         h_inv = invert_spd(rand_spd(np.random.default_rng(5), 3))
@@ -231,10 +253,10 @@ class TestGroupedCholesky:
         # diagonal block; only k=0 coincides with the full factor's slice
         rng = np.random.default_rng(6)
         m = rand_spd(rng, 12)
-        piv = block_pivots(m.a, 4)
-        full = np.diag(np.linalg.cholesky(m.a))
+        piv = block_pivots(m, 4)
+        full = np.diag(np.linalg.cholesky(m))
         for k in range(3):
-            blk = m.a[4 * k : 4 * (k + 1), 4 * k : 4 * (k + 1)]
+            blk = m[4 * k : 4 * (k + 1), 4 * k : 4 * (k + 1)]
             assert np.abs(piv[k] - np.diag(np.linalg.cholesky(blk))).max() < 1e-10
         assert np.abs(piv[0] - full[:4]).max() < 1e-10
         assert np.abs(piv[1] - full[4:8]).max() > 1e-6  # trailing differs
@@ -273,7 +295,7 @@ class TestRemoveUpdate:
             h = rand_spd(rng, 6)
             h_inv = invert_spd(h)
             for p in range(6):
-                expect = np.linalg.inv(delete_rc(h.a, p))
+                expect = np.linalg.inv(delete_rc(h, p))
                 _, out, _ = remove_compacted(np.zeros((1, 6)), h_inv, [p])
                 assert np.abs(out - expect).max() < 1e-8
 
@@ -293,9 +315,9 @@ class TestProperties:
         for _ in range(25):
             n = int(rng.integers(2, 20))
             m = rand_spd(rng, n)
-            low = np.linalg.cholesky(m.a)
+            low = np.linalg.cholesky(m)
             k = int(rng.integers(1, n + 1))
-            sub = np.linalg.cholesky(m.a[:k, :k])
+            sub = np.linalg.cholesky(m[:k, :k])
             assert np.abs(low[:k, :k] - sub).max() < 1e-8
 
     def test_sequential_removals_match_direct_inverse(self):
@@ -306,7 +328,7 @@ class TestProperties:
             h_inv = invert_spd(h)
             d = int(rng.integers(1, n - 1))
             _, h_inv, _, _ = remove_sequentially(np.zeros((1, n)), h_inv, range(d))
-            expect = np.linalg.inv(h.a[d:, d:])
+            expect = np.linalg.inv(h[d:, d:])
             assert np.abs(h_inv - expect).max() < 1e-8
 
     def test_trailing_factor_identity(self):
@@ -328,8 +350,8 @@ class TestProperties:
         m = rand_spd(rng, 9)
         assert np.array_equal(invert_spd(m), invert_spd(m))
         w = rng.normal(size=(2, 9))
-        assert np.array_equal(block_errors(w, m.a, 3), block_errors(w, m.a, 3))
-        first, second = remove_compacted(w, m.a, [3, 1]), remove_compacted(w, m.a, [3, 1])
+        assert np.array_equal(block_errors(w, m, 3), block_errors(w, m, 3))
+        first, second = remove_compacted(w, m, [3, 1]), remove_compacted(w, m, [3, 1])
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
@@ -354,15 +376,15 @@ class TestRemoveBlock:
     @given(block_instances())
     def test_inverse_of_deleted_hessian(self, inst):
         w, h, idx = inst
-        rest = np.setdiff1d(np.arange(h.n), idx)
+        rest = np.setdiff1d(np.arange(len(h)), idx)
         _, h_rest, _ = remove_compacted(w, invert_spd(h), idx)
-        assert np.abs(h_rest - np.linalg.inv(h.a[np.ix_(rest, rest)])).max() < 1e-8
+        assert np.abs(h_rest - np.linalg.inv(h[np.ix_(rest, rest)])).max() < 1e-8
 
     @PROPERTY
     @given(block_instances())
     def test_weights_and_errors_match_least_squares(self, inst):
         w, h, idx = inst
-        rest = np.setdiff1d(np.arange(h.n), idx)
+        rest = np.setdiff1d(np.arange(len(h)), idx)
         w_rest, _, steps = remove_compacted(w, invert_spd(h), idx)
         expect = least_squares_oracle(w, h, rest)
         assert np.linalg.norm(w_rest - expect) < 1e-8 * max(np.linalg.norm(expect), 1e-12)
@@ -420,7 +442,7 @@ class TestRemoveBlockInPlace:
         # the compacted state before the call
         w, h, blocks, heads = inst
         w_run, h_run = w.copy(), invert_spd(h)
-        alive = np.ones(h.n, dtype=bool)
+        alive = np.ones(len(h), dtype=bool)
         for blk in blocks:
             live = np.flatnonzero(alive)
             w_ref, h_ref, steps_ref = compact_remove_block(

@@ -12,7 +12,7 @@ import pytest
 from obslim.errors import NotSpdError
 from obslim.ffn_pruner import prune_channels
 from obslim.head_pruner import prune_heads
-from obslim.linalg import SpdMatrix, invert_spd, remove_block
+from obslim.linalg import invert_spd, remove_block
 from obslim.obs_core import (
     PruneResult,
     block_errors,
@@ -30,15 +30,16 @@ from conftest import (
     rand_spd,
     remove_compacted,
     remove_sequentially,
+    symmetrized,
 )
 
 
-def residual_of(w, h: SpdMatrix, kept, w_hat) -> float:
+def residual_of(w, h: np.ndarray, kept, w_hat) -> float:
     """Reconstruction error of an arbitrary candidate w_hat over kept columns."""
     kept = np.asarray(kept, dtype=np.intp)
-    total = float(np.einsum("ij,jk,ik->", w, h.a, w))
-    cross = float(np.einsum("ij,ij->", w_hat, w @ h.a[:, kept]))
-    quad = float(np.einsum("ij,jk,ik->", w_hat, h.a[np.ix_(kept, kept)], w_hat))
+    total = float(np.einsum("ij,jk,ik->", w, h, w))
+    cross = float(np.einsum("ij,ij->", w_hat, w @ h[:, kept]))
+    quad = float(np.einsum("ij,jk,ik->", w_hat, h[np.ix_(kept, kept)], w_hat))
     return total - 2.0 * cross + quad
 
 
@@ -51,7 +52,7 @@ class TestColumnErrors:
 
     def test_zero_column(self):
         w = np.array([[0.0, 1.0], [0.0, 2.0]])
-        errs = block_errors(w, rand_spd(np.random.default_rng(0), 2).a, 1)
+        errs = block_errors(w, rand_spd(np.random.default_rng(0), 2), 1)
         assert errs[0] == 0.0
 
     def test_formula_oracle(self):
@@ -249,7 +250,7 @@ class TestLeastSquaresOracle:
     def test_identity_hessian_restriction(self):
         rng = np.random.default_rng(6)
         w = rng.normal(size=(3, 5))
-        out = least_squares_oracle(w, SpdMatrix(np.eye(5)), [1, 3])
+        out = least_squares_oracle(w, np.eye(5), [1, 3])
         assert np.allclose(out, w[:, [1, 3]])
 
     def test_explicit_feature_space_oracle(self):
@@ -259,7 +260,7 @@ class TestLeastSquaresOracle:
             n, m = 8, 50
             x = rng.normal(size=(n, m))
             w = rng.normal(size=(4, n))
-            h = SpdMatrix(x @ x.T)
+            h = symmetrized(x @ x.T)
             kept = np.sort(rng.choice(n, size=5, replace=False))
             expect, *_ = np.linalg.lstsq(x[kept].T, (w @ x).T, rcond=None)
             assert np.abs(least_squares_oracle(w, h, kept) - expect.T).max() < 1e-8
@@ -277,12 +278,12 @@ class TestLeastSquaresOracle:
             assert residual_of(w, h, kept, probe) >= base - 1e-12
 
     def test_empty_kept(self):
-        out = least_squares_oracle(np.ones((2, 3)), SpdMatrix(np.eye(3)), [])
+        out = least_squares_oracle(np.ones((2, 3)), np.eye(3), [])
         assert out.shape == (2, 0)
 
     def test_singular_kept_block(self):
         with pytest.raises(NotSpdError, match="kept-column block of the Hessian is singular"):
-            least_squares_oracle(np.ones((2, 3)), SpdMatrix(np.diag([1.0, 0.0, 1.0])), [0, 1])
+            least_squares_oracle(np.ones((2, 3)), np.diag([1.0, 0.0, 1.0]), [0, 1])
 
 
 class TestBruteForce:
@@ -299,7 +300,7 @@ class TestBruteForce:
         h = rand_spd(rng, 3)
         removed, err = brute_force_best_columns(w, h, 3)
         assert removed == (0, 1, 2)
-        expect = float(np.trace(w @ h.a @ w.T))  # nothing kept: full energy lost
+        expect = float(np.trace(w @ h @ w.T))  # nothing kept: full energy lost
         assert abs(err - expect) < 1e-9 * max(1, expect)
 
     def test_independent_enumeration_oracle(self):
@@ -310,7 +311,7 @@ class TestBruteForce:
         n, m = 6, 40
         x = rng.normal(size=(n, m))
         w = rng.normal(size=(3, n))
-        h = SpdMatrix(x @ x.T)
+        h = symmetrized(x @ x.T)
         removed, err = brute_force_best_columns(w, h, 2)
         best_err, best_set = np.inf, None
         for drop in combinations(range(n), 2):
@@ -325,11 +326,11 @@ class TestBruteForce:
     @pytest.mark.parametrize("k", [-1, 5])
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match=f"cannot remove {k} of 4 columns"):
-            brute_force_best_columns(np.ones((1, 4)), SpdMatrix(np.eye(4)), k)
+            brute_force_best_columns(np.ones((1, 4)), np.eye(4), k)
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            brute_force_best_columns(np.ones((1, 50)), SpdMatrix(np.eye(50)), 25)
+            brute_force_best_columns(np.ones((1, 50)), np.eye(50), 25)
 
 
 class TestSequentialExactness:
@@ -373,7 +374,7 @@ class TestSequentialExactness:
         rng = np.random.default_rng(14)
         w = rng.normal(size=(4, 6))
         h = rand_spd(rng, 6)
-        h2 = SpdMatrix(2.0 * h.a)
+        h2 = 2.0 * h
         errs1 = block_errors(w, invert_spd(h), 1)
         errs2 = block_errors(w, invert_spd(h2), 1)
         assert np.argmin(errs1) == np.argmin(errs2)

@@ -10,10 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from obslim import linalg, pipeline
+from obslim import linalg, obs_core, pipeline
 from obslim.calib import HessianAccumulator
 from obslim.errors import NotSpdError, ObslimError
-from obslim.linalg import SpdMatrix, invert_spd
+from obslim.linalg import invert_spd
 from obslim.obs_core import least_squares_oracle, mask_residual
 from obslim.pipeline import (
     LayerReport,
@@ -31,7 +31,13 @@ from obslim.pipeline import (
 from obslim.schedule import PruneSchedule, build_schedule
 from obslim.tensorstore import ModelManifest, validate_manifest
 
-from conftest import NON_FINITE, dense_causal_attention, ffn_in_worker, reinvert_prune_heads
+from conftest import (
+    NON_FINITE,
+    dense_causal_attention,
+    ffn_in_worker,
+    reinvert_prune_heads,
+    symmetrized,
+)
 
 TOY = ToyModelSpec(n_layers=3, d_model=16, n_head=4, d_ff=24,
                    n_calib_batches=2, tokens_per_batch=24)
@@ -588,8 +594,8 @@ class TestPruneModel:
     def test_one_factorization_per_hessian(self, monkeypatch, tmp_path):
         # HessianAccumulator.inverse factors each full Hessian once, in its
         # own buffer, as its positive-definiteness check, and inverts from
-        # that factor; no SpdMatrix is built on the way. Head blocks (4) and
-        # channel groups (<= 8) are smaller than both dims.
+        # that factor; no Hessian goes through the entry points' check on the
+        # way. Head blocks (4) and channel groups (<= 8) are smaller than both dims.
         counts = Counter()
         full = (TOY.d_model, TOY.d_ff)
 
@@ -604,12 +610,14 @@ class TestPruneModel:
         monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, "factor", full))
         monkeypatch.setattr(HessianAccumulator, "inverse",
                             counting(HessianAccumulator.inverse, "hessian"))
-        monkeypatch.setattr(SpdMatrix, "__init__", counting(SpdMatrix.__init__, "spd_init"))
+        for mod in (linalg, obs_core):
+            monkeypatch.setattr(mod, "_check_hessian",
+                                counting(linalg._check_hessian, "hessian_check"))
         tensors, manifest, calib = gen_toy(TOY)
         prune_model(tensors, manifest, calib, custom_schedule([0.5, 0.25, 0.5]), CONFIG,
                     out=tmp_path / "model.obt")
         assert counts == {"hessian": 6, "factor": 6}
-        assert counts["spd_init"] == 0
+        assert counts["hessian_check"] == 0
 
     def test_dead_channel_matches_oracle_on_live_subspace(self, tmp_path):
         # Channel 5 of layer 1 never fires (its w_up row is zero), so at
@@ -633,7 +641,7 @@ class TestPruneModel:
                  for x in calib]
         assert not any(f[5].any() for f in feats)
         live = np.setdiff1d(np.arange(spec.d_ff), [5])
-        h_live = SpdMatrix(sum(2.0 * f[live] @ f[live].T for f in feats))
+        h_live = symmetrized(sum(2.0 * f[live] @ f[live].T for f in feats))
         want = least_squares_oracle(
             orig.w_down[:, live], h_live, np.searchsorted(live, row.kept_channels))
         assert np.linalg.norm(new.w_down - want) <= 1e-8 * np.linalg.norm(want)
@@ -703,8 +711,8 @@ class TestPruneModel:
         h = acc.finalize(0.01)
         diag = np.diag(sum(2.0 * f @ f.T for f in feats)).copy()
         diag[2] = 1.0
-        assert h.a[2, 2] == 1.0 + 0.01 * diag.mean()
-        assert not np.delete(h.a[2], 2).any()
+        assert h[2, 2] == 1.0 + 0.01 * diag.mean()
+        assert not np.delete(h[2], 2).any()
         assert np.array_equal(h_inv, invert_spd(h))
         assert not w[:, 2].any()
         assert np.array_equal(np.delete(w, 2, axis=1), np.delete(w0, 2, axis=1))
