@@ -1,9 +1,11 @@
 """Command-line front end: gen-toy, prune, verify, report.
 
-Exit codes: 0 success, 1 usage error, 2 numerical or validation failure.
+Exit codes: 0 success, 1 usage error, 2 numerical or validation failure. gen-toy and prune
+replace their whole output set in --out, or leave --out as it was and remove it if they made it.
 """
 
 import argparse
+import contextlib
 import os
 import re
 import shutil
@@ -98,30 +100,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_dir(path, outputs) -> None:
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise ObslimError(f"--out {path} exists and is not a directory")
-    for name in outputs:
-        if os.path.isdir(os.path.join(path, name)):
-            raise ObslimError(f"--out {path}: {name} is a directory, not a file to replace")
+@contextlib.contextmanager
+def _outputs(out, names):
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ObslimError(f"--out {out} exists and is not a directory")
+    for name in names:
+        if os.path.isdir(os.path.join(out, name)):
+            raise ObslimError(f"--out {out}: {name} is a directory, not a file to replace")
+    created = not os.path.isdir(out)
+    os.makedirs(out, exist_ok=True)
+    stage = os.path.join(out, f".stage-{uuid.uuid4().hex}")  # every output is written here first
+    try:
+        os.mkdir(stage)
+        yield stage
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    except BaseException:
+        shutil.rmtree(out if created else stage, ignore_errors=True)
+        raise
+    os.rmdir(stage)
 
 
 def _cmd_gen_toy(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(ToyModelSpec)}
     spec = ToyModelSpec(**{name: val for name, val in given.items() if val is not None})
-    _check_out_dir(args.out, ("model.obt", "calib.obt", "manifest.json"))
-    memory = _physical_memory()
-    if spec.nbytes > memory:
-        raise ObslimError(f"the toy model and calibration set need {spec.nbytes / 2**30:.3g} "
-                          f"GiB, more than the {memory / 2**30:.3g} GiB of physical memory")
-    tensors, manifest, calib = gen_toy(spec)
-    os.makedirs(args.out, exist_ok=True)
-    model_path = os.path.join(args.out, "model.obt")
-    calib_path = os.path.join(args.out, "calib.obt")
-    manifest_path = os.path.join(args.out, "manifest.json")
-    write_tensor_file(tensors, model_path)
-    write_tensor_file({f"calib.{i}": x for i, x in enumerate(calib)}, calib_path)
-    manifest.save(manifest_path)
+    names = ("model.obt", "calib.obt", "manifest.json")
+    with _outputs(args.out, names) as stage:
+        memory = _physical_memory()
+        if spec.nbytes > memory:
+            raise ObslimError(f"the toy model and calibration set need {spec.nbytes / 2**30:.3g} "
+                              f"GiB, more than the {memory / 2**30:.3g} GiB of physical memory")
+        tensors, manifest, calib = gen_toy(spec)
+        write_tensor_file(tensors, os.path.join(stage, "model.obt"))
+        write_tensor_file({f"calib.{i}": x for i, x in enumerate(calib)},
+                          os.path.join(stage, "calib.obt"))
+        manifest.save(os.path.join(stage, "manifest.json"))
+    model_path, calib_path, manifest_path = (os.path.join(args.out, name) for name in names)
     print(f"wrote {model_path} ({len(tensors)} tensors), {manifest_path}, "
           f"{calib_path} ({len(calib)} batches)")
     return 0
@@ -175,17 +189,11 @@ def _cmd_prune(args) -> int:
     )
     config = PruneConfig(damping=args.damping, group_start=args.group_start,
                          group_min=args.group_min)
-    outputs = ("model.obt", "manifest.json", "report.json", "report.csv")
-    _check_out_dir(args.out, outputs)
-    _check_hessians_fit(manifest, header, sched.ratios)
-    tensors = read_tensor_file(args.model)
-    calib = list(read_tensor_file(args.calib).values())
-    created = not os.path.isdir(args.out)
-    os.makedirs(args.out, exist_ok=True)
-    stage = os.path.join(args.out, f".prune-{uuid.uuid4().hex}")  # all four are written here first
-    t_start = time.perf_counter()
-    try:
-        os.mkdir(stage)
+    with _outputs(args.out, ("model.obt", "manifest.json", "report.json", "report.csv")) as stage:
+        _check_hessians_fit(manifest, header, sched.ratios)
+        tensors = read_tensor_file(args.model)
+        calib = list(read_tensor_file(args.calib).values())
+        t_start = time.perf_counter()
         pruned, pruned_manifest, report = prune_model(
             tensors, manifest, calib, sched, config, out=os.path.join(stage, "model.obt"))
         elapsed = time.perf_counter() - t_start
@@ -193,12 +201,6 @@ def _cmd_prune(args) -> int:
         report.save(os.path.join(stage, "report.json"))
         with open(os.path.join(stage, "report.csv"), "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
-        for name in outputs:
-            os.replace(os.path.join(stage, name), os.path.join(args.out, name))
-    except BaseException:  # a failed run leaves no output, not even a directory it made
-        shutil.rmtree(args.out if created else stage, ignore_errors=True)
-        raise
-    os.rmdir(stage)
     total_params = sum(entry.size for entry in header.values())
     kept_params = sum(a.size for a in pruned.values())
     print(_format_report(report))

@@ -151,8 +151,11 @@ def least_squares_oracle(w: np.ndarray, h: np.ndarray, kept) -> np.ndarray:
     order of ``kept``.
     """
     h = _check_hessian(h)
-    w = np.asarray(w, dtype=np.float64)
-    kept = np.asarray(kept, dtype=np.intp)
+    return _least_squares(np.asarray(w, dtype=np.float64), h, np.asarray(kept, dtype=np.intp))
+
+
+def _least_squares(w: np.ndarray, h: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``least_squares_oracle`` on a checked Hessian, float64 ``w`` and intp ``kept``."""
     if kept.size == 0:
         return np.zeros((w.shape[0], 0))
     h_k = h[:, kept]
@@ -175,6 +178,6 @@ def mask_residual(w: np.ndarray, h: np.ndarray, kept) -> float:
     total = float(np.einsum("ij,jk,ik->", w, h, w))
     if kept.size == 0:
         return total
-    w_hat = least_squares_oracle(w, h, kept)
+    w_hat = _least_squares(w, h, kept)
     captured = float(np.einsum("ij,ij->", w_hat, w @ h[:, kept]))
     return total - captured

@@ -192,6 +192,62 @@ class TestGenToy:
             err.endswith(" of physical memory\n") and err.count("\n") == 1, err
         assert not out.exists()
 
+    SMALL = ["--layers", "1", "--d-model", "8", "--heads", "2", "--d-ff", "8"]
+
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["oserror", "interrupt"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new-out", "over-a-set"])
+    @pytest.mark.parametrize("failing", GEN_TOY_OUTPUTS)
+    def test_failed_output_write_changes_no_output(self, tmp_path, capsys, monkeypatch,
+                                                   failing, in_place, interrupt):
+        # the three outputs replace the old ones as one set, once all are written;
+        # the snapshot also holds every temporary file or directory left behind
+        out = tmp_path / "toy"
+        if in_place:
+            assert run(["gen-toy", "--out", str(out), "--seed", "1", *self.SMALL]) == 0
+            before = snapshot(out)
+
+        def failing_write(write):
+            def wrapped(obj, path):
+                if os.path.basename(path) != failing:
+                    return write(obj, path)
+                if interrupt:
+                    raise KeyboardInterrupt
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return wrapped
+
+        monkeypatch.setattr(cli, "write_tensor_file", failing_write(cli.write_tensor_file))
+        monkeypatch.setattr(ModelManifest, "save", failing_write(ModelManifest.save))
+        capsys.readouterr()
+        argv = ["gen-toy", "--out", str(out), "--seed", "2", *self.SMALL]
+        if interrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+            assert capsys.readouterr().err == ""
+        else:
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno 28] ") and err.count("\n") == 1, err
+        if in_place:
+            assert snapshot(out) == before
+        else:
+            assert not out.exists()
+
+    def test_replaces_a_set_with_exactly_its_three_files(self, tmp_path):
+        out, fresh = tmp_path / "toy", tmp_path / "fresh"
+        assert run(["gen-toy", "--out", str(out), "--seed", "1", *self.SMALL]) == 0
+        assert run(["gen-toy", "--out", str(out), "--seed", "2", *self.SMALL]) == 0
+        assert run(["gen-toy", "--out", str(fresh), "--seed", "2", *self.SMALL]) == 0
+        assert sorted(os.listdir(out)) == sorted(GEN_TOY_OUTPUTS)
+        for name in GEN_TOY_OUTPUTS:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_empty_out_exit_2_writing_nothing(self, tmp_path, capsys, monkeypatch):
+        # "" names no directory: nothing is staged in, or written to, the working directory
+        monkeypatch.chdir(tmp_path)
+        assert run(["gen-toy", "--out", "", *self.SMALL]) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        assert os.listdir(tmp_path) == []
+
     def test_runs_as_python_module(self, tmp_path):
         proc = run_module(["gen-toy", "--out", str(tmp_path / "toy"),
                            "--layers", "1", "--d-model", "8", "--heads", "2", "--d-ff", "8"])

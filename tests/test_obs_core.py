@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from obslim import obs_core
 from obslim.errors import NotSpdError
 from obslim.ffn_pruner import prune_channels
 from obslim.head_pruner import prune_heads
@@ -284,6 +285,18 @@ class TestLeastSquaresOracle:
     def test_singular_kept_block(self):
         with pytest.raises(NotSpdError, match="kept-column block of the Hessian is singular"):
             least_squares_oracle(np.ones((2, 3)), np.diag([1.0, 0.0, 1.0]), [0, 1])
+
+    def test_mask_residual_checks_its_hessian_once(self, monkeypatch):
+        check, calls = obs_core._check_hessian, []
+        monkeypatch.setattr(obs_core, "_check_hessian", lambda h: calls.append(h) or check(h))
+        rng = np.random.default_rng(8)
+        w, h, kept = rng.normal(size=(3, 6)), rand_spd(rng, 6), [0, 2, 5]
+        resid = mask_residual(w, h, kept)
+        assert len(calls) == 1
+        # the oracle's weights in the same formula give the same bits
+        total = float(np.einsum("ij,jk,ik->", w, h, w))
+        w_hat = least_squares_oracle(w, h, kept)
+        assert resid == total - float(np.einsum("ij,ij->", w_hat, w @ h[:, kept]))
 
 
 class TestBruteForce:

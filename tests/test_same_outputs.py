@@ -23,16 +23,22 @@ def same_outputs(parent_src, change_src, *flags):
                           capture_output=True, text=True, timeout=300)
 
 
-def changed_damping(tmp_path):
-    """A copy of the tree under test whose default damping is 0.02, not 0.01."""
+def changed_tree(tmp_path, module, old, new):
+    """A copy of the tree under test with the one ``old`` in ``module`` replaced by ``new``."""
     src = tmp_path / "src"
     shutil.copytree(SRC / "obslim", src / "obslim",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    pipeline = src / "obslim" / "pipeline.py"
-    text = pipeline.read_text()
-    assert text.count("    damping: float = 0.01  #") == 1
-    pipeline.write_text(text.replace("    damping: float = 0.01  #", "    damping: float = 0.02  #"))
+    path = src / "obslim" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
     return src
+
+
+def changed_damping(tmp_path):
+    """A copy of the tree under test whose default damping is 0.02, not 0.01."""
+    return changed_tree(tmp_path, "pipeline.py", "    damping: float = 0.01  #",
+                        "    damping: float = 0.02  #")
 
 
 def test_same_source_is_the_same():
@@ -45,6 +51,15 @@ def test_changed_damping_differs(tmp_path):
     proc = same_outputs(SRC, changed_damping(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["ffn_wide seed 404: model.obt differs"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--drift"]], ids=["bytes", "drift"])
+def test_changed_gen_toy_differs(tmp_path, flags):
+    # a gen_toy whose feature mixing is 0.31, not 0.3, moves calib.obt alone
+    src = changed_tree(tmp_path, "pipeline.py", "np.eye(dm) + 0.3 *", "np.eye(dm) + 0.31 *")
+    proc = same_outputs(SRC, src, *flags)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["ffn_wide seed 404: gen-toy calib.obt differs"]
 
 
 def test_same_source_is_within_drift():

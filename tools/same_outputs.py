@@ -1,4 +1,4 @@
-"""Check that two source trees write the same `obslim prune` outputs.
+"""Check that two source trees write the same `obslim gen-toy` and `obslim prune` outputs.
 
 Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--workloads NAME ...]
                                     [--seeds N ...] [--drift]
@@ -6,13 +6,15 @@ Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--workloads NAME ...]
 PARENT_SRC and CHANGE_SRC are directories that hold the ``obslim`` package,
 such as two checkouts' ``src/``. For each benchmark workload and gen-toy
 seed (by default every workload of ``perfbench/harness.py`` and seeds
-404-411), the inputs are generated with PARENT_SRC's ``gen-toy``, and then
-``prune`` runs once under each source, with the workload's flags. Every
-command runs in its own process, pinned to one BLAS thread, since outputs
-are bit-identical only at a fixed thread count. One input set is on disk
-at a time.
+404-411), ``gen-toy`` runs once under each source, and then ``prune`` runs
+once under each source on that source's inputs, with the workload's flags.
+Every command runs in its own process, pinned to one BLAS thread, since
+outputs are bit-identical only at a fixed thread count. The files of one
+workload and seed are on disk at a time.
 
-By default ``model.obt``, ``manifest.json``, ``report.json`` and
+In both modes, ``gen-toy``'s ``model.obt``, ``calib.obt`` and
+``manifest.json`` must be equal byte for byte. Of ``prune``'s outputs, by
+default ``model.obt``, ``manifest.json``, ``report.json`` and
 ``report.csv`` must be equal byte for byte. With ``--drift``, the gate for a
 change that reorders floating-point sums, the selections must still be
 identical but the errors and weights may move in their last bits:
@@ -23,6 +25,7 @@ relative (Frobenius norm), read with PARENT_SRC's obslim in a subprocess.
 ``report.csv`` only repeats ``report.json``'s values and is not compared.
 Exits 0 if every set passes, 1 naming the first file (and, with
 ``--drift``, the field or tensor) that differs, and 2 if a command fails.
+A ``gen-toy`` file that differs is named as ``gen-toy FILE``.
 """
 
 import argparse
@@ -37,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 HARNESS = Path(__file__).resolve().parent.parent / "perfbench" / "harness.py"
+INPUTS = ("model.obt", "calib.obt", "manifest.json")
 OUTPUTS = ("model.obt", "manifest.json", "report.json", "report.csv")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DRIFT = 1e-12  # relative bound of the --drift gate
@@ -99,6 +103,12 @@ def json_drift(a, b, path=""):
     return next(filter(None, (json_drift(x, y, sub) for sub, x, y in pairs)), None)
 
 
+def first_unequal(a: Path, b: Path, names) -> str:
+    """The first of ``names`` whose file in ``a`` and in ``b`` differ byte for byte, or ''."""
+    return next((name for name in names
+                 if not filecmp.cmp(a / name, b / name, shallow=False)), "")
+
+
 def drift(work: Path, parent_src: Path) -> str:
     """The first output of ``work/parent`` that ``work/change`` misses beyond drift, or ''."""
     parent, change = work / "parent", work / "change"
@@ -127,27 +137,32 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        inputs = work / "inputs"
+        inputs = {side: work / f"{side}-inputs" for side in sources}
         for name in args.workloads:
             gen_flags, prune_flags = known[name]
             for seed in args.seeds:
-                python(sources["parent"], ["-m", "obslim", "gen-toy", "--out", str(inputs),
-                                           "--seed", str(seed), *gen_flags], work)
                 for side, src in sources.items():
-                    python(src, ["-m", "obslim", "prune", "--model", str(inputs / "model.obt"),
-                                 "--manifest", str(inputs / "manifest.json"),
-                                 "--calib", str(inputs / "calib.obt"),
+                    python(src, ["-m", "obslim", "gen-toy", "--out", str(inputs[side]),
+                                 "--seed", str(seed), *gen_flags], work)
+                differs = first_unequal(*inputs.values(), INPUTS)
+                if differs:
+                    print(f"{name} seed {seed}: gen-toy {differs} differs")
+                    return 1
+                for side, src in sources.items():
+                    given = inputs[side]
+                    python(src, ["-m", "obslim", "prune", "--model", str(given / "model.obt"),
+                                 "--manifest", str(given / "manifest.json"),
+                                 "--calib", str(given / "calib.obt"),
                                  "--out", str(work / side), *prune_flags], work)
                 if args.drift:
                     differs = drift(work, sources["parent"])
                 else:
-                    differs = next((out for out in OUTPUTS if not filecmp.cmp(
-                        work / "parent" / out, work / "change" / out, shallow=False)), "")
+                    differs = first_unequal(work / "parent", work / "change", OUTPUTS)
                 if differs:
                     print(f"{name} seed {seed}: {differs} differs")
                     return 1
                 print(f"{name} seed {seed}: {'within drift' if args.drift else 'same'}")
-                for path in (inputs, *(work / side for side in sources)):
+                for path in (*inputs.values(), *(work / side for side in sources)):
                     shutil.rmtree(path)
     count = len(args.workloads) * len(args.seeds)
     print(f"{count} output sets within drift" if args.drift
